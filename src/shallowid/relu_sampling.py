@@ -223,25 +223,13 @@ def _point_line_distances(points: np.ndarray, line: Line) -> np.ndarray:
     return np.linalg.norm(perp, axis=1)
 
 
-def _collinearity_ok(points: np.ndarray, lines: tuple[Line, ...],
-                     tol: ToleranceConfig) -> bool:
-    """Condition: every collinear point triple lies on one of the plan lines.
+def _third_point_near(points: np.ndarray, check_i: np.ndarray, check_k: np.ndarray,
+                      ctol: float) -> bool:
+    """Whether some pair (check_i[j] < check_k[j]) has three points within
+    ctol of the line through it, anchored at p_i.  Point-to-line distances
+    come from the Gram identity dist^2 = |r - p|^2 - <r - p, u>^2, so no
+    (pairs, points, d) tensor is ever materialized."""
 
-    Pairs living together on a plan line are exempt (their triples sit on
-    that line); every other pair must have no third point near its spanned
-    line.  Point-to-line distances come from the Gram identity
-    dist^2 = |r - p|^2 - <r - p, u>^2, so no (pairs, points, d) tensor is
-    ever materialized.
-    """
-
-    n = points.shape[0]
-    scale = 1.0 + float(np.max(np.abs(points)))
-    ctol = tol.match_tol * scale
-    member = np.stack([_point_line_distances(points, ln) <= ctol for ln in lines],
-                      axis=1)
-    idx_i, idx_k = np.triu_indices(n, k=1)
-    shared = np.any(member[idx_i] & member[idx_k], axis=1)
-    check_i, check_k = idx_i[~shared], idx_k[~shared]
     sq_norms = np.einsum("nd,nd->n", points, points)
     for start in range(0, check_i.size, 8192):
         ii = check_i[start:start + 8192]
@@ -256,8 +244,71 @@ def _collinearity_ok(points: np.ndarray, lines: tuple[Line, ...],
         perp2 = np.maximum(dist2 - along * along, 0.0)
         close = perp2 <= ctol * ctol
         if np.any(np.sum(close, axis=0) >= 3):
-            return False
-    return True
+            return True
+    return False
+
+
+def _collinearity_ok(points: np.ndarray, lines: tuple[Line, ...],
+                     tol: ToleranceConfig) -> bool:
+    """Condition: every collinear point triple lies on one of the plan lines.
+
+    Pairs living together on a plan line are exempt (their triples sit on
+    that line); every other pair must have no third point near its spanned
+    line.  A sort over directions proposes a superset of the failing pairs
+    and `_third_point_near` re-checks only those, with the arithmetic of the
+    full check, so the decision is the same in O(n^2 log n) time, not O(n^3).
+
+    Superset: 16 (d+2) eps R^2 (R = 1 + max |p|) bounds the rounding error of
+    the Gram identity to first order, so a third point it counts lies truly
+    within tau/2 = sqrt(ctol^2 + 16 (d+2) eps R^2) of the pair's line.  From
+    the anchor, its unit direction (at distance rho) and the partner's then
+    differ, up to sign, by a chord of at most sqrt(2) (tau/2) / rho; each
+    direction is paired with all others within a chord of 2 tau / rho, which
+    also covers the rounding of the sort keys.  Directions are folded onto
+    <g, u> >= 0, with a flipped copy near the fold.  A window reaches 1 only
+    for two points within 2 tau; then every non-exempt pair is re-checked.
+    """
+
+    n, d = points.shape
+    scale = 1.0 + float(np.max(np.abs(points)))
+    ctol = tol.match_tol * scale
+    member = np.stack([_point_line_distances(points, ln) <= ctol for ln in lines],
+                      axis=1).astype(float)
+    candidate = member @ member.T == 0.0          # pairs sharing no plan line
+    radius = 1.0 + float(np.max(np.linalg.norm(points, axis=1)))
+    tau = 2.0 * np.sqrt(ctol * ctol + 16 * (d + 2) * np.finfo(float).eps * radius ** 2)
+    unit = points[None, :, :] - points[:, None, :]            # p_k - p_a at [a, k]
+    rho = np.sqrt(np.einsum("abd,abd->ab", unit, unit))
+    np.fill_diagonal(rho, np.inf)             # zero direction, empty window
+    if float(np.min(rho)) > 2.0 * tau:
+        unit = (unit / rho[:, :, None]).reshape(n * n, d)
+        width = (2.0 * tau / rho).ravel()
+        g, h = np.sqrt(np.arange(2.0, d + 2.0)), np.cos(np.arange(d))  # fixed, generic
+        h -= (h @ g) / (g @ g) * g
+        g, h = g / np.linalg.norm(g), h / np.linalg.norm(h)
+        fold = unit @ g
+        unit *= np.where(fold < 0.0, -1.0, 1.0)[:, None]
+        seam = np.flatnonzero(np.abs(fold) < width)
+        origin = np.concatenate([np.arange(n * n), seam])   # flat (anchor, point)
+        unit = np.concatenate([unit, -unit[seam]])
+        width = width[origin]
+        key = unit @ h + 4.0 * (origin // n)     # keys of one anchor stay apart
+        order = np.argsort(key)
+        key, sorted_width = key[order], width[order]
+        lo = np.searchsorted(key, key - sorted_width)
+        count = np.searchsorted(key, key + sorted_width, side="right") - lo - 1
+        src = np.repeat(np.arange(key.size), count)
+        dst = lo[src] + np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
+        dst += dst >= src                         # skip the entry itself
+        src, dst = order[src], order[dst]
+        keep = candidate.ravel()[origin[dst]]     # propose non-exempt partners only
+        src, dst = src[keep], dst[keep]
+        near = np.linalg.norm(unit[src] - unit[dst], axis=1) <= width[src]
+        hit = np.zeros(n * n, dtype=bool)
+        hit[origin[dst[near]]] = True
+        candidate &= hit.reshape(n, n)
+    check_i, check_k = np.nonzero(np.triu(candidate, 1))
+    return not _third_point_near(points, check_i, check_k, ctol)
 
 
 def build_sample_plan(g: GroupedReLU, ls: FeasibleLineSet, seed: int,
@@ -506,14 +557,19 @@ def plan_to_json_obj(plan: SamplePlan) -> dict:
     }
 
 
+def _finite_vector(raw, location: str) -> np.ndarray:
+    if not isinstance(raw, list):
+        raise ParseError("expected a list of numbers", location=location)
+    for i, v in enumerate(raw):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+            raise ParseError("entries must be finite numbers", location=f"{location}[{i}]")
+    return np.asarray([float(v) for v in raw])
+
+
 def _vector_field(obj: dict, key: str, location: str) -> np.ndarray:
     if key not in obj or not isinstance(obj[key], list):
         raise ParseError(f"missing or invalid field {key!r}", location=location)
-    for i, v in enumerate(obj[key]):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-            raise ParseError("entries must be finite numbers",
-                             location=f"{location}.{key}[{i}]")
-    return np.asarray([float(v) for v in obj[key]])
+    return _finite_vector(obj[key], f"{location}.{key}")
 
 
 def plan_from_json_obj(obj) -> SamplePlan:
@@ -541,9 +597,9 @@ def plan_from_json_obj(obj) -> SamplePlan:
         if not isinstance(row, list) or len(row) < 4:
             raise ParseError("params row must list at least four values",
                              location=f"plan.params[{j}]")
-        ts = [float(t) for t in row]
+        ts = _finite_vector(row, f"plan.params[{j}]")
         lines.append(line)
-        params.append(tuple(ts))
+        params.append(tuple(ts.tolist()))
         blocks.append(line.points_at(ts))
     line_set = FeasibleLineSet(tuple(lines), None, None)
     return SamplePlan(line_set, tuple(params), np.concatenate(blocks, axis=0))
@@ -562,16 +618,18 @@ def samples_from_json_obj(obj, plan: SamplePlan,
     if not isinstance(obj, dict) or "values" not in obj or "points" not in obj:
         raise ParseError("samples payload must carry 'points' and 'values'",
                          location="samples")
-    values = np.asarray(obj["values"], dtype=float)
+    values = _finite_vector(obj["values"], "samples.values")
     points = np.asarray(obj["points"], dtype=float)
     if points.shape != plan.points.shape:
         raise ParseError("sample points do not match the referenced plan",
                          location="samples.points")
+    if not np.all(np.isfinite(points)):
+        raise ParseError("entries must be finite numbers", location="samples.points")
     scale = 1.0 + float(np.max(np.abs(plan.points)))
     if float(np.max(np.abs(points - plan.points))) > tol.match_tol * scale:
         raise ParseError("sample points disagree with the referenced plan",
                          location="samples.points")
-    if values.ndim != 1 or values.shape[0] != points.shape[0]:
+    if values.shape[0] != points.shape[0]:
         raise ParseError("values must list one number per point",
                          location="samples.values")
     return LabeledSamples(plan, values)

@@ -1,4 +1,5 @@
-"""Shared generators, the brute-force reducibility oracle and the CLI runner."""
+"""Shared generators, the brute-force reducibility and plan-collinearity
+oracles and the CLI runner."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import numpy as np
 import shallowid
 from shallowid import (AdmissibilityError, ShallowNet, canonical_hyperplane,
                        evaluate_many, group, make_net)
+from shallowid.relu_sampling import _point_line_distances
+from shallowid.tolerances import DEFAULT_TOL
 
 # The directory that holds the imported package, so that a CLI child process
 # imports the same code as the tests whatever its working directory is.
@@ -278,6 +281,48 @@ def oracle_reducible(net: ShallowNet, grid=None) -> bool:
                     if matches(_merge_oriented(entries + extra), g.c + q):
                         return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# brute-force plan collinearity oracle
+# ---------------------------------------------------------------------------
+
+# The O(n^3) check that relu_sampling._collinearity_ok replaced: every
+# non-exempt pair is tested against all n points.
+def oracle_collinearity_ok(points, lines, tol=DEFAULT_TOL) -> bool:
+    """Condition: every collinear point triple lies on one of the plan lines.
+
+    Pairs living together on a plan line are exempt (their triples sit on
+    that line); every other pair must have no third point near its spanned
+    line.  Point-to-line distances come from the Gram identity
+    dist^2 = |r - p|^2 - <r - p, u>^2, so no (pairs, points, d) tensor is
+    ever materialized.
+    """
+
+    n = points.shape[0]
+    scale = 1.0 + float(np.max(np.abs(points)))
+    ctol = tol.match_tol * scale
+    member = np.stack([_point_line_distances(points, ln) <= ctol for ln in lines],
+                      axis=1)
+    idx_i, idx_k = np.triu_indices(n, k=1)
+    shared = np.any(member[idx_i] & member[idx_k], axis=1)
+    check_i, check_k = idx_i[~shared], idx_k[~shared]
+    sq_norms = np.einsum("nd,nd->n", points, points)
+    for start in range(0, check_i.size, 8192):
+        ii = check_i[start:start + 8192]
+        kk = check_k[start:start + 8192]
+        anchors = points[ii]                                  # (B, d)
+        unit = points[kk] - anchors
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        cross = points @ anchors.T                            # (n, B)
+        dist2 = (sq_norms[:, None] - 2.0 * cross
+                 + np.einsum("bd,bd->b", anchors, anchors)[None, :])
+        along = points @ unit.T - np.einsum("bd,bd->b", anchors, unit)[None, :]
+        perp2 = np.maximum(dist2 - along * along, 0.0)
+        close = perp2 <= ctol * ctol
+        if np.any(np.sum(close, axis=0) >= 3):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

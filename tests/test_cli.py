@@ -91,6 +91,22 @@ def test_reconstruct_resolves_plan_ref_relative_to_data(tmp_path, cross_net_file
     assert proc.returncode == 0, proc.stderr
 
 
+def test_reconstruct_rejects_nan_sample_value_exit_3(tmp_path, cross_net_file):
+    plan = tmp_path / "plan.json"
+    samples = tmp_path / "samples.json"
+    assert run_cli("plan-relu", "--net", str(cross_net_file),
+                   "--out", str(plan)).returncode == 0
+    assert run_cli("sample", "--net", str(cross_net_file), "--plan", str(plan),
+                   "--out", str(samples)).returncode == 0
+    obj = json.loads(samples.read_text())
+    obj["values"][0] = float("nan")
+    samples.write_text(json.dumps(obj))
+    proc = run_cli("reconstruct", "--data", str(samples), "--out", str(tmp_path / "rec.json"))
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "parse" and err["details"]["location"] == "samples.values[0]"
+
+
 def test_reduce_writes_fixpoint(tmp_path):
     a = np.array([1.0, 0.2])
     net = make_net("relu", [(a, 0.0, 1.0), (-a, 0.0, -1.0),

@@ -1,16 +1,22 @@
+import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import shallowid as si
-from shallowid import (InputError, Line, LabeledSamples, build_feasible_lines,
-                       build_sample_plan, extract_breakpoints, group, make_net,
-                       reconstruct, recover_hyperplanes, sample_values)
-from shallowid.relu_sampling import (plan_from_json_obj, plan_to_json_obj,
-                                     samples_from_json_obj, samples_to_json_obj)
+from shallowid import (InputError, Line, LabeledSamples, ParseError, ToleranceConfig,
+                       build_feasible_lines, build_sample_plan, extract_breakpoints,
+                       group, make_net, reconstruct, recover_hyperplanes, relu_sampling,
+                       sample_values)
+from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
+                                     plan_to_json_obj, samples_from_json_obj,
+                                     samples_to_json_obj)
 
-from helpers import random_irreducible_relu
+from helpers import oracle_collinearity_ok, random_irreducible_relu
 
 
 def cross_net():
@@ -92,6 +98,145 @@ def test_plan_collinear_triples_all_on_plan_lines():
     ls = build_feasible_lines(g, seed=0)
     plan = build_sample_plan(g, ls, seed=0)
     assert exhaustive_collinear_triples_ok(plan.points, plan.lines)
+
+
+# (d, m, seed); at d=2 with m=8 and m=9 most jitter draws are rejected, and
+# the d=2 seeds are ones whose first draws include rejected and accepted ones
+COLLINEARITY_CORPUS = [(2, 3, 0), (2, 6, 4), (2, 8, 3), (2, 9, 4), (3, 4, 4),
+                       (3, 6, 5), (4, 4, 6), (4, 5, 7), (5, 3, 8), (5, 4, 9)]
+CORPUS_DRAWS = 6
+
+# A match tolerance far above the rounding error of the Gram identity, so
+# that a point planted at 0.5 or 2 match tolerances is not decided by the
+# last bits of a matrix product, whose blocking differs between the oracle's
+# batches of all pairs and the re-check's batch of candidates.
+WIDE_TOL = ToleranceConfig(match_tol=1e-6)
+
+
+class EnoughDraws(Exception):
+    pass
+
+
+def seeded_line_set(d, m, seed):
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    return g, build_feasible_lines(g, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def small_plan(d):
+    g, ls = seeded_line_set(d, 3 if d == 2 else 2, d)
+    return build_sample_plan(g, ls, seed=d)
+
+
+def non_exempt_pair_count(points, lines, tol):
+    ctol = tol.match_tol * (1.0 + float(np.max(np.abs(points))))
+    member = np.stack([_point_line_distances(points, ln) <= ctol for ln in lines],
+                      axis=1).astype(int)
+    return int(np.sum(np.triu(member @ member.T == 0, 1)))
+
+
+@pytest.mark.parametrize("d, m, seed", COLLINEARITY_CORPUS)
+def test_collinearity_check_decides_as_the_oracle_on_seeded_draws(monkeypatch, d, m, seed):
+    """Both checks judge each jitter draw of a plan build, up to the first
+    CORPUS_DRAWS draws; the build goes on with the new check's verdict."""
+
+    g, ls = seeded_line_set(d, m, seed)
+    check = relu_sampling._collinearity_ok
+    decisions = []
+
+    def both(points, lines, tol):
+        ok = check(points, lines, tol)
+        decisions.append((ok, oracle_collinearity_ok(points, lines, tol)))
+        if len(decisions) == CORPUS_DRAWS:
+            raise EnoughDraws
+        return ok
+
+    monkeypatch.setattr(relu_sampling, "_collinearity_ok", both)
+    try:
+        build_sample_plan(g, ls, seed=seed)
+    except EnoughDraws:
+        pass
+    assert all(new == old for new, old in decisions), decisions
+    if d == 2 and m >= 8:
+        assert not all(old for _, old in decisions)  # rejected draws are covered
+
+
+@pytest.mark.parametrize("d, m, seed", [(2, 6, 4), (2, 7, 3), (3, 5, 3), (4, 4, 4)])
+def test_sample_plan_is_bit_identical_under_the_oracle(monkeypatch, d, m, seed):
+    g, ls = seeded_line_set(d, m, seed)
+    plan = build_sample_plan(g, ls, seed=seed)
+    monkeypatch.setattr(relu_sampling, "_collinearity_ok", oracle_collinearity_ok)
+    reference = build_sample_plan(g, ls, seed=seed)
+    assert np.array_equal(plan.points, reference.points)
+    assert plan.params == reference.params
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), pair=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+       t=st.floats(0.2, 0.8), factor=st.sampled_from([0.5, 2.0]),
+       normal=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_collinearity_check_on_planted_third_points(d, pair, t, factor, normal):
+    """A third point planted 0.5 or 2 match tolerances off the line of two
+    points on different plan lines."""
+
+    plan = small_plan(d)
+    n, per_line = plan.points.shape[0], len(plan.params[0])
+    i, k = pair[0] % n, pair[1] % n
+    assume(i // per_line != k // per_line)
+    p, q = plan.points[i], plan.points[k]
+    along = (q - p) / np.linalg.norm(q - p)
+    off = np.asarray(normal[:d]) - (np.asarray(normal[:d]) @ along) * along
+    assume(np.linalg.norm(off) > 0.1)
+    ctol = WIDE_TOL.match_tol * (1.0 + float(np.max(np.abs(plan.points))))
+    planted = p + t * (q - p) + factor * ctol * off / np.linalg.norm(off)
+    points = np.concatenate([plan.points, planted[None, :]])
+    expected = oracle_collinearity_ok(points, plan.lines, WIDE_TOL)
+    if factor < 1.0:
+        assert not expected
+    assert relu_sampling._collinearity_ok(points, plan.lines, WIDE_TOL) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), index=st.integers(0, 10**6),
+       factor=st.sampled_from([0.0, 0.5, 1.0, 1000.0]),
+       shift=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_collinearity_check_on_near_coincident_points(d, index, factor, shift):
+    """A point planted within 1000 match tolerances of a plan point; within
+    one, every non-exempt pair is re-checked."""
+
+    plan = small_plan(d)
+    p = plan.points[index % plan.points.shape[0]]
+    step = np.asarray(shift[:d])
+    assume(np.linalg.norm(step) > 0.1)
+    ctol = WIDE_TOL.match_tol * (1.0 + float(np.max(np.abs(plan.points))))
+    planted = p + factor * ctol * step / np.linalg.norm(step)
+    points = np.concatenate([plan.points, planted[None, :]])
+    with mock.patch.object(relu_sampling, "_third_point_near",
+                           wraps=relu_sampling._third_point_near) as spy:
+        ok = relu_sampling._collinearity_ok(points, plan.lines, WIDE_TOL)
+    assert ok == oracle_collinearity_ok(points, plan.lines, WIDE_TOL)
+    if factor <= 1.0:
+        assert spy.call_args.args[1].size == non_exempt_pair_count(points, plan.lines,
+                                                                   WIDE_TOL)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_collinearity_check_finds_a_triple_straddling_the_fold(d):
+    """Three near-collinear points whose directions, seen from both anchors
+    the check uses, fall on either side of the filter's fold plane
+    <g, u> = 0 (g as in `_collinearity_ok`); only the flipped copies near
+    the fold pair them up."""
+
+    g = np.sqrt(np.arange(2.0, d + 2.0))
+    g /= np.linalg.norm(g)
+    along = np.eye(d)[0] - g[0] * g
+    along /= np.linalg.norm(along)
+    base = np.full(d, 0.3)
+    y = 0.1 * WIDE_TOL.match_tol
+    points = np.stack([base, base + 0.5 * along - y * g, base + along + y * g])
+    far_line = (Line(np.full(d, 5.0), np.eye(d)[1]),)
+    assert not oracle_collinearity_ok(points, far_line, WIDE_TOL)
+    assert not relu_sampling._collinearity_ok(points, far_line, WIDE_TOL)
 
 
 def test_extract_breakpoints_single_relu_on_line():
@@ -225,3 +370,34 @@ def test_recover_hyperplanes_rejects_scattered_points():
     scattered = [rng.uniform(-1, 1, size=(2, 2)) for _ in range(4)]
     with pytest.raises(si.RecoveryError):
         recover_hyperplanes(scattered)
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", float("nan"), float("inf")])
+def test_plan_from_json_rejects_non_numeric_params(bad):
+    g = group(cross_net())
+    obj = plan_to_json_obj(build_sample_plan(g, build_feasible_lines(g, seed=0), seed=0))
+    obj["params"][1][2] = bad
+    with pytest.raises(ParseError) as err:
+        plan_from_json_obj(obj)
+    assert err.value.location == "plan.params[1][2]"
+
+
+@pytest.mark.parametrize("field, bad, location", [
+    ("values", float("nan"), "samples.values[3]"),
+    ("values", float("-inf"), "samples.values[3]"),
+    ("values", True, "samples.values[3]"),
+    ("values", "0.5", "samples.values[3]"),
+    ("points", float("nan"), "samples.points"),
+    ("points", float("inf"), "samples.points"),
+])
+def test_samples_from_json_rejects_non_finite_entries(field, bad, location):
+    g = group(cross_net())
+    plan = build_sample_plan(g, build_feasible_lines(g, seed=0), seed=0)
+    obj = samples_to_json_obj(sample_values(cross_net(), plan), "plan.json")
+    if field == "values":
+        obj["values"][3] = bad
+    else:
+        obj["points"][3][0] = bad
+    with pytest.raises(ParseError) as err:
+        samples_from_json_obj(obj, plan)
+    assert err.value.location == location
