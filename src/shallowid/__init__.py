@@ -10,7 +10,7 @@ from .errors import (AdmissibilityError, ConstructionError, DegenerateFitError,
 from .net_core import (Activation, GroupedReLU, Hyperplane, Neuron, PairedEntry,
                        ShallowNet, SingleEntry, canonical_hyperplane, deserialize,
                        evaluate, evaluate_many, group, make_net, serialize)
-from .numerics import AffineFit, affine_fit, rank, rank_by_elimination, solve_least_squares
+from .numerics import AffineFit, affine_fit, rank, solve_least_squares
 from .relu_structure import (AdmissibilityReport, EquivalenceCertificate,
                              ReductionWitness, check_admissible, reduce_fully,
                              reduce_once, test_equivalent, test_reducible)

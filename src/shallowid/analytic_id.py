@@ -18,9 +18,11 @@ from math import comb
 
 import numpy as np
 
+from . import schema
 from .errors import (AdmissibilityError, InputError, InvariantError,
                      ParseError, SizeError, ToleranceError)
-from .net_core import Neuron, ShallowNet, evaluate_many, make_net
+from .net_core import (Neuron, ShallowNet, _duplicate_ridges, _first_significant_sign,
+                       evaluate_many, make_net)
 from .numerics import rank
 from .relu_structure import AdmissibilityReport
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -40,18 +42,12 @@ def _require_analytic(net: ShallowNet) -> None:
 
 
 def analytic_violations(net: ShallowNet, tol: ToleranceConfig) -> list[dict]:
-    violations: list[dict] = []
-    for k, n in enumerate(net.neurons):
-        if abs(n.s) * float(np.linalg.norm(n.a)) <= tol.zero_tol:
-            violations.append({"clause": "i", "neuron": k, "reason": "zero neuron"})
-    for k1 in range(net.m):
-        for k2 in range(k1 + 1, net.m):
-            n1, n2 = net.neurons[k1], net.neurons[k2]
-            for sign in (1.0, -1.0):
-                if (float(np.max(np.abs(n1.a - sign * n2.a))) <= tol.match_tol
-                        and abs(n1.b - sign * n2.b) <= tol.match_tol):
-                    violations.append({"clause": "ii", "neurons": [k1, k2],
-                                       "reason": "sign-duplicate ridge"})
+    violations = [{"clause": "i", "neuron": k, "reason": "zero neuron"}
+                  for k, n in enumerate(net.neurons)
+                  if abs(n.s) * float(np.linalg.norm(n.a)) <= tol.zero_tol]
+    rows = [(n.a, n.b) for n in net.neurons]
+    violations += [{"clause": "ii", "neurons": pair, "reason": "sign-duplicate ridge"}
+                   for pair in _duplicate_ridges(rows, (1.0, -1.0), tol)]
     return violations
 
 
@@ -79,14 +75,6 @@ class AnalyticCanonicalForm:
                         self.c, d=self.d)
 
 
-def _first_significant_negative(a: np.ndarray, tol: ToleranceConfig) -> bool:
-    thresh = tol.zero_tol * max(1.0, float(np.max(np.abs(a))))
-    for entry in a:
-        if abs(entry) > thresh:
-            return entry < 0
-    raise InputError("cannot orient a zero direction")
-
-
 def canonicalize_analytic(net: ShallowNet,
                           tol: ToleranceConfig = DEFAULT_TOL) -> AnalyticCanonicalForm:
     """Flip neurons whose direction starts negative (absorbing s*c0 into the
@@ -100,7 +88,7 @@ def canonicalize_analytic(net: ShallowNet,
     c = net.c
     rows = []
     for n in net.neurons:
-        if _first_significant_negative(n.a, tol):
+        if _first_significant_sign(n.a, tol) < 0:
             rows.append((-n.a, -n.b, -n.s))
             c += n.s * c0
         else:
@@ -219,10 +207,9 @@ def separating_direction(frame: FullSparkFrame, vectors,
     m = vecs.shape[0]
     if m == 0:
         raise InputError("need at least one vector to separate")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if float(np.max(np.abs(vecs[i] - vecs[j]))) <= tol.match_tol:
-                raise InputError("vectors must be pairwise distinct", pair=[i, j])
+    pairs = _duplicate_ridges([(v, 0.0) for v in vecs], (1,), tol)
+    if pairs:
+        raise InputError("vectors must be pairwise distinct", pair=pairs[0])
     needed = comb(m, 2) * (frame.d - 1) + 1
     if frame.size < needed:
         raise InputError("frame is too small for this family",
@@ -254,6 +241,12 @@ class AnalyticSamplePlan:
         return int(self.points.shape[0])
 
 
+def _check_plan_size(count: int, cap: int) -> None:
+    if count > cap:
+        raise SizeError(f"plan would hold {count} points, above the cap {cap}",
+                        points=count, cap=cap)
+
+
 def build_analytic_plan(m: int, d: int, cap: int = _DEFAULT_PLAN_CAP,
                         tol: ToleranceConfig = DEFAULT_TOL) -> AnalyticSamplePlan:
     """Universal plan for m-neuron sigmoid/tanh networks: a Vandermonde full
@@ -263,9 +256,7 @@ def build_analytic_plan(m: int, d: int, cap: int = _DEFAULT_PLAN_CAP,
         raise InputError("need m >= 1 and d >= 1", m=m, d=d)
     n = comb(4 * m, 2) * (d - 1) + 1
     count = n * (1 << (2 * m))
-    if count > cap:
-        raise SizeError(f"plan would hold {count} points, above the cap {cap}",
-                        points=count, cap=cap)
+    _check_plan_size(count, cap)
     frame = vandermonde_frame(d, n, tol)
     scalars = np.linspace(-2.0, 2.0, 1 << (2 * m))
     points = (scalars[:, None, None] * frame.vectors[None, :, :]).reshape(count, d)
@@ -367,13 +358,9 @@ def exp_sum_expansion(a, b, s, s0: float,
         raise SizeError(f"subset enumeration is capped at n <= {_EXPANSION_CAP}", n=n)
     if np.any(np.abs(a) <= tol.zero_tol):
         raise InputError("all direction coefficients must be nonzero")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sign in (1.0, -1.0):
-                if (abs(a[i] - sign * a[j]) <= tol.match_tol
-                        and abs(b[i] - sign * b[j]) <= tol.match_tol):
-                    raise InputError("ridge pairs must be distinct and non-opposite",
-                                     pair=[i, j])
+    pairs = _duplicate_ridges(list(zip(a[:, None], b)), (1.0, -1.0), tol)
+    if pairs:
+        raise InputError("ridge pairs must be distinct and non-opposite", pair=pairs[0])
 
     total = float(np.sum(s)) + float(s0)
     ebs = np.exp(-b)
@@ -422,28 +409,25 @@ def analytic_plan_to_json_obj(plan: AnalyticSamplePlan) -> dict:
             "scalars": [float(z) for z in plan.scalars]}
 
 
-def analytic_plan_from_json_obj(obj, tol: ToleranceConfig = DEFAULT_TOL) -> AnalyticSamplePlan:
-    if not isinstance(obj, dict):
-        raise ParseError("analytic plan payload must be an object", location="plan")
-    for key in ("m", "d", "nodes", "scalars"):
-        if key not in obj:
-            raise ParseError(f"missing field {key!r}", location="plan")
-    m, d = obj["m"], obj["d"]
-    if not isinstance(m, int) or not isinstance(d, int) or m < 1 or d < 1:
-        raise ParseError("m and d must be positive integers", location="plan")
-    nodes = np.asarray(obj["nodes"], dtype=float)
-    scalars = obj["scalars"]
-    if nodes.ndim != 1 or nodes.size < d:
-        raise ParseError("nodes must list at least d numbers", location="plan.nodes")
-    if len(set(float(t) for t in nodes)) != nodes.size:
-        raise ParseError("nodes must be pairwise distinct", location="plan.nodes")
-    if not isinstance(scalars, list) or len(scalars) != (1 << (2 * m)):
+def analytic_plan_from_json_obj(obj, tol: ToleranceConfig = DEFAULT_TOL, *,
+                                cap: int = _DEFAULT_PLAN_CAP) -> AnalyticSamplePlan:
+    """Inverse of analytic_plan_to_json_obj: C(4m, 2)*(d-1)+1 nodes and
+    2^(2m) scalars, each pairwise distinct; a plan above ``cap`` points
+    raises SizeError."""
+
+    m = schema.positive_int(*schema.field(obj, "m", "plan"))
+    d = schema.positive_int(*schema.field(obj, "d", "plan"))
+    scalars = schema.vector(*schema.field(obj, "scalars", "plan"))
+    # compare bit lengths first so that a huge file-supplied m is never expanded
+    if scalars.size.bit_length() != 2 * m + 1 or scalars.size != 1 << (2 * m):
         raise ParseError("scalars must list 2^(2m) numbers", location="plan.scalars")
-    if len(set(float(z) for z in scalars)) != len(scalars):
-        raise ParseError("scalars must be pairwise distinct", location="plan.scalars")
+    nodes = schema.vector(*schema.field(obj, "nodes", "plan"), comb(4 * m, 2) * (d - 1) + 1)
+    for name, values in (("nodes", nodes), ("scalars", scalars)):
+        if np.unique(values).size != values.size:
+            raise ParseError(f"{name} must be pairwise distinct", location=f"plan.{name}")
+    _check_plan_size(nodes.size * scalars.size, cap)
     vectors = np.vander(nodes, N=d, increasing=True)
-    frame = FullSparkFrame(vectors, tuple(float(t) for t in nodes))
+    frame = FullSparkFrame(vectors, tuple(nodes.tolist()))
     check_full_spark(frame, tol)
-    z = np.asarray([float(v) for v in scalars])
-    points = (z[:, None, None] * vectors[None, :, :]).reshape(z.size * nodes.size, d)
-    return AnalyticSamplePlan(m, d, frame, tuple(float(v) for v in z), points)
+    points = (scalars[:, None, None] * vectors[None, :, :]).reshape(-1, d)
+    return AnalyticSamplePlan(m, d, frame, tuple(scalars.tolist()), points)

@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from . import analytic_id, net_core, relu_adversary, relu_sampling, relu_structure
+from . import analytic_id, net_core, relu_adversary, relu_sampling, relu_structure, schema
 from .errors import InputError, ParseError, ToolkitError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -39,14 +39,10 @@ def _write_atomic(path: str, obj) -> None:
 def _read_json(path: str):
     try:
         with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8")
+            data = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", location=path) from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}",
-                         location=f"{path}:offset {exc.pos}") from exc
+    return schema.load_json(data, path)
 
 
 def _read_net(path: str) -> net_core.ShallowNet:
@@ -170,11 +166,7 @@ def _cmd_reconstruct(args, tol) -> int:
 
 
 def _cmd_adversary(args, tol) -> int:
-    obj = _read_json(args.points)
-    if not isinstance(obj, dict) or "points" not in obj:
-        raise ParseError("points file must carry a 'points' array",
-                         location=args.points)
-    pts = np.asarray(obj["points"], dtype=float)
+    pts = schema.matrix(*schema.field(_read_json(args.points), "points", args.points))
     pair = relu_adversary.build_pair(pts, args.m, args.seed, tol)
     _write_atomic(args.out, relu_adversary.pair_to_json_obj(pair))
     agree = float(np.max(np.abs(net_core.evaluate_many(pair.net1, pts)
@@ -197,7 +189,8 @@ def _cmd_plan_analytic(args, tol) -> int:
 def _cmd_verify_analytic(args, tol) -> int:
     n1 = _read_net(args.net1)
     n2 = _read_net(args.net2)
-    plan = analytic_id.analytic_plan_from_json_obj(_read_json(args.plan), tol)
+    plan = analytic_id.analytic_plan_from_json_obj(_read_json(args.plan), tol,
+                                                  cap=args.cap)
     report = analytic_id.verify_identification(n1, n2, plan, tol)
     _write_atomic(args.out, analytic_id.report_to_json_obj(report))
     print(f"max gap on plan: {report.max_gap:.3e}; equal_on_plan="

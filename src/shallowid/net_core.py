@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import schema
 from .errors import AdmissibilityError, InputError, ParseError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -234,6 +235,23 @@ class GroupedReLU:
         return make_net("relu", neurons, self.c, d=self.d)
 
 
+def _duplicate_ridges(rows, signs, tol: ToleranceConfig) -> list[list[int]]:
+    """Index pairs [k1, k2], k1 < k2, whose rows (a, b) satisfy
+    (a1, b1) = sign * (a2, b2) within match_tol, once per matching sign in
+    ``signs``; None rows are skipped."""
+
+    pairs = []
+    for k1, r1 in enumerate(rows):
+        for k2 in range(k1 + 1, len(rows)):
+            if r1 is None or rows[k2] is None:
+                continue
+            (a1, b1), (a2, b2) = r1, rows[k2]
+            pairs += [[k1, k2] for sign in signs
+                      if float(np.max(np.abs(a1 - sign * a2))) <= tol.match_tol
+                      and abs(b1 - sign * b2) <= tol.match_tol]
+    return pairs
+
+
 def admissibility_violations(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
     """Clause (i): every s_k * a_k nonzero.  Clause (ii): no positive-multiple
     duplicate of a ridge (a_k, b_k)."""
@@ -250,16 +268,8 @@ def admissibility_violations(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL
             units.append(None)
         else:
             units.append((n.a / norm, n.b / norm))
-    for k1 in range(net.m):
-        for k2 in range(k1 + 1, net.m):
-            if units[k1] is None or units[k2] is None:
-                continue
-            u1, b1 = units[k1]
-            u2, b2 = units[k2]
-            if (float(np.max(np.abs(u1 - u2))) <= tol.match_tol
-                    and abs(b1 - b2) <= tol.match_tol):
-                violations.append({"clause": "ii", "neurons": [k1, k2],
-                                   "reason": "positive-scale duplicate ridge"})
+    violations += [{"clause": "ii", "neurons": pair, "reason": "positive-scale duplicate ridge"}
+                   for pair in _duplicate_ridges(units, (1,), tol)]
     return violations
 
 
@@ -272,43 +282,17 @@ def group(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> GroupedReLU:
     """
 
     violations = admissibility_violations(net, tol)
-    if violations:
-        v = violations[0]
-        raise AdmissibilityError(
-            f"network is not admissible: clause ({v['clause']}) {v['reason']}",
-            violations=violations)
-
-    buckets: list[dict] = []  # {"h": Hyperplane, "plus": s|None, "minus": s|None}
-    for n in net.neurons:
-        norm = float(np.linalg.norm(n.a))
-        h, sign = canonical_hyperplane(n.a, n.b, tol)
-        scaled = n.s * norm
-        for bucket in buckets:
-            if h.matches(bucket["h"], tol):
-                break
-        else:
-            bucket = {"h": h, "plus": None, "minus": None}
-            buckets.append(bucket)
-        slot = "plus" if sign > 0 else "minus"
-        if bucket[slot] is not None:
-            # same hyperplane, same orientation: a positive-scale duplicate
-            raise AdmissibilityError(
-                "network is not admissible: clause (ii) positive-scale duplicate ridge",
-                violations=[{"clause": "ii"}])
-        bucket[slot] = scaled
-
-    k1 = []
-    k2 = []
-    for bucket in buckets:
-        if bucket["plus"] is not None and bucket["minus"] is not None:
-            k1.append(PairedEntry(bucket["h"], bucket["plus"], bucket["minus"]))
-        elif bucket["plus"] is not None:
-            k2.append(SingleEntry(bucket["h"].a, bucket["h"].b, bucket["plus"]))
-        else:
-            a = -bucket["h"].a
-            a.setflags(write=False)
-            k2.append(SingleEntry(a, -bucket["h"].b, bucket["minus"]))
-    return GroupedReLU(tuple(k1), tuple(k2), net.c, net.d)
+    if not violations:
+        g = grouped_from_entries(((n.a, n.b, n.s * float(np.linalg.norm(n.a)))
+                                  for n in net.neurons), net.c, net.d, tol)
+        if g.m == net.m:
+            return g
+        # two neurons met in one hyperplane/orientation slot and were merged
+        violations = [{"clause": "ii", "reason": "positive-scale duplicate ridge"}]
+    v = violations[0]
+    raise AdmissibilityError(
+        f"network is not admissible: clause ({v['clause']}) {v['reason']}",
+        violations=violations)
 
 
 def grouped_from_entries(entries: Iterable[tuple[np.ndarray, float, float]],
@@ -358,52 +342,19 @@ def net_to_json_obj(net: ShallowNet) -> dict:
     }
 
 
-def _require(obj: dict, key: str, kind, location: str):
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}", location=location)
-    value = obj[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"field {key!r} must be a number", location=f"{location}.{key}")
-        if not np.isfinite(value):
-            raise ParseError(f"field {key!r} must be finite", location=f"{location}.{key}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"field {key!r} must be an integer", location=f"{location}.{key}")
-        return value
-    if not isinstance(value, kind):
-        raise ParseError(f"field {key!r} has the wrong type", location=f"{location}.{key}")
-    return value
-
-
 def net_from_json_obj(obj, location: str = "net") -> ShallowNet:
-    if not isinstance(obj, dict):
-        raise ParseError("network payload must be an object", location=location)
-    kind = _require(obj, "activation", str, location)
+    kind, where = schema.field(obj, "activation", location, str)
     if kind not in ACTIVATIONS:
-        raise ParseError(f"unknown activation {kind!r}", location=f"{location}.activation")
-    d = _require(obj, "d", int, location)
-    if d < 1:
-        raise ParseError("d must be a positive integer", location=f"{location}.d")
-    raw_neurons = _require(obj, "neurons", list, location)
-    c = _require(obj, "c", float, location)
+        raise ParseError(f"unknown activation {kind!r}", location=where)
+    d = schema.positive_int(*schema.field(obj, "d", location))
+    raw_neurons, where = schema.field(obj, "neurons", location, list)
+    c = schema.number(*schema.field(obj, "c", location))
     neurons = []
     for k, entry in enumerate(raw_neurons):
-        loc = f"{location}.neurons[{k}]"
-        if not isinstance(entry, dict):
-            raise ParseError("neuron must be an object", location=loc)
-        a = _require(entry, "a", list, loc)
-        if len(a) != d:
-            raise ParseError(f"direction of neuron {k} has length {len(a)}, expected {d}",
-                             location=f"{loc}.a")
-        for i, v in enumerate(a):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-                raise ParseError("direction entries must be finite numbers",
-                                 location=f"{loc}.a[{i}]")
-        b = _require(entry, "b", float, loc)
-        s = _require(entry, "s", float, loc)
-        neurons.append(([float(v) for v in a], b, s))
+        loc = f"{where}[{k}]"
+        neurons.append((schema.vector(*schema.field(entry, "a", loc), d),
+                        schema.number(*schema.field(entry, "b", loc)),
+                        schema.number(*schema.field(entry, "s", loc))))
     return make_net(kind, neurons, c, d=d)
 
 
@@ -415,9 +366,4 @@ def serialize(net: ShallowNet) -> bytes:
 
 
 def deserialize(data: bytes | str) -> ShallowNet:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", location=f"offset {exc.pos}") from exc
-    return net_from_json_obj(obj)
+    return net_from_json_obj(schema.load_json(data))

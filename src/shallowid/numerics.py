@@ -11,7 +11,7 @@ from .net_core import Hyperplane, canonical_hyperplane
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["ToleranceConfig", "DEFAULT_TOL", "AffineFit", "rank",
-           "rank_by_elimination", "affine_fit", "solve_least_squares"]
+           "affine_fit", "solve_least_squares"]
 
 
 @dataclass(frozen=True)
@@ -37,31 +37,6 @@ def rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     if sv.size == 0 or sv[0] <= tol.zero_tol:
         return 0
     return int(np.sum(sv > tol.rank_tol * sv[0]))
-
-
-def rank_by_elimination(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Column-pivoted Gaussian elimination with the same relative threshold.
-
-    Kept as a cross-check for the singular-value route; the two must agree.
-    """
-
-    a = _as_matrix(matrix).copy()
-    scale = float(np.max(np.abs(a)))
-    if scale <= tol.zero_tol:
-        return 0
-    threshold = tol.rank_tol * scale
-    rows, cols = a.shape
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        pivot = r + int(np.argmax(np.abs(a[r:, col])))
-        if abs(a[pivot, col]) <= threshold:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r + 1:] -= np.outer(a[r + 1:, col] / a[r, col], a[r])
-        r += 1
-    return r
 
 
 def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> AffineFit:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schema
 from .errors import (ConstructionError, InputError, ParseError,
                      ReconstructionError, RecoveryError, SizeError)
 from .net_core import (GroupedReLU, Hyperplane, ShallowNet, evaluate_many,
@@ -557,47 +558,25 @@ def plan_to_json_obj(plan: SamplePlan) -> dict:
     }
 
 
-def _finite_vector(raw, location: str) -> np.ndarray:
-    if not isinstance(raw, list):
-        raise ParseError("expected a list of numbers", location=location)
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-            raise ParseError("entries must be finite numbers", location=f"{location}[{i}]")
-    return np.asarray([float(v) for v in raw])
-
-
-def _vector_field(obj: dict, key: str, location: str) -> np.ndarray:
-    if key not in obj or not isinstance(obj[key], list):
-        raise ParseError(f"missing or invalid field {key!r}", location=location)
-    return _finite_vector(obj[key], f"{location}.{key}")
-
-
 def plan_from_json_obj(obj) -> SamplePlan:
-    if not isinstance(obj, dict) or "lines" not in obj or "params" not in obj:
-        raise ParseError("plan payload must carry 'lines' and 'params'", location="plan")
-    raw_lines = obj["lines"]
-    raw_params = obj["params"]
-    if not isinstance(raw_lines, list) or not isinstance(raw_params, list) \
-            or len(raw_lines) != len(raw_params) or not raw_lines:
+    raw_lines, _ = schema.field(obj, "lines", "plan", list)
+    raw_params, _ = schema.field(obj, "params", "plan", list)
+    if len(raw_lines) != len(raw_params) or not raw_lines:
         raise ParseError("'lines' and 'params' must be equal-length nonempty lists",
                          location="plan")
     lines = []
     params = []
     blocks = []
-    for j, entry in enumerate(raw_lines):
+    for j, (entry, row) in enumerate(zip(raw_lines, raw_params)):
         loc = f"plan.lines[{j}]"
-        if not isinstance(entry, dict):
-            raise ParseError("line must be an object", location=loc)
-        u = _vector_field(entry, "u", loc)
-        v = _vector_field(entry, "v", loc)
-        if u.shape != v.shape:
-            raise ParseError("u and v must have equal length", location=loc)
-        line = Line(u, v)
-        row = raw_params[j]
-        if not isinstance(row, list) or len(row) < 4:
+        u = schema.vector(*schema.field(entry, "u", loc), lines[0].u.size if lines else None)
+        if not u.size:
+            raise ParseError("a line needs at least one coordinate", location=f"{loc}.u")
+        line = Line(u, schema.vector(*schema.field(entry, "v", loc), u.size))
+        ts = schema.vector(row, f"plan.params[{j}]")
+        if ts.size < 4:
             raise ParseError("params row must list at least four values",
                              location=f"plan.params[{j}]")
-        ts = _finite_vector(row, f"plan.params[{j}]")
         lines.append(line)
         params.append(tuple(ts.tolist()))
         blocks.append(line.points_at(ts))
@@ -615,21 +594,14 @@ def samples_to_json_obj(samples: LabeledSamples, plan_ref: str) -> dict:
 
 def samples_from_json_obj(obj, plan: SamplePlan,
                           tol: ToleranceConfig = DEFAULT_TOL) -> LabeledSamples:
-    if not isinstance(obj, dict) or "values" not in obj or "points" not in obj:
-        raise ParseError("samples payload must carry 'points' and 'values'",
-                         location="samples")
-    values = _finite_vector(obj["values"], "samples.values")
-    points = np.asarray(obj["points"], dtype=float)
+    n, d = plan.points.shape
+    values = schema.vector(*schema.field(obj, "values", "samples"), n)
+    points = schema.matrix(*schema.field(obj, "points", "samples"), d)
     if points.shape != plan.points.shape:
         raise ParseError("sample points do not match the referenced plan",
                          location="samples.points")
-    if not np.all(np.isfinite(points)):
-        raise ParseError("entries must be finite numbers", location="samples.points")
     scale = 1.0 + float(np.max(np.abs(plan.points)))
     if float(np.max(np.abs(points - plan.points))) > tol.match_tol * scale:
         raise ParseError("sample points disagree with the referenced plan",
                          location="samples.points")
-    if values.shape[0] != points.shape[0]:
-        raise ParseError("values must list one number per point",
-                         location="samples.values")
     return LabeledSamples(plan, values)

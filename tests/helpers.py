@@ -1,5 +1,5 @@
-"""Shared generators, the brute-force reducibility and plan-collinearity
-oracles and the CLI runner."""
+"""Shared generators, the brute-force reducibility, plan-collinearity and
+rank oracles and the CLI runner."""
 
 from __future__ import annotations
 
@@ -369,3 +369,30 @@ def cancelling_pairs_instance():
     a2 = np.array([0.3, 1.0])
     neurons = [(a1, 0.0, 1.0), (-a1, 0.0, -1.0), (a2, 0.0, 1.0), (-a2, 0.0, -1.0)]
     return make_net("relu", neurons, 0.0, d=2)
+
+
+# ---------------------------------------------------------------------------
+# rank oracle
+# ---------------------------------------------------------------------------
+
+def rank_by_elimination(matrix, tol=DEFAULT_TOL) -> int:
+    """Column-pivoted Gaussian elimination with the relative threshold that
+    ``shallowid.rank`` applies to singular values; the two must agree."""
+
+    a = np.array(matrix, dtype=float)
+    scale = float(np.max(np.abs(a)))
+    if scale <= tol.zero_tol:
+        return 0
+    threshold = tol.rank_tol * scale
+    rows, cols = a.shape
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        pivot = r + int(np.argmax(np.abs(a[r:, col])))
+        if abs(a[pivot, col]) <= threshold:
+            continue
+        a[[r, pivot]] = a[[pivot, r]]
+        a[r + 1:] -= np.outer(a[r + 1:, col] / a[r, col], a[r])
+        r += 1
+    return r

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from shallowid import (AdmissibilityError, InputError, ParseError, deserialize,
                        evaluate, evaluate_many, group, make_net, serialize)
-from shallowid.net_core import canonical_hyperplane
+from shallowid.net_core import (admissibility_violations, canonical_hyperplane,
+                                grouped_from_entries)
+from shallowid.tolerances import DEFAULT_TOL
 
 from helpers import random_irreducible_relu, random_structured_relu
 
@@ -94,6 +96,34 @@ def test_group_rejects_zero_neuron():
     with pytest.raises(AdmissibilityError) as err:
         group(net)
     assert err.value.details["violations"][0]["clause"] == "i"
+
+
+def test_group_equals_grouped_from_entries_on_rescaled_entries():
+    rng = np.random.default_rng(4040)
+    for i in range(300):
+        if i % 3 == 0:
+            net = random_irreducible_relu(rng, int(rng.integers(1, 7)), int(rng.integers(1, 5)))
+        else:
+            net = random_structured_relu(rng, max_m=6)
+        g = group(net)
+        ref = grouped_from_entries([(n.a, n.b, n.s * float(np.linalg.norm(n.a)))
+                                    for n in net.neurons], net.c, net.d)
+        assert (g.c, g.d, len(g.K1), len(g.K2)) == (ref.c, ref.d, len(ref.K1), len(ref.K2))
+        for p, q in zip(g.K1, ref.K1):
+            assert np.array_equal(p.h.a, q.h.a) and (p.h.b, p.s1, p.s2) == (q.h.b, q.s1, q.s2)
+        for e, f in zip(g.K2, ref.K2):
+            assert np.array_equal(e.a, f.a) and (e.b, e.s) == (f.b, f.s)
+
+
+def test_group_rejects_duplicate_that_only_canonical_matching_sees():
+    # dividing by a norm of 1 - 1e-13 pushes the bias gap just over match_tol
+    # in the scan, while canonical form (no division at unit norm) keeps it
+    # just under, so the two neurons meet in one orientation slot
+    gap = DEFAULT_TOL.match_tol * (1 - 5e-14)
+    net = make_net("relu", [((1.0, 0.0), 0.0, 1.0), ((1.0 - 1e-13, 0.0), gap, 1.0)], 0.0)
+    assert admissibility_violations(net) == []
+    with pytest.raises(AdmissibilityError, match=r"clause \(ii\)"):
+        group(net)
 
 
 def test_canonical_hyperplane_idempotent_and_sign_stable():

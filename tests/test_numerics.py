@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from shallowid import (DegenerateFitError, InputError, affine_fit, rank,
-                       rank_by_elimination, solve_least_squares)
+                       solve_least_squares)
+
+from helpers import rank_by_elimination
 
 
 def test_rank_identity():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shallowid as si
 from shallowid import (HypothesisError, InvariantError, check_admissible,
@@ -10,7 +12,7 @@ from shallowid.relu_structure import certificate_to_json_obj
 from helpers import (cancelling_pairs_instance, clause_i_instance,
                      clause_ii_instance, clause_k1_ge_3_instance, dense_grid,
                      oracle_reducible, random_irreducible_relu,
-                     random_structured_relu)
+                     random_structured_relu, rel_max_dev)
 
 
 def cross_net():
@@ -142,6 +144,20 @@ def test_reduce_fully_never_increases_and_preserves_values():
         base = evaluate_many(net, pts)
         dev = np.max(np.abs(evaluate_many(reduced, pts) - base) / (1 + np.abs(base)))
         assert dev <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_reduce_fully_gives_an_irreducible_equivalent_net(seed):
+    net = random_structured_relu(np.random.default_rng(seed))
+    reduced = reduce_fully(net)
+    assert reduced.m <= net.m
+    assert si.test_reducible(group(reduced)) is None
+    assert rel_max_dev(net, reduced, dense_grid(2)) <= 1e-9
+    again = reduce_fully(reduced)
+    assert again.m == reduced.m
+    if not group(reduced).K1:
+        assert si.test_equivalent(reduced, again) is not None
 
 
 def test_reducible_agrees_with_oracle_on_structured_nets():
