@@ -23,13 +23,12 @@ from .errors import (AdmissibilityError, InputError, InvariantError,
                      ParseError, SizeError, ToleranceError)
 from .net_core import (Neuron, ShallowNet, _duplicate_ridges, _first_significant_sign,
                        evaluate_many, make_net)
-from .numerics import rank
+from .numerics import rank, subset_sums
 from .relu_structure import AdmissibilityReport
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 logger = logging.getLogger(__name__)
 
-_EXPANSION_CAP = 20
 _DEFAULT_PLAN_CAP = 1_000_000
 _FULL_SPARK_EXHAUSTIVE_LIMIT = 12
 _FULL_SPARK_SAMPLES = 200
@@ -170,7 +169,7 @@ def check_full_spark(frame: FullSparkFrame, tol: ToleranceConfig = DEFAULT_TOL,
     rng = np.random.default_rng(seed)
     checked = 0
     for _ in range(_FULL_SPARK_SAMPLES):
-        combo = sorted(rng.choice(n, size=d, replace=False))
+        combo = sorted(rng.choice(n, size=d, replace=False).tolist())
         checked += 1
         if rank(frame.vectors[combo], tol) != d:
             raise InvariantError("frame subset is rank deficient", subset=combo)
@@ -351,11 +350,12 @@ def exp_sum_expansion(a, b, s, s0: float,
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     s = np.asarray(s, dtype=float)
-    n = a.shape[0]
     if not (a.shape == b.shape == s.shape) or a.ndim != 1:
         raise InputError("a, b, s must be equal-length vectors")
-    if n > _EXPANSION_CAP:
-        raise SizeError(f"subset enumeration is capped at n <= {_EXPANSION_CAP}", n=n)
+    # subset sums first, so that an oversized input fails before the checks
+    alphas = subset_sums(a)
+    used = subset_sums(s)
+    prods = subset_sums(np.exp(-b), np.multiply, 1.0)
     if np.any(np.abs(a) <= tol.zero_tol):
         raise InputError("all direction coefficients must be nonzero")
     pairs = _duplicate_ridges(list(zip(a[:, None], b)), (1.0, -1.0), tol)
@@ -363,20 +363,8 @@ def exp_sum_expansion(a, b, s, s0: float,
         raise InputError("ridge pairs must be distinct and non-opposite", pair=pairs[0])
 
     total = float(np.sum(s)) + float(s0)
-    ebs = np.exp(-b)
-    raw: list[tuple[float, float]] = []
-    for mask in range(1 << n):
-        alpha = 0.0
-        prod = 1.0
-        used = 0.0
-        for k in range(n):
-            if mask >> k & 1:
-                alpha += float(a[k])
-                prod *= float(ebs[k])
-                used += float(s[k])
-        raw.append((alpha, (total - used) * prod))
-
-    raw.sort(key=lambda pair: pair[0])
+    order = np.argsort(alphas, kind="stable")
+    raw = zip(alphas[order].tolist(), ((total - used) * prods)[order].tolist())
     exponents: list[float] = []
     coefficients: list[float] = []
     for alpha, coeff in raw:

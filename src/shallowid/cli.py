@@ -1,14 +1,14 @@
 """Command-line surface: JSON files in, JSON files out, deterministic given
 the seed.  Exit codes: 0 success, 2 domain error, 3 parse error.
 
-Note the reducibility/equivalence searches enumerate subsets of the lone-
-orientation neurons and sign patterns, so they are exponential in the neuron
-count; the toolkit targets desk-scale networks (m up to roughly 12).
+One cap of 20 covers every subset enumeration: the reducibility search's
+lone neurons, the reconstruction orientation search's m and expsum's n.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -50,29 +50,9 @@ def _read_net(path: str) -> net_core.ShallowNet:
 
 
 def _tol_from_args(args) -> ToleranceConfig:
-    return ToleranceConfig(
-        rank_tol=args.tol_rank if args.tol_rank is not None else DEFAULT_TOL.rank_tol,
-        match_tol=args.tol_match if args.tol_match is not None else DEFAULT_TOL.match_tol,
-        residual_tol=(args.tol_residual if args.tol_residual is not None
-                      else DEFAULT_TOL.residual_tol),
-        zero_tol=DEFAULT_TOL.zero_tol,
-    )
-
-
-def _load_plan(args) -> relu_sampling.SamplePlan:
-    if args.plan:
-        return relu_sampling.plan_from_json_obj(_read_json(args.plan))
-    data_obj = _read_json(args.data)
-    ref = data_obj.get("plan_ref") if isinstance(data_obj, dict) else None
-    if not isinstance(ref, str):
-        raise ParseError("samples file has no usable plan_ref; pass --plan",
-                         location=f"{args.data}.plan_ref")
-    candidates = [ref, os.path.join(os.path.dirname(os.path.abspath(args.data)), ref)]
-    for candidate in candidates:
-        if os.path.exists(candidate):
-            return relu_sampling.plan_from_json_obj(_read_json(candidate))
-    raise ParseError(f"referenced plan {ref!r} not found; pass --plan",
-                     location=f"{args.data}.plan_ref")
+    given = {"rank_tol": args.tol_rank, "match_tol": args.tol_match,
+             "residual_tol": args.tol_residual}
+    return dataclasses.replace(DEFAULT_TOL, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_check(args, tol) -> int:
@@ -147,14 +127,21 @@ def _cmd_sample(args, tol) -> int:
     net = _read_net(args.net)
     plan = relu_sampling.plan_from_json_obj(_read_json(args.plan))
     samples = relu_sampling.sample_values(net, plan)
-    _write_atomic(args.out, relu_sampling.samples_to_json_obj(samples, args.plan))
+    # plan_ref is stored relative to the samples file, where reconstruct looks
+    ref = os.path.relpath(os.path.abspath(args.plan), os.path.dirname(os.path.abspath(args.out)))
+    _write_atomic(args.out, relu_sampling.samples_to_json_obj(samples, ref))
     print(f"sampled {samples.values.shape[0]} values; wrote {args.out}")
     return 0
 
 
 def _cmd_reconstruct(args, tol) -> int:
-    plan = _load_plan(args)
-    samples = relu_sampling.samples_from_json_obj(_read_json(args.data), plan, tol)
+    data_obj = _read_json(args.data)
+    plan_path = args.plan
+    if not plan_path:  # plan_ref is relative to the samples file
+        ref, _ = schema.field(data_obj, "plan_ref", args.data, str)
+        plan_path = os.path.join(os.path.dirname(os.path.abspath(args.data)), ref)
+    plan = relu_sampling.plan_from_json_obj(_read_json(plan_path))
+    samples = relu_sampling.samples_from_json_obj(data_obj, plan, tol)
     net = relu_sampling.reconstruct(samples, tol)
     _write_atomic(args.out, net_core.net_to_json_obj(net))
     print(f"reconstructed a {net.m}-neuron network; wrote {args.out}")
@@ -241,66 +228,32 @@ def build_parser() -> argparse.ArgumentParser:
                      "count; intended for desk-scale networks."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[shared])
+    def add(name: str, help_text: str, func, *required: str, optional=None):
+        p = sub.add_parser(name, help=help_text, parents=[shared])
+        for flag in required:
+            p.add_argument(flag, required=True, type=int if flag in ("--m", "--d") else str)
+        for flag, flag_help in (optional or {}).items():
+            p.add_argument(flag, default=None, help=flag_help)
+        p.set_defaults(func=func)
 
-    p = add("check", "report (ir)reducibility of a network")
-    p.add_argument("--net", required=True)
-    p.set_defaults(func=_cmd_check)
-
-    p = add("reduce", "reduce a relu network to a fixpoint")
-    p.add_argument("--net", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = add("equiv", "test equivalence of two networks")
-    p.add_argument("--net1", required=True)
-    p.add_argument("--net2", required=True)
-    p.add_argument("--cert", default=None, help="write the certificate here")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = add("plan-relu", "build a sampling plan for a relu network")
-    p.add_argument("--net", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plan_relu)
-
-    p = add("sample", "evaluate a network on a plan")
-    p.add_argument("--net", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample)
-
-    p = add("reconstruct", "rebuild a relu network from samples")
-    p.add_argument("--data", required=True)
-    p.add_argument("--plan", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--against", default=None,
-                   help="also test equivalence against this network")
-    p.set_defaults(func=_cmd_reconstruct)
-
-    p = add("adversary", "build an agreeing non-equivalent pair")
-    p.add_argument("--points", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_adversary)
-
-    p = add("plan-analytic", "build the universal analytic plan")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plan_analytic)
-
-    p = add("verify-analytic", "compare two analytic networks on a plan")
-    p.add_argument("--net1", required=True)
-    p.add_argument("--net2", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_verify_analytic)
-
-    p = add("expsum", "exponential-sum expansion of a 1-d analytic net")
-    p.add_argument("--net", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_expsum)
+    add("check", "report (ir)reducibility of a network", _cmd_check, "--net")
+    add("reduce", "reduce a relu network to a fixpoint", _cmd_reduce, "--net", "--out")
+    add("equiv", "test equivalence of two networks", _cmd_equiv, "--net1", "--net2",
+        optional={"--cert": "write the certificate here"})
+    add("plan-relu", "build a sampling plan for a relu network", _cmd_plan_relu,
+        "--net", "--out")
+    add("sample", "evaluate a network on a plan", _cmd_sample, "--net", "--plan", "--out")
+    add("reconstruct", "rebuild a relu network from samples", _cmd_reconstruct,
+        "--data", "--out", optional={"--plan": None, "--against":
+                                     "also test equivalence against this network"})
+    add("adversary", "build an agreeing non-equivalent pair", _cmd_adversary,
+        "--points", "--m", "--out")
+    add("plan-analytic", "build the universal analytic plan", _cmd_plan_analytic,
+        "--m", "--d", "--out")
+    add("verify-analytic", "compare two analytic networks on a plan", _cmd_verify_analytic,
+        "--net1", "--net2", "--plan", "--out")
+    add("expsum", "exponential-sum expansion of a 1-d analytic net", _cmd_expsum,
+        "--net", "--out")
     return parser
 
 

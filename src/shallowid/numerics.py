@@ -1,4 +1,4 @@
-"""Small dense linear-algebra plumbing: rank, affine fits, least squares."""
+"""Small dense linear-algebra plumbing: rank, affine fits, least squares, subset sums."""
 
 from __future__ import annotations
 
@@ -6,12 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, InputError
+from .errors import DegenerateFitError, InputError, SizeError
 from .net_core import Hyperplane, canonical_hyperplane
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["ToleranceConfig", "DEFAULT_TOL", "AffineFit", "rank",
            "affine_fit", "solve_least_squares"]
+
+SUBSET_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -78,3 +80,18 @@ def solve_least_squares(a, y, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.nd
     solution, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=tol.rank_tol)
     residual = float(np.linalg.norm(mat @ solution - rhs))
     return solution, residual
+
+
+def subset_sums(rows, op=np.add, start=0.0) -> np.ndarray:
+    """All 2^n combinations of the rows by doubling: entry ``mask`` folds
+    ``op`` from ``start`` over the rows of its set bits (bit k for row k) in
+    ascending order.  Raises SizeError above SUBSET_CAP rows, before allocating."""
+
+    if len(rows) > SUBSET_CAP:
+        raise SizeError(f"subset enumeration is capped at {SUBSET_CAP} rows",
+                        rows=len(rows))
+    rows = np.asarray(rows, dtype=float)
+    out = np.full((1,) + rows.shape[1:], start, dtype=float)
+    for row in rows:
+        out = np.concatenate([out, op(out, row)])
+    return out

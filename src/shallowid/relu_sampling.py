@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schema
-from .errors import (ConstructionError, InputError, ParseError,
+from .errors import (ConstructionError, DegenerateFitError, InputError, ParseError,
                      ReconstructionError, RecoveryError, SizeError)
 from .net_core import (GroupedReLU, Hyperplane, ShallowNet, evaluate_many,
                        make_net)
-from .numerics import affine_fit, rank, solve_least_squares
-from .errors import DegenerateFitError
+from .numerics import SUBSET_CAP, affine_fit, rank, solve_least_squares, subset_sums
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # quantitative margins for the randomized constructions; the theory only needs
@@ -34,7 +33,6 @@ _MIN_SPREAD_DET = 1e-6       # normalized determinant of in-plane point subsets
 _RETRY_BUDGET = 1000         # per failure site
 _TOTAL_DRAW_CAP = 50_000
 _CANDIDATE_BUDGET = 200_000
-_ORIENTATION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -468,8 +466,8 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
 
 def reconstruct(data: LabeledSamples, tol: ToleranceConfig = DEFAULT_TOL) -> ShallowNet:
     """Rebuild a network from plan samples: breakpoints per line, hyperplanes
-    from the crossings, then one least-squares solve per orientation sign
-    pattern until the samples are reproduced within tolerance."""
+    from the crossings, one solve for scales and linear term, then the sign
+    patterns whose flips cancel that term until one reproduces the samples."""
 
     plan = data.plan
     lines = plan.lines
@@ -522,8 +520,8 @@ def reconstruct(data: LabeledSamples, tol: ToleranceConfig = DEFAULT_TOL) -> Sha
         raise ReconstructionError(
             "some lines show fewer breakpoints than the detected neuron count",
             lines=short, detected=m)
-    if m > _ORIENTATION_CAP:
-        raise SizeError(f"orientation search is capped at m <= {_ORIENTATION_CAP}", m=m)
+    if m > SUBSET_CAP:  # fail before the costly hyperplane recovery
+        raise SizeError(f"orientation search is capped at m <= {SUBSET_CAP}", m=m)
 
     crossings_by_line = [line.points_at(bps)
                          for line, bps in zip(lines, breakpoints_by_line)]
@@ -531,9 +529,25 @@ def reconstruct(data: LabeledSamples, tol: ToleranceConfig = DEFAULT_TOL) -> Sha
 
     margins = np.stack([plan.points @ h.a + h.b for h in hyperplanes], axis=1)
     ones = np.ones((plan.points.shape[0], 1))
-    for eps in itertools.product((1.0, -1.0), repeat=m):
-        sign = np.asarray(eps)
-        design = np.concatenate([np.maximum(margins * sign[None, :], 0.0), ones],
+    # relu(h) = h + relu(-h): a flip set F whose pattern fits within tolerance
+    # r gives the design [relu(h_k), x, 1] a solution with w = -sum_F sigma_k a_k
+    # and residual norm <= sqrt(n) r.  The one least-squares solution then lies
+    # within 2 sqrt(n) r / s_min of it, so F's miss |w + sum_F sigma_k a_k| is
+    # at most sqrt(1+m) times that.  Only flip sets within that bound, plus a
+    # match_tol term for rounding (all of them if the design is rank
+    # deficient), get the per-pattern check.  Neuron 0 on the top bit makes
+    # ascending masks follow itertools.product order.
+    full = np.concatenate([np.maximum(margins, 0.0), plan.points, ones], axis=1)
+    sol, _, _, sv = np.linalg.lstsq(full, values, rcond=tol.rank_tol)
+    sigma, w = sol[:m], sol[m:m + d]
+    moved = sigma[::-1, None] * np.stack([h.a for h in hyperplanes[::-1]])
+    miss = np.linalg.norm(subset_sums(moved, start=w), axis=1)
+    slack = (2.0 * np.sqrt((1.0 + m) * len(values)) * tol.residual_tol * value_scale / sv[-1]
+             if len(sv) == full.shape[1] and sv[-1] > tol.rank_tol * sv[0] else np.inf)
+    bound = tol.match_tol * (1.0 + float(np.linalg.norm(w)) + float(np.sum(np.abs(sigma))))
+    for mask in np.flatnonzero(miss <= bound + slack).tolist():
+        eps = [-1.0 if mask >> (m - 1 - k) & 1 else 1.0 for k in range(m)]
+        design = np.concatenate([np.maximum(margins * np.asarray(eps)[None, :], 0.0), ones],
                                 axis=1)
         sol, _ = solve_least_squares(design, values, tol)
         residual = float(np.max(np.abs(design @ sol - values)))

@@ -20,7 +20,6 @@ Decision layout (K1 = opposite-orientation pairs, K2 = lone orientations):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,12 @@ from .errors import HypothesisError, InputError, InvariantError
 from .net_core import (GroupedReLU, ShallowNet, evaluate_many, group,
                        grouped_from_entries, admissibility_violations,
                        canonical_hyperplane)
+from .numerics import subset_sums
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 _PROBE_SEED = 0x5eed
 _PROBE_POINTS = 200
+_SCREEN_ENTRIES = 1 << 18  # subset sums screened at once, to bound memory
 
 
 @dataclass(frozen=True)
@@ -94,24 +95,55 @@ def _direction_of(g: GroupedReLU, k0: int) -> tuple[np.ndarray, float]:
     return entry.a, entry.b
 
 
-def _freed_linear(g: GroupedReLU, epsilon: tuple[int, ...],
-                  k2_prime: frozenset[int]) -> np.ndarray:
-    """Direction of the linear term freed by the given flip pattern."""
+def _absorption(w: np.ndarray, a0: np.ndarray) -> tuple[float, float]:
+    """Coefficient c0 that cancels w along a0, and the norm of what is left."""
 
-    w = np.zeros(g.d)
-    for i, pair in enumerate(g.K1):
-        e = epsilon[i]
-        si = pair.s1 if e == 1 else pair.s2
-        w += si * e * pair.h.a
-    for j in k2_prime:
-        w += g.K2[j].s * g.K2[j].a
-    return w
+    c0 = -float(w @ a0) / float(a0 @ a0)
+    return c0, float(np.linalg.norm(w + c0 * a0))
 
 
-def _subsets(n: int):
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            yield frozenset(combo)
+def _search(g: GroupedReLU, case: str, patterns, absorbers, allow_zero: bool,
+            zero: float) -> ReductionWitness | None:
+    """First witness over the K1 sign patterns in order, then the K2 flip sets
+    F by size and lexicographically, whose freed vector w is zero (if
+    allow_zero) or absorbable along an absorber's direction, by index.  A
+    vectorised screen over the 2^n subset sums, with room for rounding, picks
+    the flip sets, and reduce_once's scalar test decides them on the same sum."""
+
+    n = len(g.K2)
+    rows = np.array([e.s * e.a for e in g.K2]).reshape(n, g.d)
+    directions = {k: _direction_of(g, k)[0] for k in absorbers}
+    # size * 2^n minus 2^(n-1-j) per row j sorts as itertools.combinations
+    key = subset_sums(2.0 ** n - 2.0 ** np.arange(n - 1, -1, -1))
+    low = min(n, int(np.log2(max(1, _SCREEN_ENTRIES // g.d))))
+    for eps in patterns:
+        # the freed vector adds up in reduce_once's order: K1, then F ascending
+        start = sum(((p.s1 if e == 1 else p.s2) * e * p.h.a for e, p in zip(eps, g.K1)),
+                    np.zeros(g.d))
+        head = subset_sums(rows[:low], start=start)
+        masks = []
+        for high in range(1 << (n - low)):  # a chunk of 2^low sums at a time
+            sums = head
+            for j in range(low, n):  # rows past low come last, as in a full fold
+                if high >> (j - low) & 1:
+                    sums = sums + rows[j]
+            norms = np.linalg.norm(sums, axis=1)
+            loose = zero + 64.0 * (g.d + 2) * np.finfo(float).eps * norms
+            near = (norms <= loose) & allow_zero
+            for a0 in directions.values():
+                near |= np.linalg.norm(sums - np.outer(sums @ a0 / (a0 @ a0), a0), axis=1) <= loose
+            masks.append(np.flatnonzero(near) + (high << low))
+        masks = np.concatenate(masks)
+        for mask in masks[np.argsort(key[masks])].tolist():
+            flips = [j for j in range(n) if mask >> j & 1]
+            w = sum((rows[j] for j in flips), start)
+            if allow_zero and float(np.linalg.norm(w)) <= zero:
+                return ReductionWitness(case, eps, frozenset(flips))
+            for k, a0 in directions.items():
+                c0, left = _absorption(w, a0)
+                if left <= zero:
+                    return ReductionWitness(case, eps, frozenset(flips), k, c0)
+    return None
 
 
 def test_reducible(g: GroupedReLU, tol: ToleranceConfig = DEFAULT_TOL) -> ReductionWitness | None:
@@ -121,6 +153,7 @@ def test_reducible(g: GroupedReLU, tol: ToleranceConfig = DEFAULT_TOL) -> Reduct
     A cancelling pair yields a witness only when removing it actually wins:
     a network that is exactly one cancelling pair plus lone neurons needs the
     freed linear term absorbed somewhere, just like the #K1 = 2 clause.
+    A search over more than 20 lone neurons raises SizeError.
     """
 
     zero = tol.zero_tol * _coefficient_scale(g)
@@ -128,46 +161,19 @@ def test_reducible(g: GroupedReLU, tol: ToleranceConfig = DEFAULT_TOL) -> Reduct
     n_pairs = len(g.K1)
     all_plus = tuple(1 for _ in range(n_pairs))
 
+    if cancelling and len(cancelling) + n_pairs >= 3:
+        return ReductionWitness("cancellation", all_plus, frozenset())
     if cancelling:
-        live_pairs = n_pairs - len(cancelling)
-        if 2 * len(cancelling) + live_pairs >= 3:
-            return ReductionWitness("cancellation", all_plus, frozenset())
         # exactly one cancelling pair and nothing else in K1: removing it
         # frees a linear term that must be absorbed for a strict win
-        for k2p in _subsets(len(g.K2)):
-            w = _freed_linear(g, all_plus, k2p)
-            if float(np.linalg.norm(w)) <= zero:
-                return ReductionWitness("cancellation", all_plus, k2p)
-            for j, entry in enumerate(g.K2):
-                c0 = -float(w @ entry.a) / float(entry.a @ entry.a)
-                if float(np.linalg.norm(w + c0 * entry.a)) <= zero:
-                    return ReductionWitness("cancellation", all_plus, k2p,
-                                            k0=n_pairs + j, c0=c0)
-        return None
-
+        return _search(g, "cancellation", [all_plus], range(1, 1 + len(g.K2)), True, zero)
     if n_pairs >= 3:
         return ReductionWitness("K1_ge_3", all_plus, frozenset())
-
     if n_pairs == 1:
-        for eps in ((1,), (-1,)):
-            for k2p in _subsets(len(g.K2)):
-                w = _freed_linear(g, eps, k2p)
-                if float(np.linalg.norm(w)) <= zero:
-                    return ReductionWitness("K1_eq_1", eps, k2p)
-        return None
-
+        return _search(g, "K1_eq_1", [(1,), (-1,)], (), True, zero)
     if n_pairs == 2:
-        candidates = list(range(n_pairs + len(g.K2)))
-        for eps in itertools.product((1, -1), repeat=2):
-            for k2p in _subsets(len(g.K2)):
-                w = _freed_linear(g, eps, k2p)
-                for k0 in candidates:
-                    a0, _ = _direction_of(g, k0)
-                    c0 = -float(w @ a0) / float(a0 @ a0)
-                    if float(np.linalg.norm(w + c0 * a0)) <= zero:
-                        return ReductionWitness("K1_eq_2", eps, k2p, k0=k0, c0=c0)
-        return None
-
+        return _search(g, "K1_eq_2", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                       range(2 + len(g.K2)), False, zero)
     return None
 
 
@@ -211,8 +217,8 @@ def reduce_once(g: GroupedReLU, witness: ReductionWitness,
         if witness.k0 >= len(g.K1) + len(g.K2):
             raise InvariantError("stale witness: absorption index out of range")
         a0, b0 = _direction_of(g, witness.k0)
-        c0 = -float(w @ a0) / float(a0 @ a0)
-        if float(np.linalg.norm(w + c0 * a0)) > zero:
+        c0, left = _absorption(w, a0)
+        if left > zero:
             raise InvariantError("stale witness: freed direction no longer absorbable")
         entries.append((a0, b0, -c0))
         entries.append((-a0, -b0, c0))

@@ -1,5 +1,5 @@
-"""Shared generators, the brute-force reducibility, plan-collinearity and
-rank oracles and the CLI runner."""
+"""Shared generators, the brute-force reducibility, witness-search,
+orientation, exp-sum, plan-collinearity and rank oracles and the CLI runner."""
 
 from __future__ import annotations
 
@@ -12,9 +12,12 @@ from pathlib import Path
 import numpy as np
 
 import shallowid
-from shallowid import (AdmissibilityError, ShallowNet, canonical_hyperplane,
-                       evaluate_many, group, make_net)
+from shallowid import (AdmissibilityError, ExpSumExpansion, ReductionWitness,
+                       ShallowNet, canonical_hyperplane, evaluate_many, group,
+                       make_net, solve_least_squares)
 from shallowid.relu_sampling import _point_line_distances
+from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
+                                      _direction_of)
 from shallowid.tolerances import DEFAULT_TOL
 
 # The directory that holds the imported package, so that a CLI child process
@@ -138,6 +141,43 @@ def random_structured_relu(rng, max_m=4):
         except AdmissibilityError:
             continue
         return net
+
+
+def structured_relu(rng, d, kind, n_lone):
+    """Net of one or two opposite-orientation pairs and ``n_lone`` lone
+    neurons, all on random hyperplanes.
+
+    kind: ``k1_1`` / ``k1_2`` (that many pairs), ``cancel`` (one pair whose
+    scales cancel), or one of these with ``_planted``: one more lone neuron
+    is added for the term freed by flipping lone neurons 0, 1 and 2.  For
+    ``k1_1`` flipping it too cancels that term; for ``k1_2`` and ``cancel``
+    it lies along the term and can absorb it.
+    """
+
+    def unit():
+        a = rng.normal(size=d)
+        return a / np.linalg.norm(a)
+
+    def scale():
+        return float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+
+    base = kind.removesuffix("_planted")
+    neurons = []
+    for _ in range(2 if base == "k1_2" else 1):
+        a, b, s1 = unit(), float(rng.uniform(-1.0, 1.0)), scale()
+        s2 = -s1 if base == "cancel" else scale()
+        neurons += [(a, b, s1), (-a, -b, s2)]
+    neurons += [(unit(), float(rng.uniform(-1.0, 1.0)), scale()) for _ in range(n_lone)]
+    if kind.endswith("_planted"):
+        pairs = 2 if base == "k1_2" else 1
+        freed = sum(neurons[2 * i][2] * neurons[2 * i][0] for i in range(pairs))
+        freed = freed + sum(s * a for a, _, s in neurons[2 * pairs:2 * pairs + 3])
+        norm = float(np.linalg.norm(freed))
+        if base == "k1_1":
+            neurons.append((-freed / norm, float(rng.uniform(-1.0, 1.0)), norm))
+        else:
+            neurons.append((freed / norm, float(rng.uniform(-1.0, 1.0)), scale()))
+    return make_net("relu", neurons, float(rng.uniform(-1.0, 1.0)), d=d)
 
 
 def random_analytic_net(rng, m, d, kind="sigmoid", sep=5e-2):
@@ -281,6 +321,144 @@ def oracle_reducible(net: ShallowNet, grid=None) -> bool:
                     if matches(_merge_oriented(entries + extra), g.c + q):
                         return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# loop-by-loop witness search, orientation search and exp-sum expansion
+# ---------------------------------------------------------------------------
+
+# The subset enumerations that numerics.subset_sums replaced, kept verbatim.
+def _freed_linear(g, epsilon, k2_prime):
+    """Direction of the linear term freed by the given flip pattern."""
+
+    w = np.zeros(g.d)
+    for i, pair in enumerate(g.K1):
+        e = epsilon[i]
+        si = pair.s1 if e == 1 else pair.s2
+        w += si * e * pair.h.a
+    for j in k2_prime:
+        w += g.K2[j].s * g.K2[j].a
+    return w
+
+
+def _subsets(n):
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            yield frozenset(combo)
+
+
+def oracle_test_reducible(g, tol=DEFAULT_TOL):
+    """Return a reduction witness when the neuron count can be lowered.
+
+    Search order: cancellation pre-pass, then #K1 >= 3, #K1 = 1, #K1 = 2.
+    A cancelling pair yields a witness only when removing it actually wins:
+    a network that is exactly one cancelling pair plus lone neurons needs the
+    freed linear term absorbed somewhere, just like the #K1 = 2 clause.
+    """
+
+    zero = tol.zero_tol * _coefficient_scale(g)
+    cancelling = _cancelling_pairs(g, tol)
+    n_pairs = len(g.K1)
+    all_plus = tuple(1 for _ in range(n_pairs))
+
+    if cancelling:
+        live_pairs = n_pairs - len(cancelling)
+        if 2 * len(cancelling) + live_pairs >= 3:
+            return ReductionWitness("cancellation", all_plus, frozenset())
+        # exactly one cancelling pair and nothing else in K1: removing it
+        # frees a linear term that must be absorbed for a strict win
+        for k2p in _subsets(len(g.K2)):
+            w = _freed_linear(g, all_plus, k2p)
+            if float(np.linalg.norm(w)) <= zero:
+                return ReductionWitness("cancellation", all_plus, k2p)
+            for j, entry in enumerate(g.K2):
+                c0 = -float(w @ entry.a) / float(entry.a @ entry.a)
+                if float(np.linalg.norm(w + c0 * entry.a)) <= zero:
+                    return ReductionWitness("cancellation", all_plus, k2p,
+                                            k0=n_pairs + j, c0=c0)
+        return None
+
+    if n_pairs >= 3:
+        return ReductionWitness("K1_ge_3", all_plus, frozenset())
+
+    if n_pairs == 1:
+        for eps in ((1,), (-1,)):
+            for k2p in _subsets(len(g.K2)):
+                w = _freed_linear(g, eps, k2p)
+                if float(np.linalg.norm(w)) <= zero:
+                    return ReductionWitness("K1_eq_1", eps, k2p)
+        return None
+
+    if n_pairs == 2:
+        candidates = list(range(n_pairs + len(g.K2)))
+        for eps in itertools.product((1, -1), repeat=2):
+            for k2p in _subsets(len(g.K2)):
+                w = _freed_linear(g, eps, k2p)
+                for k0 in candidates:
+                    a0, _ = _direction_of(g, k0)
+                    c0 = -float(w @ a0) / float(a0 @ a0)
+                    if float(np.linalg.norm(w + c0 * a0)) <= zero:
+                        return ReductionWitness("K1_eq_2", eps, k2p, k0=k0, c0=c0)
+        return None
+
+    return None
+
+
+def oracle_orientation(hyperplanes, points, values, tol=DEFAULT_TOL):
+    """The network ``reconstruct`` built from its recovered hyperplanes before
+    the single solve: one least-squares solve per orientation sign pattern,
+    in itertools.product order, until the samples are reproduced; None when
+    no pattern does."""
+
+    m = len(hyperplanes)
+    values = np.asarray(values, dtype=float)
+    value_scale = 1.0 + float(np.max(np.abs(values)))
+    margins = np.stack([points @ h.a + h.b for h in hyperplanes], axis=1)
+    ones = np.ones((points.shape[0], 1))
+    for eps in itertools.product((1.0, -1.0), repeat=m):
+        sign = np.asarray(eps)
+        design = np.concatenate([np.maximum(margins * sign[None, :], 0.0), ones],
+                                axis=1)
+        sol, _ = solve_least_squares(design, values, tol)
+        residual = float(np.max(np.abs(design @ sol - values)))
+        if residual <= tol.residual_tol * value_scale:
+            neurons = [(eps[k] * hyperplanes[k].a, eps[k] * hyperplanes[k].b,
+                        float(sol[k])) for k in range(m)]
+            return make_net("relu", neurons, float(sol[-1]), d=points.shape[1])
+    return None
+
+
+def oracle_exp_sum_expansion(a, b, s, s0, tol=DEFAULT_TOL):
+    """The per-mask loop of ``exp_sum_expansion`` (its input checks left out)."""
+
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    s = np.asarray(s, dtype=float)
+    n = a.shape[0]
+    total = float(np.sum(s)) + float(s0)
+    ebs = np.exp(-b)
+    raw = []
+    for mask in range(1 << n):
+        alpha = 0.0
+        prod = 1.0
+        used = 0.0
+        for k in range(n):
+            if mask >> k & 1:
+                alpha += float(a[k])
+                prod *= float(ebs[k])
+                used += float(s[k])
+        raw.append((alpha, (total - used) * prod))
+
+    raw.sort(key=lambda pair: pair[0])
+    exponents = []
+    coefficients = []
+    for alpha, coeff in raw:
+        if exponents and alpha - exponents[-1] <= tol.match_tol:
+            coefficients[-1] += coeff
+        else:
+            exponents.append(alpha)
+            coefficients.append(coeff)
+    return ExpSumExpansion(tuple(exponents), tuple(coefficients))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from shallowid import (InputError, build_analytic_plan, canonicalize_analytic,
                        separating_direction, sigmoid_form, vandermonde_frame,
                        verify_identification)
 
-from helpers import equivalent_analytic_variant, random_analytic_net
+from helpers import (equivalent_analytic_variant, oracle_exp_sum_expansion,
+                     random_analytic_net)
 
 
 def test_admissible_simple_sigmoid():
@@ -256,9 +257,35 @@ def test_exp_sum_identity_on_random_instances():
         s = rng.uniform(-2.0, 2.0, n)
         s0 = rng.uniform(-1.0, 1.0)
         expansion = exp_sum_expansion(a, b, s, s0)
+        assert expansion == oracle_exp_sum_expansion(a, b, s, s0)
         lhs = cleared_form_value(a, b, s, s0, xs)
         rhs = expansion.evaluate(xs)
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))) <= 1e-9
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_exp_sum_matches_the_mask_loop(ties):
+    rng = np.random.default_rng(20 + ties)
+    for n in range(1, 15):
+        if ties:  # small integer directions: many subset sums coincide exactly
+            a = rng.integers(1, 4, n) * rng.choice([-1.0, 1.0], n)
+        else:
+            a = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        b = rng.uniform(-1.0, 1.0, n)
+        s = rng.uniform(-2.0, 2.0, n)
+        s0 = rng.uniform(-1.0, 1.0)
+        expansion = exp_sum_expansion(a, b, s, s0)
+        assert expansion == oracle_exp_sum_expansion(a, b, s, s0)
+        if ties and n >= 5:  # 2^n subset sums take at most 6n + 1 values
+            assert len(expansion.exponents) < 2 ** n
+
+
+def test_exp_sum_merges_exponents_within_match_tol_as_the_mask_loop():
+    a = [1.0, 2.0, 3.0 + 5e-9, -0.5]
+    args = (a, [0.1, 0.2, 0.3, 0.4], [1.0, -0.5, 0.25, 2.0], 0.3)
+    expansion = exp_sum_expansion(*args)
+    assert expansion == oracle_exp_sum_expansion(*args)
+    assert len(expansion.exponents) < 16
 
 
 def test_exp_sum_nonzero_scale_gives_nonzero_coefficient():

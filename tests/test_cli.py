@@ -1,11 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from shallowid import deserialize, make_net, net_core
+from shallowid import cli, deserialize, make_net, net_core
 
-from helpers import run_cli
+from helpers import run_cli, structured_relu
 
 
 def write_net(path, net):
@@ -82,13 +83,52 @@ def test_reconstruct_resolves_plan_ref_relative_to_data(tmp_path, cross_net_file
     samples = tmp_path / "samples.json"
     proc = run_cli("plan-relu", "--net", str(cross_net_file), "--out", str(plan))
     assert proc.returncode == 0, proc.stderr
-    # plan_ref is stored as passed; run sample from inside tmp_path
+    # run sample from inside tmp_path, with relative paths
     proc = run_cli("sample", "--net", str(cross_net_file), "--plan", "plan.json",
                    "--out", "samples.json", cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     proc = run_cli("reconstruct", "--data", str(samples),
                    "--out", str(tmp_path / "rec.json"))
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("plan, ref", [("runs/plan.json", "plan.json"),
+                                       ("plans/plan.json", "../plans/plan.json")])
+def test_sample_then_reconstruct_with_paths_below_the_working_directory(
+        tmp_path, cross_net_file, plan, ref):
+    """sample stores plan_ref relative to the samples file, which is where
+    reconstruct resolves it."""
+
+    for name in ("runs", "plans"):
+        (tmp_path / name).mkdir()
+    for args in (("plan-relu", "--net", str(cross_net_file), "--out", plan),
+                 ("sample", "--net", str(cross_net_file), "--plan", plan,
+                  "--out", "runs/samples.json"),
+                 ("reconstruct", "--data", "runs/samples.json", "--out", "runs/rec.json",
+                  "--against", str(cross_net_file))):
+        proc = run_cli(*args, cwd=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+    assert "equivalence certificate: found" in proc.stdout
+    assert json.loads((tmp_path / "runs" / "samples.json").read_text())["plan_ref"] == ref
+
+
+def test_reconstruct_resolves_plan_ref_against_the_samples_file_not_the_cwd(
+        tmp_path, cross_net_file):
+    for name, seed in (("a", "1"), ("b", "2")):
+        (tmp_path / name).mkdir()
+        for args in (("plan-relu", "--net", str(cross_net_file), "--out", "plan.json",
+                      "--seed", seed),
+                     ("sample", "--net", str(cross_net_file), "--plan", "plan.json",
+                      "--out", "samples.json")):
+            proc = run_cli(*args, cwd=str(tmp_path / name))
+            assert proc.returncode == 0, proc.stderr
+    proc = run_cli("reconstruct", "--data", "../b/samples.json", "--out", "rec.json",
+                   cwd=str(tmp_path / "a"))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("reconstruct", "--data", "samples.json", "--out", "rec.json",
+                   cwd=str(tmp_path / "b"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "a" / "rec.json").read_bytes() == (tmp_path / "b" / "rec.json").read_bytes()
 
 
 def test_reconstruct_rejects_nan_sample_value_exit_3(tmp_path, cross_net_file):
@@ -217,3 +257,25 @@ def test_check_reports_reducible_analytic(tmp_path):
     write_net(path, net)
     proc = run_cli("check", "--net", str(path))
     assert proc.returncode == 0 and "reducible" in proc.stdout
+
+
+def test_check_caps_the_witness_search_at_twenty_lone_neurons(tmp_path, capsys):
+    net = structured_relu(np.random.default_rng(7), 3, "k1_1", 21)
+    path = tmp_path / "wide.json"
+    write_net(path, net)
+    start = time.perf_counter()
+    code = cli.main(["check", "--net", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "size"
+    assert elapsed < 1.0
+
+
+def test_plan_analytic_at_d10_exits_2_with_a_located_invariant_error(tmp_path, capsys):
+    assert cli.main(["plan-analytic", "--m", "1", "--d", "9",
+                     "--out", str(tmp_path / "a9.json")]) == 0
+    assert cli.main(["plan-analytic", "--m", "1", "--d", "10",
+                     "--out", str(tmp_path / "a10.json")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "invariant" and err["message"] == "frame subset is rank deficient"
+    assert len(err["details"]["subset"]) == 10

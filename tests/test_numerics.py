@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from shallowid import (DegenerateFitError, InputError, affine_fit, rank,
+from shallowid import (DegenerateFitError, InputError, SizeError, affine_fit, rank,
                        solve_least_squares)
+from shallowid.numerics import SUBSET_CAP, subset_sums
 
 from helpers import rank_by_elimination
 
@@ -100,3 +103,27 @@ def test_least_squares_inconsistent_column():
 def test_least_squares_dimension_mismatch():
     with pytest.raises(InputError):
         solve_least_squares(np.eye(3), np.array([1.0, 2.0]))
+
+
+def test_subset_sums_bit_k_stands_for_row_k():
+    rows = np.array([[1.0, 0.0], [0.0, 10.0], [100.0, 0.0]])
+    sums = subset_sums(rows, start=np.array([0.5, 0.5]))
+    for mask in range(8):
+        picked = [rows[k] for k in range(3) if mask >> k & 1]
+        assert np.array_equal(sums[mask], np.array([0.5, 0.5]) + sum(picked, np.zeros(2)))
+    prods = subset_sums([2.0, 3.0, 5.0], np.multiply, 1.0)
+    assert prods.tolist() == [1.0, 2.0, 3.0, 6.0, 5.0, 10.0, 15.0, 30.0]
+    assert subset_sums(np.zeros((0, 2)), start=np.ones(2)).tolist() == [[1.0, 1.0]]
+
+
+def test_subset_sums_cap_raises_before_allocating():
+    assert SUBSET_CAP == 20
+    assert subset_sums(np.ones(SUBSET_CAP)).shape == (2 ** SUBSET_CAP,)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            subset_sums(np.ones((SUBSET_CAP + 1, 4)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 2^21 x 4 result alone would take 64 MiB

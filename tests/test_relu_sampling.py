@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 import shallowid as si
 from shallowid import (InputError, Line, LabeledSamples, ParseError, ToleranceConfig,
                        build_feasible_lines, build_sample_plan, extract_breakpoints,
-                       group, make_net, reconstruct, recover_hyperplanes, relu_sampling,
-                       sample_values)
+                       group, make_net, net_core, reconstruct, recover_hyperplanes,
+                       relu_sampling, sample_values)
 from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
                                      plan_to_json_obj, samples_from_json_obj,
                                      samples_to_json_obj)
 
-from helpers import oracle_collinearity_ok, random_irreducible_relu
+from helpers import oracle_collinearity_ok, oracle_orientation, random_irreducible_relu
 
 
 def cross_net():
@@ -169,6 +169,69 @@ def test_sample_plan_is_bit_identical_under_the_oracle(monkeypatch, d, m, seed):
     reference = build_sample_plan(g, ls, seed=seed)
     assert np.array_equal(plan.points, reference.points)
     assert plan.params == reference.params
+
+
+def reconstruct_with_oracle(monkeypatch, data):
+    """reconstruct(data) and the solve loop's network on the hyperplanes
+    that reconstruct recovered."""
+
+    recovered = []
+
+    def spy(*args):
+        recovered.append(recover_hyperplanes(*args))
+        return recovered[-1]
+
+    monkeypatch.setattr(relu_sampling, "recover_hyperplanes", spy)
+    rebuilt = reconstruct(data)
+    return rebuilt, oracle_orientation(recovered[0], data.plan.points, data.values)
+
+
+@pytest.mark.parametrize("d, m, seed", [(2, 2, 1), (2, 5, 3), (2, 7, 4), (3, 3, 5),
+                                         (3, 7, 7), (4, 3, 8), (4, 5, 9), (5, 3, 10),
+                                         (5, 4, 11)])
+def test_reconstruct_is_byte_identical_to_the_orientation_loop(monkeypatch, d, m, seed):
+    net = random_irreducible_relu(np.random.default_rng(seed), m, d)
+    g = group(net)
+    plan = build_sample_plan(g, build_feasible_lines(g, seed=seed), seed=seed)
+    rebuilt, expected = reconstruct_with_oracle(monkeypatch, sample_values(net, plan))
+    assert net_core.serialize(rebuilt) == net_core.serialize(expected)
+
+
+@pytest.mark.parametrize("deficient", [False, True])
+@pytest.mark.parametrize("d, m, seed", [(2, 5, 3), (2, 7, 4), (4, 5, 9)])
+def test_reconstruct_keeps_a_fitting_pattern_whose_linear_term_misses(
+        monkeypatch, d, m, seed, deficient):
+    """Noise of 2e-9 along the weakest direction of the design
+    [relu(h_k), x, 1] moves the single solve's linear term by more than
+    match_tol, while the first orientation pattern still fits the samples
+    within residual_tol: the flip-set screen must keep that pattern, also
+    when the design reports itself rank deficient."""
+
+    net = random_irreducible_relu(np.random.default_rng(seed), m, d)
+    g = group(net)
+    plan = build_sample_plan(g, build_feasible_lines(g, seed=seed), seed=seed)
+    data = sample_values(net, plan)
+    margins = plan.points @ np.stack([n.a for n in net.neurons]).T + [n.b for n in net.neurons]
+    design = np.concatenate([np.maximum(margins, 0.0), plan.points,
+                             np.ones((plan.points.shape[0], 1))], axis=1)
+    weakest = np.linalg.svd(design, full_matrices=False)[0][:, -1]
+    if deficient:
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: lstsq(*a, **k)[:3] + (np.ones(1),))
+    noise = 2e-9 * (1.0 + np.max(np.abs(data.values))) * weakest / np.max(np.abs(weakest))
+    rebuilt, expected = reconstruct_with_oracle(
+        monkeypatch, LabeledSamples(plan, data.values + noise))
+    assert expected is not None
+    assert net_core.serialize(rebuilt) == net_core.serialize(expected)
+
+
+def test_reconstruct_caps_the_orientation_search_before_recovery(monkeypatch):
+    g = group(cross_net())
+    plan = build_sample_plan(g, build_feasible_lines(g, seed=0), seed=0)
+    monkeypatch.setattr(relu_sampling, "SUBSET_CAP", 1)
+    monkeypatch.setattr(relu_sampling, "recover_hyperplanes", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(si.SizeError):
+        reconstruct(sample_values(cross_net(), plan))
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,7 +392,7 @@ def test_reconstruct_constant_data():
     assert rec.m == 0 and rec.c == pytest.approx(3.25)
 
 
-def test_reconstruct_flipped_three_neuron_class():
+def test_reconstruct_flipped_three_neuron_class(monkeypatch):
     root2 = np.sqrt(2.0)
     a = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / root2]
     s = [1.0, 1.0, -root2]
@@ -337,8 +400,11 @@ def test_reconstruct_flipped_three_neuron_class():
     g = group(net)
     ls = build_feasible_lines(g, seed=6)
     plan = build_sample_plan(g, ls, seed=6)
-    rec = reconstruct(sample_values(net, plan))
+    rec, expected = reconstruct_with_oracle(monkeypatch, sample_values(net, plan))
     assert si.test_equivalent(net, rec) is not None
+    # flipping all three neurons also reproduces the samples (sum s_k a_k = 0);
+    # the reconstruction must be the first such pattern, as in the solve loop
+    assert net_core.serialize(rec) == net_core.serialize(expected)
 
 
 def test_plan_json_round_trip():

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 import shallowid as si
 from shallowid import (HypothesisError, InvariantError, check_admissible,
                        evaluate_many, group, make_net, reduce_fully,
-                       reduce_once)
+                       reduce_once, relu_structure)
 from shallowid.relu_structure import certificate_to_json_obj
 
 from helpers import (cancelling_pairs_instance, clause_i_instance,
                      clause_ii_instance, clause_k1_ge_3_instance, dense_grid,
-                     oracle_reducible, random_irreducible_relu,
-                     random_structured_relu, rel_max_dev)
+                     oracle_reducible, oracle_test_reducible,
+                     random_irreducible_relu, random_structured_relu,
+                     rel_max_dev, structured_relu)
 
 
 def cross_net():
@@ -160,12 +161,63 @@ def test_reduce_fully_gives_an_irreducible_equivalent_net(seed):
         assert si.test_equivalent(reduced, again) is not None
 
 
+def _witness_key(witness):
+    if witness is None:
+        return None
+    return witness.case, witness.epsilon, witness.k2_prime, witness.k0
+
+
 def test_reducible_agrees_with_oracle_on_structured_nets():
     rng = np.random.default_rng(123)
     grid = dense_grid(2)
-    for _ in range(60):
-        net = random_structured_relu(rng)
-        assert (si.test_reducible(group(net)) is not None) == oracle_reducible(net, grid)
+    for i in range(1000):
+        net = random_structured_relu(rng, max_m=4 if i < 60 else int(rng.integers(2, 8)))
+        witness = si.test_reducible(group(net))
+        assert _witness_key(witness) == _witness_key(oracle_test_reducible(group(net)))
+        if i < 60:
+            assert (witness is not None) == oracle_reducible(net, grid)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("kind, sizes", [
+    ("k1_1", (0, 5, 12)), ("k1_1_planted", (0, 5, 12)),
+    ("k1_2", (0, 5, 9)), ("k1_2_planted", (0, 5, 9)),
+    ("cancel", (0, 5, 12)), ("cancel_planted", (0, 5, 12)),
+])
+@pytest.mark.parametrize("screen", [None, 16])
+def test_witness_matches_the_loop_search(monkeypatch, d, kind, sizes, screen):
+    if screen:  # screen the subset sums four at a time, in many chunks
+        monkeypatch.setattr(relu_structure, "_SCREEN_ENTRIES", screen)
+    rng = np.random.default_rng(1000 * d + len(kind))
+    for n_lone in sizes:
+        g = group(structured_relu(rng, d, kind, n_lone))
+        witness = si.test_reducible(g)
+        expected = oracle_test_reducible(g)
+        assert _witness_key(witness) == _witness_key(expected)
+        if kind.endswith("_planted"):
+            assert witness is not None and witness.c0 == expected.c0
+
+
+def test_k1_eq_2_witness_takes_the_first_sign_pattern_in_order():
+    # the patterns (1, -1) and (-1, 1) each free a term along one lone
+    # neuron; (1, 1) comes first but frees nothing absorbable
+    a1, a2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    s11, s12, s21, s22 = 1.0, 0.5, 0.8, 0.7
+    along = [s11 * a1 - s22 * a2, -s12 * a1 + s21 * a2]
+    neurons = [(a1, 0.1, s11), (-a1, -0.1, s12), (a2, -0.2, s21), (-a2, 0.2, s22),
+               (along[0] / np.linalg.norm(along[0]), 0.3, 0.9),
+               (along[1] / np.linalg.norm(along[1]), -0.4, -1.1)]
+    g = group(make_net("relu", neurons, 0.0, d=3))
+    witness = si.test_reducible(g)
+    assert _witness_key(witness) == _witness_key(oracle_test_reducible(g))
+    assert witness.epsilon == (1, -1) and witness.k0 == 2
+
+
+def test_witness_search_is_capped_at_twenty_lone_neurons():
+    rng = np.random.default_rng(21)
+    g = group(structured_relu(rng, 3, "k1_1", 21))
+    with pytest.raises(si.SizeError):
+        si.test_reducible(g)
 
 
 def test_ridge_functions_linearly_independent_on_grid():
