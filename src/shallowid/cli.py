@@ -50,9 +50,14 @@ def _read_net(path: str) -> net_core.ShallowNet:
 
 
 def _tol_from_args(args) -> ToleranceConfig:
-    given = {"rank_tol": args.tol_rank, "match_tol": args.tol_match,
-             "residual_tol": args.tol_residual}
-    return dataclasses.replace(DEFAULT_TOL, **{k: v for k, v in given.items() if v is not None})
+    given = {name: value for name, value in (("rank_tol", args.tol_rank),
+                                             ("match_tol", args.tol_match),
+                                             ("residual_tol", args.tol_residual))
+             if value is not None}
+    try:
+        return dataclasses.replace(DEFAULT_TOL, **given)
+    except ValueError as exc:  # a value ToleranceConfig rejects
+        raise InputError(str(exc), **given) from None
 
 
 def _cmd_check(args, tol) -> int:
@@ -266,9 +271,8 @@ def main(argv=None) -> int:
                           ("tol_residual", None), ("cap", 1_000_000)):
         if not hasattr(args, name):
             setattr(args, name, default)
-    tol = _tol_from_args(args)
     try:
-        return args.func(args, tol)
+        return args.func(args, _tol_from_args(args))
     except ParseError as exc:
         print(json.dumps(exc.to_json_obj(), sort_keys=True), file=sys.stderr)
         return 3

@@ -32,7 +32,8 @@ _MIN_POINT_SEP = 1e-3        # separation of crossing points across lines
 _MIN_SPREAD_DET = 1e-6       # normalized determinant of in-plane point subsets
 _RETRY_BUDGET = 1000         # per failure site
 _TOTAL_DRAW_CAP = 50_000
-_CANDIDATE_BUDGET = 200_000
+_CANDIDATE_BUDGET = 200_000    # seed tuples fitted by recover_hyperplanes
+_CHUNK_FLOATS = 2 ** 18        # largest batched temporary in recover_hyperplanes
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,29 @@ def _line_crossings(line: Line, hyperplanes: list[Hyperplane],
     return params
 
 
-def _subset_spread_violation(points: np.ndarray, normal: np.ndarray, d: int) -> int | None:
-    """Every d-subset of in-plane points must affinely span the hyperplane;
-    returns the index of a point in an offending subset, or None."""
+def _combinations(n: int, r: int) -> np.ndarray:
+    """All r-subsets of range(n) as rows of a (C(n, r), r) array, in
+    itertools.combinations order: each row is extended by every larger value
+    that leaves room for the rest."""
 
-    count = points.shape[0]
-    if count < d or d == 1:
-        return None
+    combos = np.arange(n - r + 1)[:, None]
+    for k in range(1, r):
+        last = combos[:, -1]
+        counts = n - r + k - last
+        rows = np.repeat(np.arange(last.size), counts)
+        step = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        combos = np.column_stack([combos[rows], last[rows] + 1 + step])
+    return combos
+
+
+def _subset_spread_violation(points: np.ndarray, normal: np.ndarray,
+                             combos: np.ndarray) -> int | None:
+    """Every d-subset of in-plane points (the rows of ``combos``) must
+    affinely span the hyperplane; returns the index of a point in an
+    offending subset, or None."""
+
     basis = np.linalg.svd(normal[None, :])[2][1:]  # orthonormal complement
     coords = points @ basis.T
-    combos = np.array(list(itertools.combinations(range(count), d)))
     sub = coords[combos]                       # (C, d, d-1)
     diffs = sub[:, 1:, :] - sub[:, :1, :]      # (C, d-1, d-1)
     norms = np.linalg.norm(diffs, axis=2, keepdims=True)
@@ -173,6 +187,7 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
 
     for j in range(n_lines):
         draw(j)
+    combos = _combinations(n_lines, d)
 
     for _ in range(_RETRY_BUDGET):
         # (i) directions span the whole space
@@ -192,7 +207,7 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
         # (iii) any d crossings inside one hyperplane affinely span it
         offender = None
         for k, h in enumerate(hyperplanes):
-            culprit = _subset_spread_violation(crossings[:, k, :], h.a, d)
+            culprit = _subset_spread_violation(crossings[:, k, :], h.a, combos)
             if culprit is not None:
                 offender = culprit
                 break
@@ -403,6 +418,44 @@ def extract_breakpoints(line: Line, params, values,
     return breakpoints, pieces
 
 
+def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> np.ndarray:
+    """Indices of the seed tuples (``seeds``: (tuples, d, d), one crossing of
+    each of d lines) that may pass ``recover_hyperplanes``' exact test.
+
+    The rough fit, nearest-crossing match, refit and containment test run
+    batched.  The refit takes the SVD of the R factor of the centred matched
+    points, which has their right singular vectors.  A tuple is dropped only
+    when its refit misses some line by more than 4 keep_tol or comes within
+    keep_tol / 4 of two crossings of one line, and no line had a second
+    crossing within keep_tol of the one nearest its rough plane (there the
+    per-candidate match could pick another).  Both fits are backward stable,
+    so for well-spread points, as a real hyperplane's crossings are, their
+    distances differ from the per-candidate ones by rounding far below these
+    margins: every tuple the exact test accepts survives.
+    """
+
+    n_lines, m, d = stacked.shape
+    flat = stacked.reshape(n_lines * m, d)
+
+    def distances(points):                        # (lines, m, chunk)
+        center = points.mean(axis=1)
+        centered = points - center[:, None, :]
+        if centered.shape[1] > d:
+            centered = np.linalg.qr(centered, mode="r")
+        normal = np.linalg.svd(centered)[2][:, -1]
+        dist = flat @ normal.T
+        dist -= np.einsum("cd,cd->c", normal, center)
+        return np.abs(dist, out=dist).reshape(n_lines, m, -1)
+
+    rough = distances(seeds)
+    nearest = np.min(rough, axis=1)
+    tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
+    refit = distances(stacked[np.arange(n_lines), np.argmin(rough, axis=1).T])
+    keep = (np.all(np.min(refit, axis=1) <= 4.0 * keep_tol, axis=0)
+            & np.all(np.sum(refit <= keep_tol / 4.0, axis=1) <= 1, axis=0))
+    return np.flatnonzero(keep | tie)
+
+
 def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
                         ) -> list[Hyperplane]:
     """Fit candidate hyperplanes through d crossings from d distinct lines and
@@ -410,7 +463,9 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
 
     Each kept candidate is refitted on all of its matched crossings before the
     final containment test, which makes the fit insensitive to how well spread
-    the d seed points happened to be.
+    the d seed points happened to be.  Seed tuples are screened in chunks by
+    ``_seed_survivors``; only the survivors get the per-candidate fits, in
+    itertools order, so the result is the one of fitting every tuple.
     """
 
     groups = [np.asarray(grp, dtype=float) for grp in crossings_by_line]
@@ -424,42 +479,49 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
             raise InputError(f"line {j} contributes {grp.shape[0]} crossings, expected {m}")
     if n_lines != m * d:
         raise InputError("line count must be m*d", lines=n_lines, m=m, d=d)
+    stacked = np.stack(groups)
+    if not np.all(np.isfinite(stacked)):
+        raise InputError("crossing points must be finite")
 
-    scale = 1.0 + max(float(np.max(np.abs(grp))) for grp in groups)
-    keep_tol = tol.match_tol * scale
+    keep_tol = tol.match_tol * (1.0 + float(np.max(np.abs(stacked))))
     found: list[Hyperplane] = []
+    refitted: set[tuple[int, ...]] = set()   # the same matched rows give the same refit
     fits = 0
+    tuples = m ** d
+    chunk = max(1, _CHUNK_FLOATS // (n_lines * max(m, d)))
     for line_combo in itertools.combinations(range(n_lines), d):
-        for choice in itertools.product(range(m), repeat=d):
-            fits += 1
-            if fits > _CANDIDATE_BUDGET:
+        for start in range(0, tuples, chunk):
+            if fits == _CANDIDATE_BUDGET:
                 raise RecoveryError("candidate budget exhausted before finding "
                                     "all hyperplanes", found=len(found), expected=m)
-            seed_pts = np.stack([groups[j][i] for j, i in zip(line_combo, choice)])
-            try:
-                rough = affine_fit(seed_pts, tol).hyperplane
-            except DegenerateFitError:
-                continue
-            matched = np.stack([grp[np.argmin(np.abs(grp @ rough.a + rough.b))]
-                                for grp in groups])
-            try:
-                refit = affine_fit(matched, tol).hyperplane
-            except DegenerateFitError:
-                continue
-            ok = True
-            for grp in groups:
-                dists = np.abs(grp @ refit.a + refit.b)
-                if np.sum(dists <= keep_tol) != 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if any(refit.matches(h, tol) for h in found):
-                continue
-            found.append(refit)
-            if len(found) == m:
-                ordered = sorted(found, key=lambda h: (tuple(h.a), h.b))
-                return ordered
+            index = np.arange(start, min(start + chunk, tuples,
+                                         start + _CANDIDATE_BUDGET - fits))
+            fits += index.size
+            choices = np.empty((index.size, d), dtype=int)
+            for k in range(d - 1, -1, -1):       # itertools.product order
+                index, choices[:, k] = np.divmod(index, m)
+            seeds = stacked[list(line_combo), choices]
+            for seed_pts in seeds[_seed_survivors(stacked, seeds, keep_tol)]:
+                try:
+                    rough = affine_fit(seed_pts, tol).hyperplane
+                except DegenerateFitError:
+                    continue
+                rows = tuple(int(np.argmin(np.abs(grp @ rough.a + rough.b))) for grp in groups)
+                if rows in refitted:
+                    continue
+                refitted.add(rows)
+                try:
+                    refit = affine_fit(stacked[np.arange(n_lines), rows], tol).hyperplane
+                except DegenerateFitError:
+                    continue
+                if any(np.sum(np.abs(grp @ refit.a + refit.b) <= keep_tol) != 1
+                       for grp in groups):
+                    continue
+                if any(refit.matches(h, tol) for h in found):
+                    continue
+                found.append(refit)
+                if len(found) == m:
+                    return sorted(found, key=lambda h: (tuple(h.a), h.b))
     raise RecoveryError("hyperplane recovery found the wrong candidate count",
                         found=len(found), expected=m)
 

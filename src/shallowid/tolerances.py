@@ -22,8 +22,8 @@ class ToleranceConfig:
 
     def __post_init__(self) -> None:
         for name in ("rank_tol", "match_tol", "residual_tol", "zero_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < float("inf"):  # also refuses NaN
+                raise ValueError(f"{name} must be strictly positive and finite")
         if self.rank_tol > self.match_tol:
             raise ValueError("rank_tol must not exceed match_tol")
 

@@ -1,5 +1,6 @@
 """Shared generators, the brute-force reducibility, witness-search,
-orientation, exp-sum, plan-collinearity and rank oracles and the CLI runner."""
+orientation, exp-sum, plan-collinearity, hyperplane-recovery and rank oracles
+and the CLI runner."""
 
 from __future__ import annotations
 
@@ -12,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 import shallowid
-from shallowid import (AdmissibilityError, ExpSumExpansion, ReductionWitness,
-                       ShallowNet, canonical_hyperplane, evaluate_many, group,
-                       make_net, solve_least_squares)
+from shallowid import (AdmissibilityError, DegenerateFitError, ExpSumExpansion,
+                       InputError, RecoveryError, ReductionWitness, ShallowNet,
+                       affine_fit, canonical_hyperplane, evaluate_many, group,
+                       make_net, relu_sampling, solve_least_squares)
 from shallowid.relu_sampling import _point_line_distances
 from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
                                       _direction_of)
@@ -501,6 +503,73 @@ def oracle_collinearity_ok(points, lines, tol=DEFAULT_TOL) -> bool:
         if np.any(np.sum(close, axis=0) >= 3):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# per-candidate hyperplane-recovery oracle
+# ---------------------------------------------------------------------------
+
+# The loop that relu_sampling.recover_hyperplanes replaced: every seed tuple
+# is fitted, matched, refitted and tested on its own.  The candidate budget is
+# read from relu_sampling, so a test that lowers it lowers it for both.
+def oracle_recover_hyperplanes(crossings_by_line, tol=DEFAULT_TOL):
+    """Fit candidate hyperplanes through d crossings from d distinct lines and
+    keep those containing exactly one crossing of every line.
+
+    Each kept candidate is refitted on all of its matched crossings before the
+    final containment test, which makes the fit insensitive to how well spread
+    the d seed points happened to be.
+    """
+
+    groups = [np.asarray(grp, dtype=float) for grp in crossings_by_line]
+    if not groups:
+        raise InputError("no crossing points supplied")
+    n_lines = len(groups)
+    m = groups[0].shape[0]
+    d = groups[0].shape[1]
+    for j, grp in enumerate(groups):
+        if grp.shape != (m, d):
+            raise InputError(f"line {j} contributes {grp.shape[0]} crossings, expected {m}")
+    if n_lines != m * d:
+        raise InputError("line count must be m*d", lines=n_lines, m=m, d=d)
+
+    scale = 1.0 + max(float(np.max(np.abs(grp))) for grp in groups)
+    keep_tol = tol.match_tol * scale
+    found = []
+    fits = 0
+    for line_combo in itertools.combinations(range(n_lines), d):
+        for choice in itertools.product(range(m), repeat=d):
+            fits += 1
+            if fits > relu_sampling._CANDIDATE_BUDGET:
+                raise RecoveryError("candidate budget exhausted before finding "
+                                    "all hyperplanes", found=len(found), expected=m)
+            seed_pts = np.stack([groups[j][i] for j, i in zip(line_combo, choice)])
+            try:
+                rough = affine_fit(seed_pts, tol).hyperplane
+            except DegenerateFitError:
+                continue
+            matched = np.stack([grp[np.argmin(np.abs(grp @ rough.a + rough.b))]
+                                for grp in groups])
+            try:
+                refit = affine_fit(matched, tol).hyperplane
+            except DegenerateFitError:
+                continue
+            ok = True
+            for grp in groups:
+                dists = np.abs(grp @ refit.a + refit.b)
+                if np.sum(dists <= keep_tol) != 1:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if any(refit.matches(h, tol) for h in found):
+                continue
+            found.append(refit)
+            if len(found) == m:
+                ordered = sorted(found, key=lambda h: (tuple(h.a), h.b))
+                return ordered
+    raise RecoveryError("hyperplane recovery found the wrong candidate count",
+                        found=len(found), expected=m)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,19 @@ def test_tolerance_override_flows_through(tmp_path):
     assert obj["equal_on_plan"] is False and obj["equivalent"] is True
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol-rank", "0", "rank_tol must be strictly positive and finite"),
+    ("--tol-residual", "nan", "residual_tol must be strictly positive and finite"),
+    ("--tol-match", "inf", "match_tol must be strictly positive and finite"),
+    ("--tol-match", "1e-12", "rank_tol must not exceed match_tol")])
+def test_invalid_tolerance_flag_is_input_error_exit_2(cross_net_file, flag, value, message):
+    proc = run_cli("check", "--net", str(cross_net_file), flag, value)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "input" and err["message"] == message
+
+
 def test_check_reports_reducible_analytic(tmp_path):
     net = make_net("tanh", [((1.0, 0.0), 0.5, 1.0), ((-1.0, 0.0), -0.5, 2.0)], 0.0)
     path = tmp_path / "dup.json"

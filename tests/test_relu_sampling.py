@@ -16,7 +16,8 @@ from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
                                      plan_to_json_obj, samples_from_json_obj,
                                      samples_to_json_obj)
 
-from helpers import oracle_collinearity_ok, oracle_orientation, random_irreducible_relu
+from helpers import (oracle_collinearity_ok, oracle_orientation, oracle_recover_hyperplanes,
+                     random_irreducible_relu)
 
 
 def cross_net():
@@ -50,6 +51,13 @@ def exhaustive_collinear_triples_ok(points, lines, tol=1e-8):
         if not on_plan_line:
             return False
     return True
+
+
+def test_combinations_are_itertools_rows():
+    for n in range(1, 13):
+        for r in range(1, n + 1):
+            combos = relu_sampling._combinations(n, r)
+            assert combos.tolist() == [list(c) for c in itertools.combinations(range(n), r)]
 
 
 def test_feasible_lines_cardinality_and_crossings():
@@ -434,8 +442,121 @@ def test_reconstruct_rejects_corrupted_values():
 def test_recover_hyperplanes_rejects_scattered_points():
     rng = np.random.default_rng(23)
     scattered = [rng.uniform(-1, 1, size=(2, 2)) for _ in range(4)]
-    with pytest.raises(si.RecoveryError):
-        recover_hyperplanes(scattered)
+    assert assert_recovers_as_the_oracle(scattered)[0] is si.RecoveryError
+
+
+def pipeline_crossings(d, m, seed):
+    """The crossings reconstruct hands to recover_hyperplanes for a seeded
+    net: lines, plan, samples and the breakpoints extracted on every line."""
+
+    net = random_irreducible_relu(np.random.default_rng(seed), m, d)
+    g = group(net)
+    plan = build_sample_plan(g, build_feasible_lines(g, seed=seed), seed=seed)
+    values = sample_values(net, plan).values.reshape(len(plan.lines), -1)
+    return [line.points_at(extract_breakpoints(line, params, vals)[0])
+            for line, params, vals in zip(plan.lines, plan.params, values)]
+
+
+def recovery_outcome(recover, crossings):
+    """The recovered (a, b) bits, or the error's class, message and details."""
+
+    try:
+        return [(h.a.tobytes(), h.b) for h in recover(crossings)]
+    except si.ToolkitError as exc:
+        return type(exc), exc.message, exc.details
+
+
+def assert_recovers_as_the_oracle(crossings):
+    expected = recovery_outcome(oracle_recover_hyperplanes, crossings)
+    assert recovery_outcome(recover_hyperplanes, crossings) == expected
+    return expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from([(d, m) for d in range(2, 6) for m in range(2, 7) if d * m <= 24]),
+       seed=st.integers(0, 10**6), budget=st.floats(0.0, 1.2))
+def test_recover_hyperplanes_is_bit_identical_to_the_per_candidate_loop(shape, seed, budget):
+    """Seeded nets through the plan pipeline, as they come, with the lines
+    permuted, with the first line combination degenerate (line d-1 a copy of
+    line d-2, so the search goes on to the second combination), and with the
+    candidate budget cut to a share of the m^d tuples of one combination."""
+
+    d, m = shape
+    crossings = pipeline_crossings(d, m, seed)
+    assert_recovers_as_the_oracle(crossings)
+    order = np.random.default_rng(seed).permutation(len(crossings))
+    assert_recovers_as_the_oracle([crossings[j] for j in order])
+    assert_recovers_as_the_oracle(crossings[:d - 1] + [crossings[d - 2]] + crossings[d:])
+    with mock.patch.object(relu_sampling, "_CANDIDATE_BUDGET", int(budget * m ** d)):
+        assert_recovers_as_the_oracle(crossings)
+
+
+@functools.lru_cache(maxsize=None)
+def crossings_and_oracle_budget(d, m, seed):
+    """pipeline_crossings and the fewest seed tuples with which the oracle
+    recovers every hyperplane from them."""
+
+    crossings = tuple(pipeline_crossings(d, m, seed))
+
+    def succeeds(budget):
+        with mock.patch.object(relu_sampling, "_CANDIDATE_BUDGET", budget):
+            return isinstance(recovery_outcome(oracle_recover_hyperplanes, crossings), list)
+
+    fails, enough = 0, 1
+    while not succeeds(enough):
+        fails, enough = enough, 2 * enough
+    while enough - fails > 1:
+        mid = (fails + enough) // 2
+        fails, enough = (fails, mid) if succeeds(mid) else (mid, enough)
+    return crossings, enough
+
+
+@pytest.mark.parametrize("tuples", [1, 3, 7])
+@pytest.mark.parametrize("d, m, seed", [(4, 5, 2), (3, 7, 5)])
+def test_recover_hyperplanes_chunk_edges_keep_the_oracle_order(monkeypatch, d, m, seed, tuples):
+    """Chunks of a few tuples tile the itertools order without gap or
+    overlap, and the search stops where the oracle's does: with the oracle's
+    smallest sufficient budget both succeed, with one tuple less both fail
+    alike."""
+
+    crossings, needed = crossings_and_oracle_budget(d, m, seed)
+    monkeypatch.setattr(relu_sampling, "_CHUNK_FLOATS", tuples * m * d * max(m, d))
+    with mock.patch.object(relu_sampling, "_seed_survivors",
+                           wraps=relu_sampling._seed_survivors) as spy:
+        assert isinstance(assert_recovers_as_the_oracle(crossings), list)
+    chunks = [call.args[1] for call in spy.call_args_list]
+    assert {len(seeds) for seeds in chunks} <= {tuples, m ** d % tuples}
+    seen = np.concatenate(chunks)
+    assert needed <= len(seen) < needed + tuples
+    stacked = np.stack(crossings)
+    order = itertools.islice(((combo, choice)
+                              for combo in itertools.combinations(range(m * d), d)
+                              for choice in itertools.product(range(m), repeat=d)), len(seen))
+    assert np.array_equal(seen, np.stack([stacked[list(c), list(i)] for c, i in order]))
+    for budget in (needed, needed - 1):
+        monkeypatch.setattr(relu_sampling, "_CANDIDATE_BUDGET", budget)
+        assert_recovers_as_the_oracle(crossings)
+
+
+def test_seed_survivors_keeps_a_near_tie_of_the_rough_match():
+    """d = 2, m = 2: the seeds (0, 0) and (1, 0) give the rough plane y = 0,
+    from which line 2's crossings (0.5, 1) and (0.5, -1) are equally far, so
+    the per-candidate match may take either; the tuple survives although the
+    refit on the first misses line 3.  Without the tie it is dropped."""
+
+    stacked = np.array([[[0.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [1.0, -3.0]],
+                        [[0.5, 1.0], [0.5, -1.0]], [[2.0, 0.3], [3.0, 5.0]]])
+    seeds = stacked[[0, 1], [0, 0]][None]
+    assert relu_sampling._seed_survivors(stacked, seeds, 1e-8).tolist() == [0]
+    stacked[2, 1, 1] = -1.5
+    assert relu_sampling._seed_survivors(stacked, seeds, 1e-8).tolist() == []
+
+
+def test_recover_hyperplanes_rejects_non_finite_crossings():
+    crossings = pipeline_crossings(2, 2, 0)
+    crossings[1][0, 0] = np.nan
+    with pytest.raises(InputError):
+        recover_hyperplanes(crossings)
 
 
 @pytest.mark.parametrize("bad", [True, "0.5", float("nan"), float("inf")])
