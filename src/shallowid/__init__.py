@@ -22,9 +22,8 @@ from .relu_adversary import AdversarialPair, AdversaryParams, build_pair
 from .analytic_id import (AnalyticCanonicalForm, AnalyticSamplePlan,
                           ExpSumExpansion, FullSparkFrame, IdentificationReport,
                           build_analytic_plan, canonicalize_analytic,
-                          check_admissible_analytic, check_full_spark,
-                          cleared_form_value, exp_sum_expansion,
-                          separating_direction, sigmoid_form,
+                          check_admissible_analytic, cleared_form_value,
+                          exp_sum_expansion, sigmoid_form,
                           test_equivalent_analytic, vandermonde_frame,
                           verify_identification)
 

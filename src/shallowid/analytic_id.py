@@ -11,27 +11,20 @@ exponential-sum coefficients, and hence the difference itself, to vanish.
 
 from __future__ import annotations
 
-import itertools
-import logging
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from . import schema
-from .errors import (AdmissibilityError, InputError, InvariantError,
-                     ParseError, SizeError, ToleranceError)
+from .errors import AdmissibilityError, InputError, ParseError, SizeError
 from .net_core import (Neuron, ShallowNet, _duplicate_ridges, _first_significant_sign,
                        evaluate_many, make_net)
-from .numerics import rank, subset_sums
+from .numerics import subset_sums
 from .relu_structure import AdmissibilityReport
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
-logger = logging.getLogger(__name__)
-
 _DEFAULT_PLAN_CAP = 1_000_000
-_FULL_SPARK_EXHAUSTIVE_LIMIT = 12
-_FULL_SPARK_SAMPLES = 200
 
 
 def _require_analytic(net: ShallowNet) -> None:
@@ -135,10 +128,12 @@ def test_equivalent_analytic(n1: ShallowNet, n2: ShallowNet,
 
 @dataclass(frozen=True)
 class FullSparkFrame:
-    """N vectors of which every d-subset is a basis."""
+    """Moment vectors (1, t, ..., t^(d-1)) at pairwise distinct nodes t.  Every
+    d-subset is a Vandermonde system with determinant prod(t_j - t_i) != 0, so
+    the distinct nodes certify that every d-subset is a basis."""
 
     vectors: np.ndarray
-    nodes: tuple[float, ...] | None = None
+    nodes: tuple[float, ...]
 
     @property
     def size(self) -> int:
@@ -149,80 +144,18 @@ class FullSparkFrame:
         return int(self.vectors.shape[1])
 
 
-def check_full_spark(frame: FullSparkFrame, tol: ToleranceConfig = DEFAULT_TOL,
-                     seed: int = 0) -> int:
-    """Verify the every-d-subset rank condition; exhaustive up to
-    C(N, d) subsets for N <= 12, seeded sampling above.  Returns the number of
-    subsets checked and raises when one fails."""
-
-    n, d = frame.size, frame.d
-    if n <= _FULL_SPARK_EXHAUSTIVE_LIMIT:
-        subsets = itertools.combinations(range(n), d)
-        checked = 0
-        for combo in subsets:
-            checked += 1
-            if rank(frame.vectors[list(combo)], tol) != d:
-                raise InvariantError("frame subset is rank deficient",
-                                     subset=list(combo))
-        logger.debug("full spark check: %d subsets exhaustively verified", checked)
-        return checked
-    rng = np.random.default_rng(seed)
-    checked = 0
-    for _ in range(_FULL_SPARK_SAMPLES):
-        combo = sorted(rng.choice(n, size=d, replace=False).tolist())
-        checked += 1
-        if rank(frame.vectors[combo], tol) != d:
-            raise InvariantError("frame subset is rank deficient", subset=combo)
-    logger.info("full spark check: sampled %d of %d subsets", checked, comb(n, d))
-    return checked
+def _moment_frame(nodes: np.ndarray, d: int) -> FullSparkFrame:
+    return FullSparkFrame(np.vander(nodes, N=d, increasing=True), tuple(nodes.tolist()))
 
 
-def vandermonde_frame(d: int, n: int,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> FullSparkFrame:
-    """Moment vectors (1, t, ..., t^(d-1)) at distinct equispaced nodes in
-    [-1, 1]; distinct nodes make every d-subset a nonsingular Vandermonde
-    system."""
+def vandermonde_frame(d: int, n: int) -> FullSparkFrame:
+    """Moment vectors at n distinct equispaced nodes in [-1, 1]."""
 
     if d < 1:
         raise InputError("dimension must be positive", d=d)
     if n < d:
         raise InputError("frame size must be at least the dimension", n=n, d=d)
-    nodes = np.linspace(-1.0, 1.0, n)
-    vectors = np.vander(nodes, N=d, increasing=True)
-    frame = FullSparkFrame(vectors, tuple(float(t) for t in nodes))
-    check_full_spark(frame, tol)
-    return frame
-
-
-def separating_direction(frame: FullSparkFrame, vectors,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """First frame vector whose inner products with the given vectors are
-    pairwise distinct; guaranteed to exist once the frame has at least
-    C(M, 2)*(d-1)+1 members."""
-
-    vecs = np.asarray(vectors, dtype=float)
-    if vecs.ndim != 2 or vecs.shape[1] != frame.d:
-        raise InputError("vectors must be an (M, d) array", shape=list(vecs.shape))
-    m = vecs.shape[0]
-    if m == 0:
-        raise InputError("need at least one vector to separate")
-    pairs = _duplicate_ridges([(v, 0.0) for v in vecs], (1,), tol)
-    if pairs:
-        raise InputError("vectors must be pairwise distinct", pair=pairs[0])
-    needed = comb(m, 2) * (frame.d - 1) + 1
-    if frame.size < needed:
-        raise InputError("frame is too small for this family",
-                         size=frame.size, needed=needed)
-    for v in frame.vectors:
-        inner = vecs @ v
-        gaps = np.abs(inner[:, None] - inner[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if float(np.min(gaps)) > tol.zero_tol:
-            out = np.array(v, dtype=float)
-            out.setflags(write=False)
-            return out
-    raise ToleranceError("no frame vector separates the family; inputs are "
-                         "nearly duplicated")
+    return _moment_frame(np.linspace(-1.0, 1.0, n), d)
 
 
 @dataclass(frozen=True)
@@ -246,20 +179,22 @@ def _check_plan_size(count: int, cap: int) -> None:
                         points=count, cap=cap)
 
 
-def build_analytic_plan(m: int, d: int, cap: int = _DEFAULT_PLAN_CAP,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> AnalyticSamplePlan:
+def _scaled_plan(m: int, frame: FullSparkFrame, scalars: np.ndarray) -> AnalyticSamplePlan:
+    """Every scalar times every frame vector, scalar-major."""
+
+    points = (scalars[:, None, None] * frame.vectors[None, :, :]).reshape(-1, frame.d)
+    return AnalyticSamplePlan(m, frame.d, frame, tuple(scalars.tolist()), points)
+
+
+def build_analytic_plan(m: int, d: int, cap: int = _DEFAULT_PLAN_CAP) -> AnalyticSamplePlan:
     """Universal plan for m-neuron sigmoid/tanh networks: a Vandermonde full
     spark frame of size C(4m, 2)*(d-1)+1 scaled by 2^(2m) distinct scalars."""
 
     if m < 1 or d < 1:
         raise InputError("need m >= 1 and d >= 1", m=m, d=d)
     n = comb(4 * m, 2) * (d - 1) + 1
-    count = n * (1 << (2 * m))
-    _check_plan_size(count, cap)
-    frame = vandermonde_frame(d, n, tol)
-    scalars = np.linspace(-2.0, 2.0, 1 << (2 * m))
-    points = (scalars[:, None, None] * frame.vectors[None, :, :]).reshape(count, d)
-    return AnalyticSamplePlan(m, d, frame, tuple(float(z) for z in scalars), points)
+    _check_plan_size(n * (1 << (2 * m)), cap)
+    return _scaled_plan(m, vandermonde_frame(d, n), np.linspace(-2.0, 2.0, 1 << (2 * m)))
 
 
 @dataclass(frozen=True)
@@ -392,16 +327,14 @@ def sigmoid_form(net: ShallowNet) -> ShallowNet:
 # ---------------------------------------------------------------------------
 
 def analytic_plan_to_json_obj(plan: AnalyticSamplePlan) -> dict:
-    return {"m": plan.m, "d": plan.d,
-            "nodes": [float(t) for t in (plan.frame.nodes or ())],
-            "scalars": [float(z) for z in plan.scalars]}
+    return {"m": plan.m, "d": plan.d, "nodes": list(plan.frame.nodes),
+            "scalars": list(plan.scalars)}
 
 
-def analytic_plan_from_json_obj(obj, tol: ToleranceConfig = DEFAULT_TOL, *,
-                                cap: int = _DEFAULT_PLAN_CAP) -> AnalyticSamplePlan:
+def analytic_plan_from_json_obj(obj, *, cap: int = _DEFAULT_PLAN_CAP) -> AnalyticSamplePlan:
     """Inverse of analytic_plan_to_json_obj: C(4m, 2)*(d-1)+1 nodes and
     2^(2m) scalars, each pairwise distinct; a plan above ``cap`` points
-    raises SizeError."""
+    raises SizeError.  Distinct nodes are the full spark certificate."""
 
     m = schema.positive_int(*schema.field(obj, "m", "plan"))
     d = schema.positive_int(*schema.field(obj, "d", "plan"))
@@ -414,8 +347,9 @@ def analytic_plan_from_json_obj(obj, tol: ToleranceConfig = DEFAULT_TOL, *,
         if np.unique(values).size != values.size:
             raise ParseError(f"{name} must be pairwise distinct", location=f"plan.{name}")
     _check_plan_size(nodes.size * scalars.size, cap)
-    vectors = np.vander(nodes, N=d, increasing=True)
-    frame = FullSparkFrame(vectors, tuple(nodes.tolist()))
-    check_full_spark(frame, tol)
-    points = (scalars[:, None, None] * vectors[None, :, :]).reshape(-1, d)
-    return AnalyticSamplePlan(m, d, frame, tuple(scalars.tolist()), points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan = _scaled_plan(m, _moment_frame(nodes, d), scalars)
+    for name, values in (("nodes", plan.frame.vectors), ("scalars", plan.points)):
+        if not np.all(np.isfinite(values)):
+            raise ParseError("plan points overflow the float range", location=f"plan.{name}")
+    return plan

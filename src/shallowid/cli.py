@@ -171,7 +171,7 @@ def _cmd_adversary(args, tol) -> int:
 
 
 def _cmd_plan_analytic(args, tol) -> int:
-    plan = analytic_id.build_analytic_plan(args.m, args.d, cap=args.cap, tol=tol)
+    plan = analytic_id.build_analytic_plan(args.m, args.d, cap=args.cap)
     _write_atomic(args.out, analytic_id.analytic_plan_to_json_obj(plan))
     print(f"plan with {plan.size} points ({plan.frame.size} frame vectors x "
           f"{len(plan.scalars)} scalars); wrote {args.out}")
@@ -181,8 +181,7 @@ def _cmd_plan_analytic(args, tol) -> int:
 def _cmd_verify_analytic(args, tol) -> int:
     n1 = _read_net(args.net1)
     n2 = _read_net(args.net2)
-    plan = analytic_id.analytic_plan_from_json_obj(_read_json(args.plan), tol,
-                                                  cap=args.cap)
+    plan = analytic_id.analytic_plan_from_json_obj(_read_json(args.plan), cap=args.cap)
     report = analytic_id.verify_identification(n1, n2, plan, tol)
     _write_atomic(args.out, analytic_id.report_to_json_obj(report))
     print(f"max gap on plan: {report.max_gap:.3e}; equal_on_plan="

@@ -150,9 +150,6 @@ class Hyperplane:
         return (float(np.max(np.abs(self.a - other.a))) <= tol.match_tol
                 and abs(self.b - other.b) <= tol.match_tol)
 
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.a + self.b
-
 
 def _first_significant_sign(a: np.ndarray, tol: ToleranceConfig) -> float:
     thresh = tol.zero_tol * max(1.0, float(np.max(np.abs(a))))

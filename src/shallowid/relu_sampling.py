@@ -50,24 +50,17 @@ class Line:
 
 @dataclass(frozen=True)
 class FeasibleLineSet:
-    """m*d lines with per-line sorted crossing parameters and the hyperplane
-    index each crossing belongs to.  The crossing bookkeeping is derived data
-    and absent (None) for line sets loaded back from a plan file."""
+    """m*d lines with the sorted parameters of each line's crossings."""
 
     lines: tuple[Line, ...]
-    crossing_params: tuple[tuple[float, ...], ...] | None
-    assignment: tuple[tuple[int, ...], ...] | None
+    crossing_params: tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
 class SamplePlan:
-    line_set: FeasibleLineSet
+    lines: tuple[Line, ...]
     params: tuple[tuple[float, ...], ...]
     points: np.ndarray
-
-    @property
-    def lines(self) -> tuple[Line, ...]:
-        return self.line_set.lines
 
 
 @dataclass(frozen=True)
@@ -220,13 +213,7 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
             "feasibility conditions could not be met within the retry budget",
             draws=draws)
 
-    sorted_params = []
-    assignment = []
-    for w in params:
-        order = np.argsort(w)
-        sorted_params.append(tuple(float(t) for t in w[order]))
-        assignment.append(tuple(int(k) for k in order))
-    return FeasibleLineSet(tuple(lines), tuple(sorted_params), tuple(assignment))
+    return FeasibleLineSet(tuple(lines), tuple(tuple(np.sort(w).tolist()) for w in params))
 
 
 def _point_line_distances(points: np.ndarray, line: Line) -> np.ndarray:
@@ -330,8 +317,6 @@ def build_sample_plan(g: GroupedReLU, ls: FeasibleLineSet, seed: int,
     """Place two jittered samples per affine piece of every line, re-rolling
     the jitter until no accidental cross-line collinear triples remain."""
 
-    if ls.crossing_params is None:
-        raise InputError("line set lacks crossing data; rebuild it for this network")
     hyperplanes = _distinct_hyperplanes(g, tol)
     m = len(hyperplanes)
     if len(ls.lines) != m * g.d:
@@ -360,7 +345,7 @@ def build_sample_plan(g: GroupedReLU, ls: FeasibleLineSet, seed: int,
             blocks.append(line.points_at(ts))
         points = np.concatenate(blocks, axis=0)
         if _collinearity_ok(points, ls.lines, tol):
-            return SamplePlan(ls, tuple(all_params), points)
+            return SamplePlan(ls.lines, tuple(all_params), points)
     raise ConstructionError("could not avoid accidental collinear triples",
                             retries=_RETRY_BUDGET)
 
@@ -656,8 +641,7 @@ def plan_from_json_obj(obj) -> SamplePlan:
         lines.append(line)
         params.append(tuple(ts.tolist()))
         blocks.append(line.points_at(ts))
-    line_set = FeasibleLineSet(tuple(lines), None, None)
-    return SamplePlan(line_set, tuple(params), np.concatenate(blocks, axis=0))
+    return SamplePlan(tuple(lines), tuple(params), np.concatenate(blocks, axis=0))
 
 
 def samples_to_json_obj(samples: LabeledSamples, plan_ref: str) -> dict:

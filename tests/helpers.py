@@ -1,6 +1,6 @@
 """Shared generators, the brute-force reducibility, witness-search,
-orientation, exp-sum, plan-collinearity, hyperplane-recovery and rank oracles
-and the CLI runner."""
+orientation, exp-sum, plan-collinearity, hyperplane-recovery and rank oracles,
+the frame separating direction and the CLI runner."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import itertools
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,10 @@ import numpy as np
 import shallowid
 from shallowid import (AdmissibilityError, DegenerateFitError, ExpSumExpansion,
                        InputError, RecoveryError, ReductionWitness, ShallowNet,
-                       affine_fit, canonical_hyperplane, evaluate_many, group,
-                       make_net, relu_sampling, solve_least_squares)
+                       ToleranceError, affine_fit, canonical_hyperplane,
+                       evaluate_many, group, make_net, relu_sampling,
+                       solve_least_squares)
+from shallowid.net_core import _duplicate_ridges
 from shallowid.relu_sampling import _point_line_distances
 from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
                                       _direction_of)
@@ -643,3 +646,37 @@ def rank_by_elimination(matrix, tol=DEFAULT_TOL) -> int:
         a[r + 1:] -= np.outer(a[r + 1:, col] / a[r, col], a[r])
         r += 1
     return r
+
+
+# ---------------------------------------------------------------------------
+# separating direction of a full spark frame
+# ---------------------------------------------------------------------------
+
+def separating_direction(frame, vectors, tol=DEFAULT_TOL) -> np.ndarray:
+    """First frame vector whose inner products with the given vectors are
+    pairwise distinct; guaranteed to exist once the frame has at least
+    C(M, 2)*(d-1)+1 members."""
+
+    vecs = np.asarray(vectors, dtype=float)
+    if vecs.ndim != 2 or vecs.shape[1] != frame.d:
+        raise InputError("vectors must be an (M, d) array", shape=list(vecs.shape))
+    m = vecs.shape[0]
+    if m == 0:
+        raise InputError("need at least one vector to separate")
+    pairs = _duplicate_ridges([(v, 0.0) for v in vecs], (1,), tol)
+    if pairs:
+        raise InputError("vectors must be pairwise distinct", pair=pairs[0])
+    needed = comb(m, 2) * (frame.d - 1) + 1
+    if frame.size < needed:
+        raise InputError("frame is too small for this family",
+                         size=frame.size, needed=needed)
+    for v in frame.vectors:
+        inner = vecs @ v
+        gaps = np.abs(inner[:, None] - inner[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if float(np.min(gaps)) > tol.zero_tol:
+            out = np.array(v, dtype=float)
+            out.setflags(write=False)
+            return out
+    raise ToleranceError("no frame vector separates the family; inputs are "
+                         "nearly duplicated")

@@ -14,14 +14,13 @@ from shallowid import (build_analytic_plan, build_feasible_lines, build_pair,
                        build_sample_plan, cleared_form_value, evaluate_many,
                        exp_sum_expansion, group, make_net, net_core,
                        reconstruct, reduce_fully, sample_values,
-                       separating_direction, vandermonde_frame,
-                       verify_identification)
+                       vandermonde_frame, verify_identification)
 
 from helpers import (cancelling_pairs_instance, clause_i_instance,
                      clause_ii_instance, clause_k1_ge_3_instance, dense_grid,
                      equivalent_analytic_variant, oracle_reducible,
                      random_analytic_net, random_irreducible_relu,
-                     random_structured_relu, run_cli)
+                     random_structured_relu, run_cli, separating_direction)
 
 
 def criterion(label):

@@ -7,11 +7,10 @@ import shallowid as si
 from shallowid import (InputError, build_analytic_plan, canonicalize_analytic,
                        check_admissible_analytic, cleared_form_value,
                        evaluate_many, exp_sum_expansion, make_net,
-                       separating_direction, sigmoid_form, vandermonde_frame,
-                       verify_identification)
+                       sigmoid_form, vandermonde_frame, verify_identification)
 
 from helpers import (equivalent_analytic_variant, oracle_exp_sum_expansion,
-                     random_analytic_net)
+                     random_analytic_net, separating_direction)
 
 
 def test_admissible_simple_sigmoid():

@@ -6,7 +6,7 @@ import pytest
 
 from shallowid import cli, deserialize, make_net, net_core
 
-from helpers import run_cli, structured_relu
+from helpers import random_analytic_net, run_cli, structured_relu
 
 
 def write_net(path, net):
@@ -284,11 +284,50 @@ def test_check_caps_the_witness_search_at_twenty_lone_neurons(tmp_path, capsys):
     assert elapsed < 1.0
 
 
-def test_plan_analytic_at_d10_exits_2_with_a_located_invariant_error(tmp_path, capsys):
-    assert cli.main(["plan-analytic", "--m", "1", "--d", "9",
-                     "--out", str(tmp_path / "a9.json")]) == 0
-    assert cli.main(["plan-analytic", "--m", "1", "--d", "10",
-                     "--out", str(tmp_path / "a10.json")]) == 2
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "invariant" and err["message"] == "frame subset is rank deficient"
-    assert len(err["details"]["subset"]) == 10
+def test_plan_analytic_at_d10_and_d12_separates_a_planted_pair(tmp_path):
+    rng = np.random.default_rng(10)
+    for m in (1, 2):
+        for d in (10, 12):
+            aplan = tmp_path / f"a{m}_{d}.json"
+            assert cli.main(["plan-analytic", "--m", str(m), "--d", str(d),
+                             "--out", str(aplan)]) == 0
+            net = random_analytic_net(rng, m, d)
+            first = net.neurons[0]
+            rows = [(n.a, n.b, n.s) for n in net.neurons]
+            # s*sigmoid(z) = -s*sigmoid(-z) + s
+            flipped = make_net("sigmoid", [(-first.a, -first.b, -first.s)] + rows[1:],
+                               net.c + first.s, d=d)
+            planted = make_net("sigmoid", [(first.a, first.b + 1e-3, first.s)] + rows[1:],
+                               net.c, d=d)
+            files = {}
+            for name, other in (("net", net), ("flipped", flipped), ("planted", planted)):
+                files[name] = tmp_path / f"{name}{m}_{d}.json"
+                write_net(files[name], other)
+            report = tmp_path / "report.json"
+            for name, equal in (("flipped", True), ("planted", False)):
+                assert cli.main(["verify-analytic", "--net1", str(files["net"]),
+                                 "--net2", str(files[name]), "--plan", str(aplan),
+                                 "--out", str(report)]) == 0
+                obj = json.loads(report.read_text())
+                assert (obj["equal_on_plan"], obj["equivalent"]) == (equal, equal), (m, d, name)
+
+
+@pytest.mark.parametrize("edit, location", [
+    ({"nodes": (12, 3.0), "scalars": (3, 1e308)}, "plan.scalars"),
+    ({"nodes": (12, 1e200)}, "plan.nodes")])
+def test_verify_analytic_refuses_plan_points_beyond_the_float_range(tmp_path, edit, location):
+    aplan = tmp_path / "aplan.json"
+    assert cli.main(["plan-analytic", "--m", "1", "--d", "3", "--out", str(aplan)]) == 0
+    obj = json.loads(aplan.read_text())
+    for key, (index, value) in edit.items():
+        obj[key][index] = value
+    aplan.write_text(json.dumps(obj))
+    net = make_net("sigmoid", [((1.0, 0.5, -0.3), 0.2, 1.0)], 0.3)
+    write_net(tmp_path / "n.json", net)
+    proc = run_cli("verify-analytic", "--net1", str(tmp_path / "n.json"), "--net2",
+                   str(tmp_path / "n.json"), "--plan", str(aplan),
+                   "--out", str(tmp_path / "r.json"))
+    # the whole of stderr is the JSON error: no traceback, no numpy warning
+    err = json.loads(proc.stderr)["error"]
+    assert proc.returncode == 3 and err["type"] == "parse"
+    assert err["details"]["location"] == location

@@ -259,9 +259,13 @@ def test_verify_analytic_applies_the_cap(cli_files):
 
 
 def test_analytic_plan_default_cap_keeps_one_argument_call():
-    obj = analytic_plan_to_json_obj(build_analytic_plan(2, 3))
-    plan = analytic_plan_from_json_obj(obj)
-    assert plan.m == 2 and plan.d == 3 and plan.size == build_analytic_plan(2, 3).size
+    for m in (1, 2):
+        for d in range(1, 13):
+            built = build_analytic_plan(m, d)
+            plan = analytic_plan_from_json_obj(
+                json.loads(json.dumps(analytic_plan_to_json_obj(built))))
+            assert plan.m == m and plan.d == d and plan.size == built.size
+            assert plan.points.tobytes() == built.points.tobytes(), (m, d)
 
 
 # ---------------------------------------------------------------------------
