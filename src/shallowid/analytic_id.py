@@ -18,10 +18,9 @@ import numpy as np
 
 from . import schema
 from .errors import AdmissibilityError, InputError, ParseError, SizeError
-from .net_core import (Neuron, ShallowNet, _duplicate_ridges, _first_significant_sign,
-                       evaluate_many, make_net)
+from .net_core import (ShallowNet, _duplicate_ridges, _first_significant_sign,
+                       admissibility_violations, evaluate_many, make_net)
 from .numerics import subset_sums
-from .relu_structure import AdmissibilityReport
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 _DEFAULT_PLAN_CAP = 1_000_000
@@ -33,47 +32,14 @@ def _require_analytic(net: ShallowNet) -> None:
                          "use the relu-specific routines instead")
 
 
-def analytic_violations(net: ShallowNet, tol: ToleranceConfig) -> list[dict]:
-    violations = [{"clause": "i", "neuron": k, "reason": "zero neuron"}
-                  for k, n in enumerate(net.neurons)
-                  if abs(n.s) * float(np.linalg.norm(n.a)) <= tol.zero_tol]
-    rows = [(n.a, n.b) for n in net.neurons]
-    violations += [{"clause": "ii", "neurons": pair, "reason": "sign-duplicate ridge"}
-                   for pair in _duplicate_ridges(rows, (1.0, -1.0), tol)]
-    return violations
-
-
-def check_admissible_analytic(net: ShallowNet,
-                              tol: ToleranceConfig = DEFAULT_TOL) -> AdmissibilityReport:
-    """True iff no neuron vanishes and no ridge equals plus/minus another;
-    for sigmoid and tanh this is exactly irreducibility."""
+def canonicalize_analytic(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> ShallowNet:
+    """Sign-normalized, sorted form of an admissible network: flip neurons
+    whose direction starts negative (absorbing s*c0 into the constant), then
+    sort.  Evaluation is unchanged pointwise, and equal forms mean equal
+    networks."""
 
     _require_analytic(net)
-    violations = analytic_violations(net, tol)
-    return AdmissibilityReport(not violations, tuple(violations))
-
-
-@dataclass(frozen=True)
-class AnalyticCanonicalForm:
-    """Sign-normalized, sorted parameters; equal forms mean equal networks."""
-
-    activation: str
-    d: int
-    neurons: tuple[Neuron, ...]
-    c: float
-
-    def to_net(self) -> ShallowNet:
-        return make_net(self.activation, [(n.a, n.b, n.s) for n in self.neurons],
-                        self.c, d=self.d)
-
-
-def canonicalize_analytic(net: ShallowNet,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> AnalyticCanonicalForm:
-    """Flip neurons whose direction starts negative (absorbing s*c0 into the
-    constant), then sort; evaluation is unchanged pointwise."""
-
-    _require_analytic(net)
-    violations = analytic_violations(net, tol)
+    violations = admissibility_violations(net, tol)
     if violations:
         raise AdmissibilityError("network is not admissible", violations=violations)
     c0 = net.activation.c0
@@ -86,9 +52,7 @@ def canonicalize_analytic(net: ShallowNet,
         else:
             rows.append((n.a, n.b, n.s))
     rows.sort(key=lambda r: (tuple(r[0]), r[1], r[2]))
-    neurons = tuple(Neuron(np.array(a, dtype=float), float(b), float(s))
-                    for a, b, s in rows)
-    return AnalyticCanonicalForm(net.activation.kind, net.d, neurons, float(c))
+    return make_net(net.activation.kind, rows, c, d=net.d)
 
 
 def test_equivalent_analytic(n1: ShallowNet, n2: ShallowNet,
@@ -214,10 +178,10 @@ def verify_identification(n1: ShallowNet, n2: ShallowNet, plan: AnalyticSamplePl
     _require_analytic(n1)
     _require_analytic(n2)
     for name, net in (("first", n1), ("second", n2)):
-        report = check_admissible_analytic(net, tol)
-        if not report:
+        violations = admissibility_violations(net, tol)
+        if violations:
             raise AdmissibilityError(f"{name} network is not admissible",
-                                     violations=list(report.violations))
+                                     violations=violations)
     if n1.m != plan.m or n2.m != plan.m:
         raise InputError("plan was built for a different neuron count",
                          plan_m=plan.m, m1=n1.m, m2=n2.m)
@@ -252,10 +216,6 @@ class ExpSumExpansion:
 
     exponents: tuple[float, ...]
     coefficients: tuple[float, ...]
-
-    @property
-    def terms(self) -> dict[float, float]:
-        return dict(zip(self.exponents, self.coefficients))
 
     def evaluate(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))

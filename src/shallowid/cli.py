@@ -62,24 +62,20 @@ def _tol_from_args(args) -> ToleranceConfig:
 
 def _cmd_check(args, tol) -> int:
     net = _read_net(args.net)
-    if net.activation.kind == "relu":
-        report = relu_structure.check_admissible(net, tol)
-        if not report:
-            # dropping a zero neuron or merging a duplicate ridge reduces m
-            print(f"reducible ({net.m} neurons, not admissible: "
-                  f"{report.violations[0]['reason']})")
-            return 0
-        witness = relu_structure.test_reducible(net_core.group(net, tol), tol)
-        if witness is None:
-            print(f"irreducible ({net.m} neurons)")
-        else:
-            print(f"reducible ({net.m} neurons, witness case {witness.case})")
+    violations = net_core.admissibility_violations(net, tol)
+    relu = net.activation.kind == "relu"
+    if violations:
+        # dropping a zero neuron or merging a duplicate ridge reduces m
+        reason = violations[0]["reason"]
+        print(f"reducible ({net.m} neurons, not admissible: {reason})" if relu
+              else f"reducible ({net.m} neurons): {reason}")
+        return 0
+    # for sigmoid and tanh, admissible means irreducible
+    witness = relu_structure.test_reducible(net_core.group(net, tol), tol) if relu else None
+    if witness is None:
+        print(f"irreducible ({net.m} neurons)")
     else:
-        report = analytic_id.check_admissible_analytic(net, tol)
-        if report:
-            print(f"irreducible ({net.m} neurons)")
-        else:
-            print(f"reducible ({net.m} neurons): {report.violations[0]['reason']}")
+        print(f"reducible ({net.m} neurons, witness case {witness.case})")
     return 0
 
 

@@ -82,9 +82,3 @@ class HypothesisError(ToolkitError):
     """Inputs do not satisfy the hypotheses a decision procedure needs."""
 
     code = "hypothesis"
-
-
-class ToleranceError(ToolkitError):
-    """No candidate survived the configured tolerances."""
-
-    code = "tolerance"

@@ -131,8 +131,11 @@ def evaluate_many(net: ShallowNet, points: np.ndarray) -> np.ndarray:
         raise InputError("points must be an (n, d) array", shape=list(pts.shape))
     if net.m == 0:
         return np.full(pts.shape[0], net.c)
-    z = pts @ net.weight_matrix().T + net.biases()
-    return net.activation.apply(z) @ net.scales() + net.c
+    # huge finite points may overflow: sigmoid and tanh saturate correctly,
+    # and callers that need finite values check for them
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = pts @ net.weight_matrix().T + net.biases()
+        return net.activation.apply(z) @ net.scales() + net.c
 
 
 # ---------------------------------------------------------------------------
@@ -195,32 +198,17 @@ class PairedEntry:
 
 
 @dataclass(frozen=True)
-class SingleEntry:
-    """Lone oriented neuron with unit direction (not sign-canonicalized)."""
-
-    a: np.ndarray
-    b: float
-    s: float
-
-    def hyperplane(self, tol: ToleranceConfig = DEFAULT_TOL) -> Hyperplane:
-        return canonical_hyperplane(self.a, self.b, tol)[0]
-
-
-@dataclass(frozen=True)
 class GroupedReLU:
     """Normal form of a relu network: K1 pairs, K2 singles, constant."""
 
     K1: tuple[PairedEntry, ...]
-    K2: tuple[SingleEntry, ...]
+    K2: tuple[Neuron, ...]  # lone orientations, unit direction (not sign-canonicalized)
     c: float
     d: int
 
     @property
     def m(self) -> int:
         return 2 * len(self.K1) + len(self.K2)
-
-    def hyperplanes(self, tol: ToleranceConfig = DEFAULT_TOL) -> list[Hyperplane]:
-        return [p.h for p in self.K1] + [e.hyperplane(tol) for e in self.K2]
 
     def to_net(self) -> ShallowNet:
         neurons = []
@@ -250,23 +238,30 @@ def _duplicate_ridges(rows, signs, tol: ToleranceConfig) -> list[list[int]]:
 
 
 def admissibility_violations(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
-    """Clause (i): every s_k * a_k nonzero.  Clause (ii): no positive-multiple
-    duplicate of a ridge (a_k, b_k)."""
+    """Every violated clause of admissibility; an empty list means admissible.
 
-    if net.activation.kind != "relu":
-        raise InputError("admissibility grouping applies to relu networks only")
+    Clause (i): every s_k * a_k nonzero.  Clause (ii): no ridge (a_k, b_k)
+    duplicates another.  Relu is positively homogeneous, so ridges are
+    compared as unit rows and only a positive multiple duplicates.  For
+    sigmoid and tanh sigma(x) + sigma(-x) is constant, so a ridge equal to
+    plus or minus another duplicates it, and admissible means irreducible.
+    """
+
+    relu = net.activation.kind == "relu"
     violations: list[dict] = []
-    units = []
+    rows = []
     for k, n in enumerate(net.neurons):
         norm = float(np.linalg.norm(n.a))
         if abs(n.s) * norm <= tol.zero_tol:
-            violations.append({"clause": "i", "neuron": k,
-                               "reason": "zero direction" if norm <= tol.zero_tol else "zero scale"})
-            units.append(None)
+            reason = ("zero neuron" if not relu
+                      else "zero direction" if norm <= tol.zero_tol else "zero scale")
+            violations.append({"clause": "i", "neuron": k, "reason": reason})
+            rows.append(None if relu else (n.a, n.b))
         else:
-            units.append((n.a / norm, n.b / norm))
-    violations += [{"clause": "ii", "neurons": pair, "reason": "positive-scale duplicate ridge"}
-                   for pair in _duplicate_ridges(units, (1,), tol)]
+            rows.append((n.a / norm, n.b / norm) if relu else (n.a, n.b))
+    reason = "positive-scale duplicate ridge" if relu else "sign-duplicate ridge"
+    violations += [{"clause": "ii", "neurons": pair, "reason": reason}
+                   for pair in _duplicate_ridges(rows, (1,) if relu else (1.0, -1.0), tol)]
     return violations
 
 
@@ -278,6 +273,8 @@ def group(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> GroupedReLU:
     hyperplane with opposite orientations are paired.
     """
 
+    if net.activation.kind != "relu":
+        raise InputError("admissibility grouping applies to relu networks only")
     violations = admissibility_violations(net, tol)
     if not violations:
         g = grouped_from_entries(((n.a, n.b, n.s * float(np.linalg.norm(n.a)))
@@ -317,11 +314,11 @@ def grouped_from_entries(entries: Iterable[tuple[np.ndarray, float, float]],
         if sp and sm:
             k1.append(PairedEntry(bucket["h"], sp, sm))
         elif sp:
-            k2.append(SingleEntry(bucket["h"].a, bucket["h"].b, sp))
+            k2.append(Neuron(bucket["h"].a, bucket["h"].b, sp))
         elif sm:
             a = -bucket["h"].a
             a.setflags(write=False)
-            k2.append(SingleEntry(a, -bucket["h"].b, sm))
+            k2.append(Neuron(a, -bucket["h"].b, sm))
     return GroupedReLU(tuple(k1), tuple(k2), float(c), d)
 
 
@@ -349,8 +346,12 @@ def net_from_json_obj(obj, location: str = "net") -> ShallowNet:
     neurons = []
     for k, entry in enumerate(raw_neurons):
         loc = f"{where}[{k}]"
-        neurons.append((schema.vector(*schema.field(entry, "a", loc), d),
-                        schema.number(*schema.field(entry, "b", loc)),
+        a = schema.vector(*schema.field(entry, "a", loc), d)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(a @ a):  # its norm would overflow to inf
+                raise ParseError("direction norm overflows the float range",
+                                 location=f"{loc}.a")
+        neurons.append((a, schema.number(*schema.field(entry, "b", loc)),
                         schema.number(*schema.field(entry, "s", loc))))
     return make_net(kind, neurons, c, d=d)
 

@@ -2,26 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateFitError, InputError, SizeError
 from .net_core import Hyperplane, canonical_hyperplane
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
-__all__ = ["ToleranceConfig", "DEFAULT_TOL", "AffineFit", "rank",
+__all__ = ["ToleranceConfig", "DEFAULT_TOL", "rank",
            "affine_fit", "solve_least_squares"]
 
 SUBSET_CAP = 20
-
-
-@dataclass(frozen=True)
-class AffineFit:
-    """Hyperplane through a point set plus the worst absolute residual."""
-
-    hyperplane: Hyperplane
-    max_residual: float
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -41,7 +31,7 @@ def rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return int(np.sum(sv > tol.rank_tol * sv[0]))
 
 
-def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> AffineFit:
+def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> Hyperplane:
     """Fit the unique hyperplane containing a set of d-dimensional points.
 
     The normal is the singular vector of the centered point matrix belonging
@@ -64,9 +54,7 @@ def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> AffineFit:
             spanned=r, expected=d - 1)
     _, _, vt = np.linalg.svd(centered)
     normal = vt[-1]
-    h, _ = canonical_hyperplane(normal, -float(normal @ center), tol)
-    residual = float(np.max(np.abs(pts @ h.a + h.b)))
-    return AffineFit(h, residual)
+    return canonical_hyperplane(normal, -float(normal @ center), tol)[0]
 
 
 def solve_least_squares(a, y, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:

@@ -17,8 +17,8 @@ import numpy as np
 from . import schema
 from .errors import (ConstructionError, DegenerateFitError, InputError, ParseError,
                      ReconstructionError, RecoveryError, SizeError)
-from .net_core import (GroupedReLU, Hyperplane, ShallowNet, evaluate_many,
-                       make_net)
+from .net_core import (GroupedReLU, Hyperplane, ShallowNet, canonical_hyperplane,
+                       evaluate_many, make_net)
 from .numerics import SUBSET_CAP, affine_fit, rank, solve_least_squares, subset_sums
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -80,7 +80,7 @@ def _distinct_hyperplanes(g: GroupedReLU, tol: ToleranceConfig) -> list[Hyperpla
         raise InputError(
             "sampling requires a network whose hyperplanes are mutually "
             "distinct (no opposite-orientation pairs)")
-    return [e.hyperplane(tol) for e in g.K2]
+    return [canonical_hyperplane(e.a, e.b, tol)[0] for e in g.K2]
 
 
 def _line_crossings(line: Line, hyperplanes: list[Hyperplane],
@@ -351,9 +351,14 @@ def build_sample_plan(g: GroupedReLU, ls: FeasibleLineSet, seed: int,
 
 
 def sample_values(net: ShallowNet, plan: SamplePlan) -> LabeledSamples:
-    """Evaluate a network on every plan point."""
+    """Evaluate a network on every plan point; a value beyond the float range
+    raises InputError."""
 
-    return LabeledSamples(plan, evaluate_many(net, plan.points))
+    values = evaluate_many(net, plan.points)
+    if not np.all(np.isfinite(values)):
+        raise InputError("network values on the plan overflow the float range",
+                         point=int(np.flatnonzero(~np.isfinite(values))[0]))
+    return LabeledSamples(plan, values)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +493,7 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
             seeds = stacked[list(line_combo), choices]
             for seed_pts in seeds[_seed_survivors(stacked, seeds, keep_tol)]:
                 try:
-                    rough = affine_fit(seed_pts, tol).hyperplane
+                    rough = affine_fit(seed_pts, tol)
                 except DegenerateFitError:
                     continue
                 rows = tuple(int(np.argmin(np.abs(grp @ rough.a + rough.b))) for grp in groups)
@@ -496,7 +501,7 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
                     continue
                 refitted.add(rows)
                 try:
-                    refit = affine_fit(stacked[np.arange(n_lines), rows], tol).hyperplane
+                    refit = affine_fit(stacked[np.arange(n_lines), rows], tol)
                 except DegenerateFitError:
                     continue
                 if any(np.sum(np.abs(grp @ refit.a + refit.b) <= keep_tol) != 1
@@ -638,9 +643,14 @@ def plan_from_json_obj(obj) -> SamplePlan:
         if ts.size < 4:
             raise ParseError("params row must list at least four values",
                              location=f"plan.params[{j}]")
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = line.points_at(ts)
+        if not np.all(np.isfinite(block)):
+            raise ParseError("plan points overflow the float range",
+                             location=f"plan.params[{j}]")
         lines.append(line)
         params.append(tuple(ts.tolist()))
-        blocks.append(line.points_at(ts))
+        blocks.append(block)
     return SamplePlan(tuple(lines), tuple(params), np.concatenate(blocks, axis=0))
 
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, InputError, InvariantError
-from .net_core import (GroupedReLU, ShallowNet, evaluate_many, group,
-                       grouped_from_entries, admissibility_violations,
-                       canonical_hyperplane)
+from .net_core import (GroupedReLU, ShallowNet, canonical_hyperplane, evaluate_many,
+                       group, grouped_from_entries)
 from .numerics import subset_sums
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -37,32 +36,13 @@ _SCREEN_ENTRIES = 1 << 18  # subset sums screened at once, to bound memory
 
 
 @dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    violations: tuple[dict, ...]
-
-    def __bool__(self) -> bool:
-        return self.admissible
-
-
-def check_admissible(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> AdmissibilityReport:
-    """True iff no neuron is zero and no ridge duplicates another with a
-    positive factor; the report names every violated clause."""
-
-    if net.activation.kind != "relu":
-        raise InputError("check_admissible expects a relu network")
-    violations = admissibility_violations(net, tol)
-    return AdmissibilityReport(not violations, tuple(violations))
-
-
-@dataclass(frozen=True)
 class ReductionWitness:
     """Recipe for one strict neuron-count reduction.
 
     epsilon assigns a flip sign to every K1 pair; k2_prime lists the K2
     entries to flip; k0 (a global index, K1 entries first) with coefficient c0
     names the hyperplane that absorbs the freed linear term when it is not
-    zero.  i_index is the pair-slot picked by each flip sign.
+    zero.
     """
 
     case: str  # "K1_eq_1" | "K1_eq_2" | "K1_ge_3" | "cancellation"
@@ -70,10 +50,6 @@ class ReductionWitness:
     k2_prime: frozenset[int]
     k0: int | None = None
     c0: float | None = None
-
-    @property
-    def i_index(self) -> tuple[int, ...]:
-        return tuple(1 if e == 1 else 2 for e in self.epsilon)
 
 
 def _cancelling_pairs(g: GroupedReLU, tol: ToleranceConfig) -> list[int]:
@@ -294,7 +270,9 @@ def test_equivalent(n1: ShallowNet, n2: ShallowNet,
 
     Requires both networks to be admissible with mutually distinct
     hyperplanes (no opposite-orientation pairs); a returned certificate
-    guarantees the two networks agree at every input.
+    guarantees the two networks agree at every input.  Hyperplanes, scales,
+    the flip sum and the constant are all compared within match_tol, so a
+    reconstruction from noisy samples can be certified.
     """
 
     for name, net in (("first", n1), ("second", n2)):
@@ -313,7 +291,7 @@ def test_equivalent(n1: ShallowNet, n2: ShallowNet,
     if n1.m != n2.m:
         return None
     if n1.m == 0:
-        if abs(n1.c - n2.c) <= tol.zero_tol * (1.0 + abs(n1.c)):
+        if abs(n1.c - n2.c) <= tol.match_tol * (1.0 + abs(n1.c)):
             return EquivalenceCertificate((), (), (), frozenset(), 0.0)
         return None
 
@@ -358,9 +336,9 @@ def test_equivalent(n1: ShallowNet, n2: ShallowNet,
         flip_sum += neuron.s * neuron.a
         shift += neuron.s * neuron.b
         weight += abs(neuron.s) * float(np.linalg.norm(neuron.a))
-    if float(np.linalg.norm(flip_sum)) > tol.zero_tol * weight:
+    if float(np.linalg.norm(flip_sum)) > tol.match_tol * weight:
         return None
-    if abs(n2.c - (n1.c + shift)) > tol.zero_tol * (1.0 + abs(n1.c) + abs(shift)):
+    if abs(n2.c - (n1.c + shift)) > tol.match_tol * (1.0 + abs(n1.c) + abs(shift)):
         return None
     return EquivalenceCertificate(tuple(permutation), tuple(epsilon),
                                   tuple(lam), flipped, shift)

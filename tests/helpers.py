@@ -16,7 +16,7 @@ import numpy as np
 import shallowid
 from shallowid import (AdmissibilityError, DegenerateFitError, ExpSumExpansion,
                        InputError, RecoveryError, ReductionWitness, ShallowNet,
-                       ToleranceError, affine_fit, canonical_hyperplane,
+                       affine_fit, canonical_hyperplane,
                        evaluate_many, group, make_net, relu_sampling,
                        solve_least_squares)
 from shallowid.net_core import _duplicate_ridges
@@ -548,13 +548,13 @@ def oracle_recover_hyperplanes(crossings_by_line, tol=DEFAULT_TOL):
                                     "all hyperplanes", found=len(found), expected=m)
             seed_pts = np.stack([groups[j][i] for j, i in zip(line_combo, choice)])
             try:
-                rough = affine_fit(seed_pts, tol).hyperplane
+                rough = affine_fit(seed_pts, tol)
             except DegenerateFitError:
                 continue
             matched = np.stack([grp[np.argmin(np.abs(grp @ rough.a + rough.b))]
                                 for grp in groups])
             try:
-                refit = affine_fit(matched, tol).hyperplane
+                refit = affine_fit(matched, tol)
             except DegenerateFitError:
                 continue
             ok = True
@@ -678,5 +678,5 @@ def separating_direction(frame, vectors, tol=DEFAULT_TOL) -> np.ndarray:
             out = np.array(v, dtype=float)
             out.setflags(write=False)
             return out
-    raise ToleranceError("no frame vector separates the family; inputs are "
-                         "nearly duplicated")
+    raise ValueError("no frame vector separates the family; inputs are "
+                     "nearly duplicated")

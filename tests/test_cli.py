@@ -6,7 +6,7 @@ import pytest
 
 from shallowid import cli, deserialize, make_net, net_core
 
-from helpers import random_analytic_net, run_cli, structured_relu
+from helpers import random_analytic_net, random_irreducible_relu, run_cli, structured_relu
 
 
 def write_net(path, net):
@@ -331,3 +331,81 @@ def test_verify_analytic_refuses_plan_points_beyond_the_float_range(tmp_path, ed
     err = json.loads(proc.stderr)["error"]
     assert proc.returncode == 3 and err["type"] == "parse"
     assert err["details"]["location"] == location
+
+
+def test_reconstruct_certifies_a_reconstruction_from_noisy_samples(tmp_path):
+    # the rebuilt constant is off by about 6e-8: within --tol-match, so the
+    # constants must be compared with match_tol like the hyperplanes
+    write_net(tmp_path / "net.json", random_irreducible_relu(np.random.default_rng(3), 5, 3))
+    assert run_cli("plan-relu", "--net", "net.json", "--seed", "1", "--out", "plan.json",
+                   cwd=tmp_path).returncode == 0
+    assert run_cli("sample", "--net", "net.json", "--plan", "plan.json",
+                   "--out", "samples.json", cwd=tmp_path).returncode == 0
+    obj = json.loads((tmp_path / "samples.json").read_text())
+    values = np.array(obj["values"])
+    obj["values"] = (values + np.random.default_rng(0).normal(scale=1e-7, size=values.size)).tolist()
+    (tmp_path / "samples.json").write_text(json.dumps(obj))
+    proc = run_cli("reconstruct", "--data", "samples.json", "--out", "rec.json",
+                   "--against", "net.json", "--tol-match", "1e-5", "--tol-rank", "1e-5",
+                   "--tol-residual", "1e-5", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "equivalence certificate: found" in proc.stdout
+
+
+def _cross_plan(tmp_path, cross_net_file, last_param):
+    """A plan-relu plan for the cross net with params[0][-1] and lines[0].v
+    replaced."""
+
+    plan = tmp_path / "plan.json"
+    assert run_cli("plan-relu", "--net", str(cross_net_file), "--out", str(plan)).returncode == 0
+    obj = json.loads(plan.read_text())
+    obj["params"][0][-1] = last_param
+    obj["lines"][0]["v"] = [3.0, 2.0]
+    plan.write_text(json.dumps(obj))
+    return plan
+
+
+def test_sample_refuses_plan_points_beyond_the_float_range_exit_3(tmp_path, cross_net_file):
+    plan = _cross_plan(tmp_path, cross_net_file, 1e308)
+    proc = run_cli("sample", "--net", str(cross_net_file), "--plan", str(plan),
+                   "--out", str(tmp_path / "samples.json"))
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "parse" and err["details"]["location"] == "plan.params[0]"
+
+
+def test_sample_refuses_values_beyond_the_float_range_exit_2(tmp_path, cross_net_file):
+    plan = _cross_plan(tmp_path, cross_net_file, 1e307)  # finite points
+    big = make_net("relu", [((10.0, 10.0), 0.0, 1.0), ((10.0, -10.0), 0.0, 1.0)], 0.0)
+    write_net(tmp_path / "big.json", big)
+    proc = run_cli("sample", "--net", str(tmp_path / "big.json"), "--plan", str(plan),
+                   "--out", str(tmp_path / "samples.json"))
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["error"]["type"] == "input"
+
+
+def test_verify_analytic_saturates_huge_finite_plan_points_silently(tmp_path):
+    aplan = tmp_path / "aplan.json"
+    assert run_cli("plan-analytic", "--m", "1", "--d", "3", "--out", str(aplan)).returncode == 0
+    obj = json.loads(aplan.read_text())
+    obj["scalars"][3] = 1e308
+    aplan.write_text(json.dumps(obj))
+    write_net(tmp_path / "n1.json", make_net("sigmoid", [((2.0, -2.0, 0.5), 0.2, 1.0)], 0.0))
+    # s*sigmoid(z) = -s*sigmoid(-z) + s
+    write_net(tmp_path / "n2.json", make_net("sigmoid", [((-2.0, 2.0, -0.5), -0.2, -1.0)], 1.0))
+    proc = run_cli("verify-analytic", "--net1", str(tmp_path / "n1.json"), "--net2",
+                   str(tmp_path / "n2.json"), "--plan", str(aplan),
+                   "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads((tmp_path / "r.json").read_text())["equivalent"] is True
+
+
+def test_check_refuses_a_direction_whose_norm_overflows_exit_3(tmp_path):
+    # at 1e154 the norm overflows, both unit rows would be zero and the two
+    # distinct ridges would be reported as duplicates
+    big = make_net("relu", [((1e154, 1e154), 0.0, 1.0), ((1e154, -1e154), 0.0, 1.0)], 0.0)
+    write_net(tmp_path / "big.json", big)
+    proc = run_cli("check", "--net", str(tmp_path / "big.json"))
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "parse" and err["details"]["location"].endswith("neurons[0].a")

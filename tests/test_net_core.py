@@ -126,6 +126,19 @@ def test_group_rejects_duplicate_that_only_canonical_matching_sees():
         group(net)
 
 
+@pytest.mark.parametrize("kind, second, reason", [
+    ("relu", ((2.0, 0.0), 1.0), "positive-scale duplicate ridge"),
+    ("relu", ((-1.0, 0.0), -0.5), None),
+    ("sigmoid", ((2.0, 0.0), 1.0), None),
+    ("tanh", ((-1.0, 0.0), -0.5), "sign-duplicate ridge")])
+def test_duplicate_ridges_depend_on_the_activation(kind, second, reason):
+    # relu is positively homogeneous; sigma(x) + sigma(-x) is constant for
+    # sigmoid and tanh
+    net = make_net(kind, [((1.0, 0.0), 0.5, 1.0), (*second, 1.0)], 0.0)
+    reasons = [v["reason"] for v in admissibility_violations(net)]
+    assert reasons == ([reason] if reason else [])
+
+
 def test_canonical_hyperplane_idempotent_and_sign_stable():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -41,18 +41,19 @@ def test_rank_matches_transpose_and_elimination():
 
 
 def test_affine_fit_line_through_two_points():
-    fit = affine_fit([(1.0, -1.0), (2.0, -2.0)])
+    pts = np.array([(1.0, -1.0), (2.0, -2.0)])
+    fit = affine_fit(pts)
     # direct normal computation: the segment direction is (1, -1), so the
     # unit normal is (1, 1)/sqrt(2) and the offset vanishes
-    assert np.max(np.abs(fit.hyperplane.a - np.array([1.0, 1.0]) / np.sqrt(2))) < 1e-12
-    assert abs(fit.hyperplane.b) < 1e-12
-    assert fit.max_residual < 1e-12
+    assert np.max(np.abs(fit.a - np.array([1.0, 1.0]) / np.sqrt(2))) < 1e-12
+    assert abs(fit.b) < 1e-12
+    assert np.max(np.abs(pts @ fit.a + fit.b)) < 1e-12
 
 
 def test_affine_fit_plane_through_unit_points():
     fit = affine_fit([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    assert np.max(np.abs(fit.hyperplane.a - np.ones(3) / np.sqrt(3))) < 1e-12
-    assert fit.hyperplane.b == pytest.approx(-1 / np.sqrt(3))
+    assert np.max(np.abs(fit.a - np.ones(3) / np.sqrt(3))) < 1e-12
+    assert fit.b == pytest.approx(-1 / np.sqrt(3))
 
 
 def test_affine_fit_rejects_full_span():
@@ -76,7 +77,7 @@ def test_affine_fit_residual_scales_with_points():
         pts = -offset * normal + rng.normal(size=(d + 3, d - 1)) @ basis
         fit = affine_fit(pts)
         scale = 1.0 + float(np.max(np.abs(pts)))
-        assert fit.max_residual <= 1e-9 * scale
+        assert np.max(np.abs(pts @ fit.a + fit.b)) <= 1e-9 * scale
 
 
 def test_least_squares_identity():

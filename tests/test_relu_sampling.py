@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import shallowid as si
 from shallowid import (InputError, Line, LabeledSamples, ParseError, ToleranceConfig,
-                       build_feasible_lines, build_sample_plan, extract_breakpoints,
-                       group, make_net, net_core, reconstruct, recover_hyperplanes,
-                       relu_sampling, sample_values)
+                       build_feasible_lines, build_sample_plan, canonical_hyperplane,
+                       extract_breakpoints, group, make_net, net_core, reconstruct,
+                       recover_hyperplanes, relu_sampling, sample_values)
 from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
                                      plan_to_json_obj, samples_from_json_obj,
                                      samples_to_json_obj)
@@ -359,7 +359,8 @@ def test_recover_hyperplanes_round_trip():
     rng = np.random.default_rng(8)
     net = random_irreducible_relu(rng, 3, 2)
     g = group(net)
-    truth = sorted(g.hyperplanes(), key=lambda h: (tuple(h.a), h.b))
+    truth = sorted((canonical_hyperplane(e.a, e.b)[0] for e in g.K2),
+                   key=lambda h: (tuple(h.a), h.b))
     ls = build_feasible_lines(g, seed=11)
     crossings = [line.points_at(w) for line, w in zip(ls.lines, ls.crossing_params)]
     recovered = recover_hyperplanes(crossings)
