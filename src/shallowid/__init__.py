@@ -6,23 +6,20 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .errors import (AdmissibilityError, ConstructionError, DegenerateFitError,
                      HypothesisError, InputError, InvariantError, ParseError,
                      ReconstructionError, RecoveryError, SizeError, ToolkitError)
-from .net_core import (Activation, GroupedReLU, Hyperplane, Neuron, PairedEntry,
-                       ShallowNet, admissibility_violations, canonical_hyperplane,
-                       deserialize, evaluate, evaluate_many, group, make_net,
-                       serialize)
+from .net_core import (Activation, EquivalenceCertificate, GroupedReLU, Hyperplane,
+                       Neuron, PairedEntry, ShallowNet, admissibility_violations,
+                       canonical_hyperplane, deserialize, evaluate, evaluate_many,
+                       group, make_net, serialize, test_equivalent)
 from .numerics import affine_fit, rank, solve_least_squares
-from .relu_structure import (EquivalenceCertificate, ReductionWitness, reduce_fully,
-                             reduce_once, test_equivalent, test_reducible)
+from .relu_structure import ReductionWitness, reduce_fully, reduce_once, test_reducible
 from .relu_sampling import (FeasibleLineSet, LabeledSamples, Line, SamplePlan,
                             build_feasible_lines, build_sample_plan,
                             extract_breakpoints, reconstruct, recover_hyperplanes,
                             sample_values)
 from .relu_adversary import AdversarialPair, AdversaryParams, build_pair
 from .analytic_id import (AnalyticSamplePlan, ExpSumExpansion, FullSparkFrame,
-                          IdentificationReport, build_analytic_plan,
-                          canonicalize_analytic, cleared_form_value,
-                          exp_sum_expansion, sigmoid_form,
-                          test_equivalent_analytic, vandermonde_frame,
+                          IdentificationReport, build_analytic_plan, cleared_form_value,
+                          exp_sum_expansion, sigmoid_form, vandermonde_frame,
                           verify_identification)
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
-"""Identification machinery for sigmoid/tanh networks: canonical equivalence,
-full spark frames, the universal sample plan, and the exponential-sum oracle.
+"""Identification machinery for sigmoid/tanh networks: full spark frames, the
+universal sample plan, and the exponential-sum oracle.
 
 For these activations sigma(x) + sigma(-x) is the constant c0 (1 for sigmoid,
-0 for tanh), so flipping a neuron's sign is the only parameter ambiguity and a
-sorted sign-normalized form decides equivalence outright.  The sample plan
+0 for tanh), so flipping a neuron's sign is the only parameter ambiguity and
+net_core.test_equivalent decides equivalence outright.  The sample plan
 scales a full spark frame by a batch of distinct scalars; restricted to any
 ray it yields enough zeros of a difference of networks to force all its
 exponential-sum coefficients, and hence the difference itself, to vanish.
@@ -17,11 +17,10 @@ from math import comb
 import numpy as np
 
 from . import schema
-from .errors import AdmissibilityError, InputError, ParseError, SizeError
-from .net_core import (ShallowNet, _duplicate_ridges, _first_significant_sign,
-                       admissibility_violations, evaluate_many, make_net)
+from .errors import InputError, ParseError, SizeError
+from .net_core import ShallowNet, _duplicate_ridges, evaluate_many, make_net, test_equivalent
 from .numerics import subset_sums
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 _DEFAULT_PLAN_CAP = 1_000_000
 
@@ -30,60 +29,6 @@ def _require_analytic(net: ShallowNet) -> None:
     if net.activation.kind == "relu":
         raise InputError("this operation applies to sigmoid/tanh networks; "
                          "use the relu-specific routines instead")
-
-
-def canonicalize_analytic(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> ShallowNet:
-    """Sign-normalized, sorted form of an admissible network: flip neurons
-    whose direction starts negative (absorbing s*c0 into the constant), then
-    sort.  Evaluation is unchanged pointwise, and equal forms mean equal
-    networks."""
-
-    _require_analytic(net)
-    violations = admissibility_violations(net, tol)
-    if violations:
-        raise AdmissibilityError("network is not admissible", violations=violations)
-    c0 = net.activation.c0
-    c = net.c
-    rows = []
-    for n in net.neurons:
-        if _first_significant_sign(n.a, tol) < 0:
-            rows.append((-n.a, -n.b, -n.s))
-            c += n.s * c0
-        else:
-            rows.append((n.a, n.b, n.s))
-    rows.sort(key=lambda r: (tuple(r[0]), r[1], r[2]))
-    return make_net(net.activation.kind, rows, c, d=net.d)
-
-
-def test_equivalent_analytic(n1: ShallowNet, n2: ShallowNet,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Field-by-field match of the two canonical forms within match_tol."""
-
-    if n1.activation.kind != n2.activation.kind:
-        raise InputError("networks use different activations",
-                         first=n1.activation.kind, second=n2.activation.kind)
-    if n1.d != n2.d:
-        raise InputError("networks have different input dimensions")
-    f1 = canonicalize_analytic(n1, tol)
-    f2 = canonicalize_analytic(n2, tol)
-    if len(f1.neurons) != len(f2.neurons):
-        return False
-    if abs(f1.c - f2.c) > tol.match_tol * (1.0 + abs(f1.c)):
-        return False
-    unmatched = list(range(len(f2.neurons)))
-    for n in f1.neurons:
-        hit = None
-        for j in unmatched:
-            other = f2.neurons[j]
-            if (float(np.max(np.abs(n.a - other.a))) <= tol.match_tol
-                    and abs(n.b - other.b) <= tol.match_tol
-                    and abs(n.s - other.s) <= tol.match_tol * (1.0 + abs(n.s))):
-                hit = j
-                break
-        if hit is None:
-            return False
-        unmatched.remove(hit)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -171,27 +116,23 @@ class IdentificationReport:
 
 def verify_identification(n1: ShallowNet, n2: ShallowNet, plan: AnalyticSamplePlan,
                           tol: ToleranceConfig = DEFAULT_TOL) -> IdentificationReport:
-    """Compare two networks on the plan and against the canonical-form
-    decision.  Agreement on the plan without equivalence is reported as a
+    """Compare two networks on the plan and against the equivalence decision.
+    The plan gap is relative to the first network's largest value there.
+    Agreement on the plan without equivalence is reported as a
     numerical-saturation warning, never as a certificate."""
 
     _require_analytic(n1)
     _require_analytic(n2)
-    for name, net in (("first", n1), ("second", n2)):
-        violations = admissibility_violations(net, tol)
-        if violations:
-            raise AdmissibilityError(f"{name} network is not admissible",
-                                     violations=violations)
+    equivalent = test_equivalent(n1, n2, tol) is not None
     if n1.m != plan.m or n2.m != plan.m:
         raise InputError("plan was built for a different neuron count",
                          plan_m=plan.m, m1=n1.m, m2=n2.m)
-    if n1.d != plan.d or n2.d != plan.d:
+    if n1.d != plan.d:
         raise InputError("plan was built for a different dimension",
                          plan_d=plan.d, d1=n1.d, d2=n2.d)
-    gaps = np.abs(evaluate_many(n1, plan.points) - evaluate_many(n2, plan.points))
-    max_gap = float(np.max(gaps))
-    equal_on_plan = max_gap <= tol.residual_tol
-    equivalent = test_equivalent_analytic(n1, n2, tol)
+    f1 = evaluate_many(n1, plan.points)
+    max_gap = float(np.max(np.abs(f1 - evaluate_many(n2, plan.points))))
+    equal_on_plan = max_gap <= tol.residual_tol * (1.0 + float(np.max(np.abs(f1))))
     warning = None
     if equal_on_plan and not equivalent:
         warning = ("networks agree on the plan but their canonical forms "
@@ -251,7 +192,7 @@ def exp_sum_expansion(a, b, s, s0: float,
     alphas = subset_sums(a)
     used = subset_sums(s)
     prods = subset_sums(np.exp(-b), np.multiply, 1.0)
-    if np.any(np.abs(a) <= tol.zero_tol):
+    if np.any(np.abs(a) <= ZERO_TOL):
         raise InputError("all direction coefficients must be nonzero")
     pairs = _duplicate_ridges(list(zip(a[:, None], b)), (1.0, -1.0), tol)
     if pairs:

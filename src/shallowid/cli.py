@@ -90,22 +90,11 @@ def _cmd_reduce(args, tol) -> int:
 
 
 def _cmd_equiv(args, tol) -> int:
-    n1 = _read_net(args.net1)
-    n2 = _read_net(args.net2)
-    if n1.activation.kind != n2.activation.kind:
-        raise InputError("networks use different activations")
-    if n1.activation.kind == "relu":
-        cert = relu_structure.test_equivalent(n1, n2, tol)
-        if cert is None:
-            print("equivalent: no")
-        else:
-            print("equivalent: yes")
-            if args.cert:
-                _write_atomic(args.cert, relu_structure.certificate_to_json_obj(cert))
-                print(f"certificate written to {args.cert}")
-    else:
-        same = analytic_id.test_equivalent_analytic(n1, n2, tol)
-        print(f"equivalent: {'yes' if same else 'no'}")
+    cert = net_core.test_equivalent(_read_net(args.net1), _read_net(args.net2), tol)
+    print(f"equivalent: {'no' if cert is None else 'yes'}")
+    if cert is not None and args.cert:
+        _write_atomic(args.cert, net_core.certificate_to_json_obj(cert))
+        print(f"certificate written to {args.cert}")
     return 0
 
 
@@ -148,7 +137,7 @@ def _cmd_reconstruct(args, tol) -> int:
     print(f"reconstructed a {net.m}-neuron network; wrote {args.out}")
     if args.against:
         original = _read_net(args.against)
-        cert = relu_structure.test_equivalent(original, net, tol)
+        cert = net_core.test_equivalent(original, net, tol)
         print(f"equivalence certificate: {'found' if cert else 'none'}")
     return 0
 

@@ -1,4 +1,5 @@
-"""Two-layer network representation, evaluation, grouping and JSON round trip.
+"""Two-layer network representation, evaluation, grouping, equivalence
+certificates and JSON round trip.
 
 A network computes  f(x) = sum_k s_k * act(<a_k, x> + b_k) + c  for one of the
 activations relu, sigmoid or tanh.  For relu networks the neurons can be
@@ -15,8 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import schema
-from .errors import AdmissibilityError, InputError, ParseError
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .errors import AdmissibilityError, HypothesisError, InputError, ParseError
+from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
@@ -154,15 +155,15 @@ class Hyperplane:
                 and abs(self.b - other.b) <= tol.match_tol)
 
 
-def _first_significant_sign(a: np.ndarray, tol: ToleranceConfig) -> float:
-    thresh = tol.zero_tol * max(1.0, float(np.max(np.abs(a))))
+def _first_significant_sign(a: np.ndarray) -> float:
+    thresh = ZERO_TOL * max(1.0, float(np.max(np.abs(a))))
     for entry in a:
         if abs(entry) > thresh:
             return 1.0 if entry > 0 else -1.0
     raise InputError("cannot orient the zero vector")
 
 
-def canonical_hyperplane(a, b: float, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Hyperplane, float]:
+def canonical_hyperplane(a, b: float) -> tuple[Hyperplane, float]:
     """Unit-normalized, sign-fixed hyperplane through <a,x>+b=0.
 
     Returns (hyperplane, orientation) where orientation is +1 when (a, b) is a
@@ -171,15 +172,15 @@ def canonical_hyperplane(a, b: float, tol: ToleranceConfig = DEFAULT_TOL) -> tup
 
     v = np.asarray(a, dtype=float)
     norm = float(np.linalg.norm(v))
-    if norm <= tol.zero_tol:
+    if norm <= ZERO_TOL:
         raise InputError("hyperplane direction is numerically zero")
-    if abs(norm - 1.0) <= tol.zero_tol:
+    if abs(norm - 1.0) <= ZERO_TOL:
         # already unit within tolerance: skip the division so that
         # canonicalization is exactly idempotent
         u, beta = v.astype(float), float(b)
     else:
         u, beta = v / norm, float(b) / norm
-    sign = _first_significant_sign(u, tol)
+    sign = _first_significant_sign(u)
     if sign < 0:
         u, beta = -u, -beta
     u = u.copy()
@@ -252,9 +253,9 @@ def admissibility_violations(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL
     rows = []
     for k, n in enumerate(net.neurons):
         norm = float(np.linalg.norm(n.a))
-        if abs(n.s) * norm <= tol.zero_tol:
+        if abs(n.s) * norm <= ZERO_TOL:
             reason = ("zero neuron" if not relu
-                      else "zero direction" if norm <= tol.zero_tol else "zero scale")
+                      else "zero direction" if norm <= ZERO_TOL else "zero scale")
             violations.append({"clause": "i", "neuron": k, "reason": reason})
             rows.append(None if relu else (n.a, n.b))
         else:
@@ -293,11 +294,11 @@ def grouped_from_entries(entries: Iterable[tuple[np.ndarray, float, float]],
                          c: float, d: int,
                          tol: ToleranceConfig = DEFAULT_TOL) -> GroupedReLU:
     """Regroup raw oriented (a, b, coefficient) terms, merging coincident
-    hyperplane/orientation slots and dropping coefficients below zero_tol."""
+    hyperplane/orientation slots and dropping coefficients below ZERO_TOL."""
 
     buckets: list[dict] = []
     for a, b, s in entries:
-        h, sign = canonical_hyperplane(a, b, tol)
+        h, sign = canonical_hyperplane(a, b)
         for bucket in buckets:
             if h.matches(bucket["h"], tol):
                 break
@@ -309,8 +310,8 @@ def grouped_from_entries(entries: Iterable[tuple[np.ndarray, float, float]],
     k1 = []
     k2 = []
     for bucket in buckets:
-        sp = bucket["plus"] if abs(bucket["plus"]) > tol.zero_tol else 0.0
-        sm = bucket["minus"] if abs(bucket["minus"]) > tol.zero_tol else 0.0
+        sp = bucket["plus"] if abs(bucket["plus"]) > ZERO_TOL else 0.0
+        sm = bucket["minus"] if abs(bucket["minus"]) > ZERO_TOL else 0.0
         if sp and sm:
             k1.append(PairedEntry(bucket["h"], sp, sm))
         elif sp:
@@ -320,6 +321,119 @@ def grouped_from_entries(entries: Iterable[tuple[np.ndarray, float, float]],
             a.setflags(write=False)
             k2.append(Neuron(a, -bucket["h"].b, sm))
     return GroupedReLU(tuple(k1), tuple(k2), float(c), d)
+
+
+# ---------------------------------------------------------------------------
+# equivalence certificates
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EquivalenceCertificate:
+    """Permutation/sign/scale data witnessing pointwise equality of two nets.
+
+    Neuron k of the first network maps to neuron permutation[k] of the second
+    via epsilon[k] * lam[k] * (a_k, b_k) = (a'_pi(k), b'_pi(k)), with
+    s_k / lam[k] = s'_pi(k) for relu and lam[k] = 1, epsilon[k] * s_k =
+    s'_pi(k) for sigmoid and tanh.  K collects the sign-flipped indices;
+    flipping them shifts the constant by constant_shift.
+    """
+
+    permutation: tuple[int, ...]
+    epsilon: tuple[int, ...]
+    lam: tuple[float, ...]
+    K: frozenset[int]
+    constant_shift: float
+
+
+def certificate_to_json_obj(cert: EquivalenceCertificate) -> dict:
+    return {
+        "permutation": list(cert.permutation),
+        "epsilon": list(cert.epsilon),
+        "lambda": [float(v) for v in cert.lam],
+        "K": sorted(cert.K),
+        "constant_shift": cert.constant_shift,
+    }
+
+
+def test_equivalent(n1: ShallowNet, n2: ShallowNet,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> EquivalenceCertificate | None:
+    """Match the neurons bijectively up to permutation and sign, then check
+    the scales, the flipped neurons and the constant; a returned certificate
+    guarantees the two networks agree at every input.
+
+    Relu is positively homogeneous, so ridges are compared as unit rows and a
+    positive rescaling is free; relu(t) = t + relu(-t), so the flipped
+    neurons' scaled directions must cancel, which needs mutually distinct
+    hyperplanes (no K1 pairs).  For sigmoid and tanh sigma(t) + sigma(-t) =
+    c0, so ridges are compared as they are and a flip only negates the scale
+    and moves the constant (Sussmann 1992).  Every comparison is within
+    match_tol, so a reconstruction from noisy samples can be certified.
+    """
+
+    if n1.activation.kind != n2.activation.kind:
+        raise InputError("networks use different activations",
+                         first=n1.activation.kind, second=n2.activation.kind)
+    if n1.d != n2.d:
+        raise InputError("networks have different input dimensions", d1=n1.d, d2=n2.d)
+    relu = n1.activation.kind == "relu"
+    if relu:
+        for name, g in (("first", group(n1, tol)), ("second", group(n2, tol))):
+            if g.K1:
+                raise HypothesisError(
+                    f"{name} network has coincident hyperplanes; the equivalence "
+                    "characterization does not apply", network=name)
+    else:
+        for name, net in (("first", n1), ("second", n2)):
+            violations = admissibility_violations(net, tol)
+            if violations:
+                raise AdmissibilityError(f"{name} network is not admissible",
+                                         violations=violations)
+    if n1.m != n2.m:
+        return None
+
+    def ridges(net: ShallowNet) -> tuple[np.ndarray, list[float]]:
+        norms = [float(np.linalg.norm(n.a)) for n in net.neurons]
+        rows = np.column_stack([net.weight_matrix(), net.biases()])
+        return (rows / np.array(norms)[:, None] if relu else rows), norms
+
+    rows1, norms1 = ridges(n1)
+    rows2, norms2 = ridges(n2)
+    free = np.ones(n2.m, dtype=bool)
+    permutation: list[int] = []
+    epsilon: list[int] = []
+    lam: list[float] = []
+    for k, row in enumerate(rows1):
+        plus = free & np.all(np.abs(rows2 - row) <= tol.match_tol, axis=1)
+        minus = free & np.all(np.abs(rows2 + row) <= tol.match_tol, axis=1)
+        hits = np.flatnonzero(plus | minus)
+        if hits.size == 0:
+            return None
+        j = int(hits[0])
+        eps = 1 if plus[j] else -1
+        scale = norms2[j] / norms1[k] if relu else 1.0
+        s1, s2 = n1.neurons[k].s, n2.neurons[j].s
+        if abs((s1 / scale if relu else eps * s1) - s2) > tol.match_tol * (1.0 + abs(s2)):
+            return None
+        free[j] = False
+        permutation.append(j)
+        epsilon.append(eps)
+        lam.append(scale)
+
+    flipped = frozenset(k for k, e in enumerate(epsilon) if e == -1)
+    flip_sum = np.zeros(n1.d)
+    shift = 0.0
+    weight = 1.0
+    for k in flipped:
+        neuron = n1.neurons[k]
+        flip_sum += neuron.s * neuron.a
+        shift += neuron.s * (neuron.b if relu else n1.activation.c0)
+        weight += abs(neuron.s) * norms1[k]
+    if relu and float(np.linalg.norm(flip_sum)) > tol.match_tol * weight:
+        return None
+    if abs(n2.c - (n1.c + shift)) > tol.match_tol * (1.0 + abs(n1.c) + abs(shift)):
+        return None
+    return EquivalenceCertificate(tuple(permutation), tuple(epsilon),
+                                  tuple(lam), flipped, shift)
 
 
 # ---------------------------------------------------------------------------

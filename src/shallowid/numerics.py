@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InputError, SizeError
 from .net_core import Hyperplane, canonical_hyperplane
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 __all__ = ["ToleranceConfig", "DEFAULT_TOL", "rank",
            "affine_fit", "solve_least_squares"]
@@ -26,7 +26,7 @@ def rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
 
     a = _as_matrix(matrix)
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] <= tol.zero_tol:
+    if sv.size == 0 or sv[0] <= ZERO_TOL:
         return 0
     return int(np.sum(sv > tol.rank_tol * sv[0]))
 
@@ -47,14 +47,14 @@ def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> Hyperplane:
         raise InputError(f"need at least {d} points, got {n}")
     center = pts.mean(axis=0)
     centered = pts - center
-    r = rank(centered, tol) if float(np.max(np.abs(centered))) > tol.zero_tol else 0
+    r = rank(centered, tol) if float(np.max(np.abs(centered))) > ZERO_TOL else 0
     if r != d - 1:
         raise DegenerateFitError(
             f"points affinely span a flat of dimension {r}, expected {d - 1}",
             spanned=r, expected=d - 1)
     _, _, vt = np.linalg.svd(centered)
     normal = vt[-1]
-    return canonical_hyperplane(normal, -float(normal @ center), tol)[0]
+    return canonical_hyperplane(normal, -float(normal @ center))[0]
 
 
 def solve_least_squares(a, y, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:

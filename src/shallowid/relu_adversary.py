@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConstructionError, InputError
 from .net_core import ShallowNet, canonical_hyperplane, evaluate_many, make_net
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 _RETRY_BUDGET = 1000
 _MIN_MARGIN = 1e-3      # |<w, x_j> + b| floor relative to point scale
@@ -45,9 +45,9 @@ class AdversarialPair:
 def _distinct_from(a: np.ndarray, b: float,
                    taken: list[tuple[np.ndarray, float]],
                    tol: ToleranceConfig) -> bool:
-    h, _ = canonical_hyperplane(a, b, tol)
+    h, _ = canonical_hyperplane(a, b)
     for a2, b2 in taken:
-        h2, _ = canonical_hyperplane(a2, b2, tol)
+        h2, _ = canonical_hyperplane(a2, b2)
         if h.matches(h2, tol):
             return False
     return True
@@ -74,7 +74,7 @@ def build_pair(points, m: int, seed: int,
     for _ in range(_RETRY_BUDGET):
         w = rng.normal(size=d)
         norm = float(np.linalg.norm(w))
-        if norm <= tol.zero_tol:
+        if norm <= ZERO_TOL:
             continue
         w = w / norm
         b = float(rng.uniform(-1.0, 1.0))
@@ -85,11 +85,11 @@ def build_pair(points, m: int, seed: int,
         raw = rng.normal(size=d)
         raw = raw - float(raw @ w) * w
         nnorm = float(np.linalg.norm(raw))
-        if nnorm <= tol.zero_tol:
+        if nnorm <= ZERO_TOL:
             continue
         n = raw / nnorm
         reach = float(np.max(np.abs(pts @ n)))
-        eps_prime = 0.5 * margin / max(reach, tol.zero_tol)
+        eps_prime = 0.5 * margin / max(reach, ZERO_TOL)
         eps_prime = min(eps_prime, 1.0)
         if eps_prime < _MIN_EPS_PRIME:
             continue
@@ -103,7 +103,7 @@ def build_pair(points, m: int, seed: int,
             for _ in range(_RETRY_BUDGET):
                 a = rng.normal(size=d)
                 an = float(np.linalg.norm(a))
-                if an <= tol.zero_tol:
+                if an <= ZERO_TOL:
                     continue
                 a = a / an
                 bk = float(rng.uniform(-1.0, 1.0))

@@ -75,12 +75,12 @@ class LabeledSamples:
                              points=int(self.plan.points.shape[0]))
 
 
-def _distinct_hyperplanes(g: GroupedReLU, tol: ToleranceConfig) -> list[Hyperplane]:
+def _distinct_hyperplanes(g: GroupedReLU) -> list[Hyperplane]:
     if g.K1:
         raise InputError(
             "sampling requires a network whose hyperplanes are mutually "
             "distinct (no opposite-orientation pairs)")
-    return [canonical_hyperplane(e.a, e.b, tol)[0] for e in g.K2]
+    return [canonical_hyperplane(e.a, e.b)[0] for e in g.K2]
 
 
 def _line_crossings(line: Line, hyperplanes: list[Hyperplane],
@@ -146,7 +146,7 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
     full-rank directions, mutually distinct crossings, and in-plane spread of
     every d crossings sharing a hyperplane.  Failing lines are resampled."""
 
-    hyperplanes = _distinct_hyperplanes(g, tol)
+    hyperplanes = _distinct_hyperplanes(g)
     m = len(hyperplanes)
     d = g.d
     if m < 1:
@@ -317,7 +317,7 @@ def build_sample_plan(g: GroupedReLU, ls: FeasibleLineSet, seed: int,
     """Place two jittered samples per affine piece of every line, re-rolling
     the jitter until no accidental cross-line collinear triples remain."""
 
-    hyperplanes = _distinct_hyperplanes(g, tol)
+    hyperplanes = _distinct_hyperplanes(g)
     m = len(hyperplanes)
     if len(ls.lines) != m * g.d:
         raise InputError("line set does not match the network",

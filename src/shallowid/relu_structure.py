@@ -1,5 +1,4 @@
-"""Reducibility decision, constructive reduction and equivalence certificates
-for relu networks.
+"""Reducibility decision and constructive reduction for relu networks.
 
 Everything here works on the paired/single normal form produced by
 ``net_core.group``.  The driving identity is relu(t) = t + relu(-t): flipping
@@ -24,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, InputError, InvariantError
-from .net_core import (GroupedReLU, ShallowNet, canonical_hyperplane, evaluate_many,
-                       group, grouped_from_entries)
+from .errors import InvariantError
+from .net_core import GroupedReLU, ShallowNet, evaluate_many, group, grouped_from_entries
 from .numerics import subset_sums
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 _PROBE_SEED = 0x5eed
 _PROBE_POINTS = 200
@@ -52,8 +50,8 @@ class ReductionWitness:
     c0: float | None = None
 
 
-def _cancelling_pairs(g: GroupedReLU, tol: ToleranceConfig) -> list[int]:
-    return [i for i, p in enumerate(g.K1) if abs(p.s1 + p.s2) <= tol.zero_tol]
+def _cancelling_pairs(g: GroupedReLU) -> list[int]:
+    return [i for i, p in enumerate(g.K1) if abs(p.s1 + p.s2) <= ZERO_TOL]
 
 
 def _coefficient_scale(g: GroupedReLU) -> float:
@@ -132,8 +130,8 @@ def test_reducible(g: GroupedReLU, tol: ToleranceConfig = DEFAULT_TOL) -> Reduct
     A search over more than 20 lone neurons raises SizeError.
     """
 
-    zero = tol.zero_tol * _coefficient_scale(g)
-    cancelling = _cancelling_pairs(g, tol)
+    zero = ZERO_TOL * _coefficient_scale(g)
+    cancelling = _cancelling_pairs(g)
     n_pairs = len(g.K1)
     all_plus = tuple(1 for _ in range(n_pairs))
 
@@ -173,7 +171,7 @@ def reduce_once(g: GroupedReLU, witness: ReductionWitness,
         e = witness.epsilon[i]
         si = pair.s1 if e == 1 else pair.s2
         coef = pair.s1 + pair.s2
-        if abs(coef) > tol.zero_tol:
+        if abs(coef) > ZERO_TOL:
             entries.append((-e * pair.h.a, -e * pair.h.b, coef))
         w += si * e * pair.h.a
         q += si * e * pair.h.b
@@ -186,7 +184,7 @@ def reduce_once(g: GroupedReLU, witness: ReductionWitness,
             entries.append((entry.a, entry.b, entry.s))
 
     c_new = g.c
-    zero = tol.zero_tol * _coefficient_scale(g)
+    zero = ZERO_TOL * _coefficient_scale(g)
     if float(np.linalg.norm(w)) <= zero:
         c_new += q
     elif witness.k0 is not None:
@@ -231,114 +229,3 @@ def reduce_fully(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> Shallow
             return g.to_net()
         g = reduce_once(g, witness, tol)
     raise InvariantError("reduction did not terminate within the neuron budget")
-
-
-# ---------------------------------------------------------------------------
-# equivalence certificates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EquivalenceCertificate:
-    """Permutation/sign/scale data witnessing pointwise equality of two nets.
-
-    Neuron k of the first network maps to neuron permutation[k] of the second
-    via epsilon[k] * lam[k] * (a_k, b_k) = (a'_pi(k), b'_pi(k)) and
-    s_k / lam[k] = s'_pi(k); K collects the sign-flipped indices, whose scaled
-    directions must cancel, shifting the constant by constant_shift.
-    """
-
-    permutation: tuple[int, ...]
-    epsilon: tuple[int, ...]
-    lam: tuple[float, ...]
-    K: frozenset[int]
-    constant_shift: float
-
-
-def certificate_to_json_obj(cert: EquivalenceCertificate) -> dict:
-    return {
-        "permutation": list(cert.permutation),
-        "epsilon": list(cert.epsilon),
-        "lambda": [float(v) for v in cert.lam],
-        "K": sorted(cert.K),
-        "constant_shift": cert.constant_shift,
-    }
-
-
-def test_equivalent(n1: ShallowNet, n2: ShallowNet,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> EquivalenceCertificate | None:
-    """Match hyperplanes bijectively and verify the scale and flip conditions.
-
-    Requires both networks to be admissible with mutually distinct
-    hyperplanes (no opposite-orientation pairs); a returned certificate
-    guarantees the two networks agree at every input.  Hyperplanes, scales,
-    the flip sum and the constant are all compared within match_tol, so a
-    reconstruction from noisy samples can be certified.
-    """
-
-    for name, net in (("first", n1), ("second", n2)):
-        if net.activation.kind != "relu":
-            raise InputError(f"{name} network is not relu")
-    if n1.d != n2.d:
-        raise InputError("networks have different input dimensions", d1=n1.d, d2=n2.d)
-    g1 = group(n1, tol)
-    g2 = group(n2, tol)
-    for name, g in (("first", g1), ("second", g2)):
-        if g.K1:
-            raise HypothesisError(
-                f"{name} network has coincident hyperplanes; the equivalence "
-                "characterization does not apply", network=name)
-
-    if n1.m != n2.m:
-        return None
-    if n1.m == 0:
-        if abs(n1.c - n2.c) <= tol.match_tol * (1.0 + abs(n1.c)):
-            return EquivalenceCertificate((), (), (), frozenset(), 0.0)
-        return None
-
-    def describe(net: ShallowNet):
-        rows = []
-        for n in net.neurons:
-            norm = float(np.linalg.norm(n.a))
-            h, sign = canonical_hyperplane(n.a, n.b, tol)
-            rows.append((h, sign, norm, n))
-        return rows
-
-    rows1 = describe(n1)
-    rows2 = describe(n2)
-    unmatched = set(range(n2.m))
-    permutation: list[int] = []
-    epsilon: list[int] = []
-    lam: list[float] = []
-    for h1, sign1, norm1, neuron1 in rows1:
-        match = None
-        for j in unmatched:
-            if h1.matches(rows2[j][0], tol):
-                match = j
-                break
-        if match is None:
-            return None
-        unmatched.discard(match)
-        _, sign2, norm2, neuron2 = rows2[match]
-        eps = int(sign1 * sign2)
-        scale = norm2 / norm1
-        if abs(neuron1.s / scale - neuron2.s) > tol.match_tol * (1.0 + abs(neuron2.s)):
-            return None
-        permutation.append(match)
-        epsilon.append(eps)
-        lam.append(scale)
-
-    flipped = frozenset(k for k, e in enumerate(epsilon) if e == -1)
-    flip_sum = np.zeros(n1.d)
-    shift = 0.0
-    weight = 1.0
-    for k in flipped:
-        neuron = n1.neurons[k]
-        flip_sum += neuron.s * neuron.a
-        shift += neuron.s * neuron.b
-        weight += abs(neuron.s) * float(np.linalg.norm(neuron.a))
-    if float(np.linalg.norm(flip_sum)) > tol.match_tol * weight:
-        return None
-    if abs(n2.c - (n1.c + shift)) > tol.match_tol * (1.0 + abs(n1.c) + abs(shift)):
-        return None
-    return EquivalenceCertificate(tuple(permutation), tuple(epsilon),
-                                  tuple(lam), flipped, shift)

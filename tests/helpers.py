@@ -1,6 +1,6 @@
 """Shared generators, the brute-force reducibility, witness-search,
-orientation, exp-sum, plan-collinearity, hyperplane-recovery and rank oracles,
-the frame separating direction and the CLI runner."""
+orientation, exp-sum, plan-collinearity, hyperplane-recovery, rank and
+equivalence oracles, the frame separating direction and the CLI runner."""
 
 from __future__ import annotations
 
@@ -14,16 +14,16 @@ from pathlib import Path
 import numpy as np
 
 import shallowid
-from shallowid import (AdmissibilityError, DegenerateFitError, ExpSumExpansion,
-                       InputError, RecoveryError, ReductionWitness, ShallowNet,
-                       affine_fit, canonical_hyperplane,
-                       evaluate_many, group, make_net, relu_sampling,
-                       solve_least_squares)
-from shallowid.net_core import _duplicate_ridges
+from shallowid import (AdmissibilityError, DegenerateFitError, EquivalenceCertificate,
+                       ExpSumExpansion, HypothesisError, InputError, RecoveryError,
+                       ReductionWitness, ShallowNet, admissibility_violations,
+                       affine_fit, canonical_hyperplane, evaluate_many, group,
+                       make_net, relu_sampling, solve_least_squares)
+from shallowid.net_core import _duplicate_ridges, _first_significant_sign
 from shallowid.relu_sampling import _point_line_distances
 from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
                                       _direction_of)
-from shallowid.tolerances import DEFAULT_TOL
+from shallowid.tolerances import DEFAULT_TOL, ZERO_TOL
 
 # The directory that holds the imported package, so that a CLI child process
 # imports the same code as the tests whatever its working directory is.
@@ -361,8 +361,8 @@ def oracle_test_reducible(g, tol=DEFAULT_TOL):
     freed linear term absorbed somewhere, just like the #K1 = 2 clause.
     """
 
-    zero = tol.zero_tol * _coefficient_scale(g)
-    cancelling = _cancelling_pairs(g, tol)
+    zero = ZERO_TOL * _coefficient_scale(g)
+    cancelling = _cancelling_pairs(g)
     n_pairs = len(g.K1)
     all_plus = tuple(1 for _ in range(n_pairs))
 
@@ -631,7 +631,7 @@ def rank_by_elimination(matrix, tol=DEFAULT_TOL) -> int:
 
     a = np.array(matrix, dtype=float)
     scale = float(np.max(np.abs(a)))
-    if scale <= tol.zero_tol:
+    if scale <= ZERO_TOL:
         return 0
     threshold = tol.rank_tol * scale
     rows, cols = a.shape
@@ -674,9 +674,151 @@ def separating_direction(frame, vectors, tol=DEFAULT_TOL) -> np.ndarray:
         inner = vecs @ v
         gaps = np.abs(inner[:, None] - inner[None, :])
         np.fill_diagonal(gaps, np.inf)
-        if float(np.min(gaps)) > tol.zero_tol:
+        if float(np.min(gaps)) > ZERO_TOL:
             out = np.array(v, dtype=float)
             out.setflags(write=False)
             return out
     raise ValueError("no frame vector separates the family; inputs are "
                      "nearly duplicated")
+
+
+# ---------------------------------------------------------------------------
+# the two equivalence tests that net_core.test_equivalent replaced
+# ---------------------------------------------------------------------------
+
+# The relu test matched sign-canonical hyperplanes and the analytic test
+# compared sorted sign-normalized forms; both are kept as they were, apart
+# from ZERO_TOL now being a constant.
+def oracle_test_equivalent(n1: ShallowNet, n2: ShallowNet,
+                           tol=DEFAULT_TOL) -> EquivalenceCertificate | None:
+    """Match hyperplanes bijectively and verify the scale and flip conditions.
+
+    Requires both networks to be admissible with mutually distinct
+    hyperplanes (no opposite-orientation pairs); a returned certificate
+    guarantees the two networks agree at every input.  Hyperplanes, scales,
+    the flip sum and the constant are all compared within match_tol, so a
+    reconstruction from noisy samples can be certified.
+    """
+
+    for name, net in (("first", n1), ("second", n2)):
+        if net.activation.kind != "relu":
+            raise InputError(f"{name} network is not relu")
+    if n1.d != n2.d:
+        raise InputError("networks have different input dimensions", d1=n1.d, d2=n2.d)
+    g1 = group(n1, tol)
+    g2 = group(n2, tol)
+    for name, g in (("first", g1), ("second", g2)):
+        if g.K1:
+            raise HypothesisError(
+                f"{name} network has coincident hyperplanes; the equivalence "
+                "characterization does not apply", network=name)
+
+    if n1.m != n2.m:
+        return None
+    if n1.m == 0:
+        if abs(n1.c - n2.c) <= tol.match_tol * (1.0 + abs(n1.c)):
+            return EquivalenceCertificate((), (), (), frozenset(), 0.0)
+        return None
+
+    def describe(net: ShallowNet):
+        rows = []
+        for n in net.neurons:
+            norm = float(np.linalg.norm(n.a))
+            h, sign = canonical_hyperplane(n.a, n.b)
+            rows.append((h, sign, norm, n))
+        return rows
+
+    rows1 = describe(n1)
+    rows2 = describe(n2)
+    unmatched = set(range(n2.m))
+    permutation: list[int] = []
+    epsilon: list[int] = []
+    lam: list[float] = []
+    for h1, sign1, norm1, neuron1 in rows1:
+        match = None
+        for j in unmatched:
+            if h1.matches(rows2[j][0], tol):
+                match = j
+                break
+        if match is None:
+            return None
+        unmatched.discard(match)
+        _, sign2, norm2, neuron2 = rows2[match]
+        eps = int(sign1 * sign2)
+        scale = norm2 / norm1
+        if abs(neuron1.s / scale - neuron2.s) > tol.match_tol * (1.0 + abs(neuron2.s)):
+            return None
+        permutation.append(match)
+        epsilon.append(eps)
+        lam.append(scale)
+
+    flipped = frozenset(k for k, e in enumerate(epsilon) if e == -1)
+    flip_sum = np.zeros(n1.d)
+    shift = 0.0
+    weight = 1.0
+    for k in flipped:
+        neuron = n1.neurons[k]
+        flip_sum += neuron.s * neuron.a
+        shift += neuron.s * neuron.b
+        weight += abs(neuron.s) * float(np.linalg.norm(neuron.a))
+    if float(np.linalg.norm(flip_sum)) > tol.match_tol * weight:
+        return None
+    if abs(n2.c - (n1.c + shift)) > tol.match_tol * (1.0 + abs(n1.c) + abs(shift)):
+        return None
+    return EquivalenceCertificate(tuple(permutation), tuple(epsilon),
+                                  tuple(lam), flipped, shift)
+
+
+def oracle_canonicalize_analytic(net: ShallowNet, tol=DEFAULT_TOL) -> ShallowNet:
+    """Sign-normalized, sorted form of an admissible network: flip neurons
+    whose direction starts negative (absorbing s*c0 into the constant), then
+    sort.  Evaluation is unchanged pointwise, and equal forms mean equal
+    networks."""
+
+    if net.activation.kind == "relu":
+        raise InputError("this operation applies to sigmoid/tanh networks; "
+                         "use the relu-specific routines instead")
+    violations = admissibility_violations(net, tol)
+    if violations:
+        raise AdmissibilityError("network is not admissible", violations=violations)
+    c0 = net.activation.c0
+    c = net.c
+    rows = []
+    for n in net.neurons:
+        if _first_significant_sign(n.a) < 0:
+            rows.append((-n.a, -n.b, -n.s))
+            c += n.s * c0
+        else:
+            rows.append((n.a, n.b, n.s))
+    rows.sort(key=lambda r: (tuple(r[0]), r[1], r[2]))
+    return make_net(net.activation.kind, rows, c, d=net.d)
+
+
+def oracle_test_equivalent_analytic(n1: ShallowNet, n2: ShallowNet, tol=DEFAULT_TOL) -> bool:
+    """Field-by-field match of the two canonical forms within match_tol."""
+
+    if n1.activation.kind != n2.activation.kind:
+        raise InputError("networks use different activations",
+                         first=n1.activation.kind, second=n2.activation.kind)
+    if n1.d != n2.d:
+        raise InputError("networks have different input dimensions")
+    f1 = oracle_canonicalize_analytic(n1, tol)
+    f2 = oracle_canonicalize_analytic(n2, tol)
+    if len(f1.neurons) != len(f2.neurons):
+        return False
+    if abs(f1.c - f2.c) > tol.match_tol * (1.0 + abs(f1.c)):
+        return False
+    unmatched = list(range(len(f2.neurons)))
+    for n in f1.neurons:
+        hit = None
+        for j in unmatched:
+            other = f2.neurons[j]
+            if (float(np.max(np.abs(n.a - other.a))) <= tol.match_tol
+                    and abs(n.b - other.b) <= tol.match_tol
+                    and abs(n.s - other.s) <= tol.match_tol * (1.0 + abs(n.s))):
+                hit = j
+                break
+        if hit is None:
+            return False
+        unmatched.remove(hit)
+    return True

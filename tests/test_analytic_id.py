@@ -5,9 +5,10 @@ import pytest
 
 import shallowid as si
 from shallowid import (InputError, admissibility_violations, build_analytic_plan,
-                       canonicalize_analytic, cleared_form_value, evaluate_many,
-                       exp_sum_expansion, make_net, sigmoid_form,
-                       vandermonde_frame, verify_identification)
+                       cleared_form_value, evaluate_many, exp_sum_expansion,
+                       make_net, sigmoid_form, vandermonde_frame,
+                       verify_identification)
+from shallowid.tolerances import DEFAULT_TOL
 
 from helpers import (equivalent_analytic_variant, oracle_exp_sum_expansion,
                      random_analytic_net, separating_direction)
@@ -31,48 +32,56 @@ def test_zero_direction_is_inadmissible():
 
 
 def test_relu_input_rejected():
+    plan = build_analytic_plan(1, 1)
+    net = make_net("relu", [((1.0,), 0.0, 1.0)], 0.0)
     with pytest.raises(InputError):
-        canonicalize_analytic(make_net("relu", [((1.0,), 0.0, 1.0)], 0.0))
+        verify_identification(net, net, plan)
 
 
-def test_canonicalize_tanh_flip_keeps_constant():
+def test_tanh_flip_certificate_keeps_constant():
     net = make_net("tanh", [((-1.0,), 0.0, 2.0)], 0.3)
-    form = canonicalize_analytic(net)
-    n = form.neurons[0]
-    assert n.a[0] == 1.0 and n.b == 0.0 and n.s == -2.0
-    assert form.c == pytest.approx(0.3)
+    flipped = make_net("tanh", [((1.0,), 0.0, -2.0)], 0.3)
+    cert = si.test_equivalent(net, flipped)
+    assert cert is not None and cert.K == frozenset({0}) and cert.epsilon == (-1,)
+    assert cert.lam == (1.0,) and cert.constant_shift == 0.0
 
 
-def test_canonicalize_sigmoid_flip_shifts_constant():
+def test_sigmoid_flip_certificate_shifts_constant():
     net = make_net("sigmoid", [((-1.0,), 1.0, 2.0)], 0.0)
-    form = canonicalize_analytic(net)
-    n = form.neurons[0]
-    assert (n.a[0], n.b, n.s) == (1.0, -1.0, -2.0)
-    assert form.c == pytest.approx(2.0)
+    flipped = make_net("sigmoid", [((1.0,), -1.0, -2.0)], 2.0)
+    cert = si.test_equivalent(net, flipped)
+    assert cert is not None and cert.K == frozenset({0}) and cert.constant_shift == 2.0
     xs = np.linspace(-4, 4, 101)[:, None]
-    dev = np.abs(evaluate_many(net, xs) - evaluate_many(form, xs))
+    dev = np.abs(evaluate_many(net, xs) - evaluate_many(flipped, xs))
     assert np.max(dev) < 1e-12
+    moved = make_net("sigmoid", [((1.0,), -1.0, -2.0)], 2.1)
+    assert si.test_equivalent(net, moved) is None
 
 
-def test_canonicalize_idempotent():
+def test_self_certificate_is_the_identity():
     rng = np.random.default_rng(2)
-    net = random_analytic_net(rng, 3, 2, "sigmoid")
-    form = canonicalize_analytic(net)
-    again = canonicalize_analytic(form)
-    assert form.c == pytest.approx(again.c)
-    for n1, n2 in zip(form.neurons, again.neurons):
-        assert np.allclose(n1.a, n2.a) and n1.b == pytest.approx(n2.b)
+    for kind in ("sigmoid", "tanh"):
+        net = random_analytic_net(rng, 3, 2, kind)
+        cert = si.test_equivalent(net, net)
+        assert cert.permutation == (0, 1, 2) and cert.epsilon == (1, 1, 1)
+        assert cert.lam == (1.0, 1.0, 1.0) and cert.K == frozenset()
+        assert cert.constant_shift == 0.0
 
 
-def test_canonicalize_preserves_evaluation():
+def test_certified_variants_agree_pointwise():
     rng = np.random.default_rng(4)
     for kind in ("sigmoid", "tanh"):
         net = random_analytic_net(rng, 4, 3, kind)
-        form = canonicalize_analytic(net)
+        other = equivalent_analytic_variant(rng, net)
+        cert = si.test_equivalent(net, other)
+        assert cert is not None
+        for k, j in enumerate(cert.permutation):
+            e = cert.epsilon[k]
+            assert np.array_equal(e * net.neurons[k].a, other.neurons[j].a)
+            assert e * net.neurons[k].s == other.neurons[j].s
         x = rng.uniform(-3, 3, size=(1000, 3))
         base = evaluate_many(net, x)
-        dev = np.max(np.abs(evaluate_many(form, x)) - np.abs(base))
-        assert np.max(np.abs(evaluate_many(form, x) - base)) \
+        assert np.max(np.abs(evaluate_many(other, x) - base)) \
             <= 1e-10 * (1 + np.max(np.abs(base)))
 
 
@@ -80,7 +89,7 @@ def test_equivalent_analytic_permuted_copy():
     rng = np.random.default_rng(6)
     net = random_analytic_net(rng, 3, 2, "sigmoid")
     other = equivalent_analytic_variant(rng, net)
-    assert si.test_equivalent_analytic(net, other)
+    assert si.test_equivalent(net, other) is not None
 
 
 def test_equivalent_analytic_tanh_sign_flip():
@@ -88,18 +97,18 @@ def test_equivalent_analytic_tanh_sign_flip():
     flipped = make_net("tanh", [((-0.8, 0.3), -0.4, -1.5), ((0.2, 1.0), -0.1, -0.6)], 0.2)
     x = np.random.default_rng(0).uniform(-2, 2, size=(500, 2))
     assert np.max(np.abs(evaluate_many(net, x) - evaluate_many(flipped, x))) < 1e-12
-    assert si.test_equivalent_analytic(net, flipped)
+    assert si.test_equivalent(net, flipped) is not None
 
 
 def test_not_equivalent_after_bias_shift():
     net = make_net("sigmoid", [((1.0, 0.2), 0.4, 1.0)], 0.0)
     other = make_net("sigmoid", [((1.0, 0.2), 0.5, 1.0)], 0.0)
-    assert not si.test_equivalent_analytic(net, other)
+    assert si.test_equivalent(net, other) is None
 
 
 def test_activation_mismatch_rejected():
     with pytest.raises(InputError):
-        si.test_equivalent_analytic(
+        si.test_equivalent(
             make_net("sigmoid", [((1.0,), 0.0, 1.0)], 0.0),
             make_net("tanh", [((1.0,), 0.0, 1.0)], 0.0))
 
@@ -219,6 +228,20 @@ def test_verify_identification_constant_offset_visible():
     report = verify_identification(net, shifted, plan)
     assert not report.equal_on_plan
     assert report.max_gap == pytest.approx(1e-3)
+
+
+def test_verify_identification_scales_the_plan_gap_with_the_outputs():
+    # scales of 1e8 leave a rounding gap of about 1.5e-8 between exactly
+    # equivalent nets; a constant moved by 10 is still a gap
+    net = make_net("sigmoid", [((1.0, 0.5), 0.2, 1e8)], 0.3)
+    flipped = make_net("sigmoid", [((-1.0, -0.5), -0.2, -1e8)], 0.3 + 1e8)
+    plan = build_analytic_plan(1, 2)
+    report = verify_identification(net, flipped, plan)
+    assert report.max_gap > DEFAULT_TOL.residual_tol
+    assert report.equal_on_plan and report.equivalent
+    moved = make_net("sigmoid", [((-1.0, -0.5), -0.2, -1e8)], 10.3 + 1e8)
+    report = verify_identification(net, moved, plan)
+    assert not report.equal_on_plan and not report.equivalent
 
 
 def test_verify_identification_m_mismatch():

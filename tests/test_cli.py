@@ -352,6 +352,40 @@ def test_reconstruct_certifies_a_reconstruction_from_noisy_samples(tmp_path):
     assert "equivalence certificate: found" in proc.stdout
 
 
+def test_reconstruct_certifies_an_axis_parallel_ridge_from_noisy_samples(tmp_path):
+    # neuron 0's ridge has first entry 0; the rebuilt one has a tiny first
+    # entry of either sign, so matching must not depend on a canonical sign
+    net = random_irreducible_relu(np.random.default_rng(0), 4, 3)
+    rows = [(n.a.copy(), n.b, n.s) for n in net.neurons]
+    rows[0][0][0] = 0.0
+    write_net(tmp_path / "net.json", make_net("relu", rows, net.c, d=3))
+    assert run_cli("plan-relu", "--net", "net.json", "--seed", "1", "--out", "plan.json",
+                   cwd=tmp_path).returncode == 0
+    assert run_cli("sample", "--net", "net.json", "--plan", "plan.json",
+                   "--out", "samples.json", cwd=tmp_path).returncode == 0
+    obj = json.loads((tmp_path / "samples.json").read_text())
+    values = np.array(obj["values"])
+    obj["values"] = (values + np.random.default_rng(0).normal(scale=1e-7, size=values.size)).tolist()
+    (tmp_path / "samples.json").write_text(json.dumps(obj))
+    proc = run_cli("reconstruct", "--data", "samples.json", "--out", "rec.json",
+                   "--against", "net.json", "--tol-match", "1e-5", "--tol-rank", "1e-5",
+                   "--tol-residual", "1e-5", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "equivalence certificate: found" in proc.stdout
+
+
+def test_equiv_writes_an_analytic_certificate(tmp_path):
+    a = [0.1 * (k + 1) for k in range(10)]
+    write_net(tmp_path / "a.json", make_net("sigmoid", [(a, 0.3, 1.5)], 0.2))
+    write_net(tmp_path / "b.json", make_net("sigmoid", [([-x for x in a], -0.3, -1.5)], 1.7))
+    proc = run_cli("equiv", "--net1", "a.json", "--net2", "b.json", "--cert", "cert.json",
+                   cwd=tmp_path)
+    assert proc.returncode == 0 and "equivalent: yes" in proc.stdout
+    obj = json.loads((tmp_path / "cert.json").read_text())
+    assert obj == {"permutation": [0], "epsilon": [-1], "lambda": [1.0], "K": [0],
+                   "constant_shift": 1.5}
+
+
 def _cross_plan(tmp_path, cross_net_file, last_param):
     """A plan-relu plan for the cross net with params[0][-1] and lines[0].v
     replaced."""

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shallowid as si
 from shallowid import (AdmissibilityError, InputError, ParseError, deserialize,
                        evaluate, evaluate_many, group, make_net, serialize)
 from shallowid.net_core import (admissibility_violations, canonical_hyperplane,
                                 grouped_from_entries)
 from shallowid.tolerances import DEFAULT_TOL
 
-from helpers import random_irreducible_relu, random_structured_relu
+from helpers import (equivalent_analytic_variant, oracle_test_equivalent,
+                     oracle_test_equivalent_analytic, random_analytic_net,
+                     random_irreducible_relu, random_structured_relu)
 
 
 def cross_net():
@@ -220,3 +223,128 @@ def test_serialize_round_trip_is_exact(neurons, c, kind):
     assert back.c == net.c and back.m == net.m
     for n1, n2 in zip(net.neurons, back.neurons):
         assert np.array_equal(n1.a, n2.a) and n1.b == n2.b and n1.s == n2.s
+
+
+# ---------------------------------------------------------------------------
+# equivalence certificates
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh"])
+def test_equivalence_matches_ridges_across_the_sign_boundary(kind):
+    # the first entries differ by 2e-11, far below match_tol, but they sit on
+    # either side of the zero threshold that fixes a canonical sign
+    second = ((0.6, -0.8), 0.1, -0.7)
+    n1 = make_net(kind, [((1e-11, 1.0), 0.3, 1.5), second], 0.2)
+    n2 = make_net(kind, [((-1e-11, 1.0), 0.3, 1.5), second], 0.2)
+    cert = si.test_equivalent(n1, n2)
+    assert cert is not None and cert.K == frozenset() and cert.epsilon == (1, 1)
+    assert cert.permutation == (0, 1) and cert.constant_shift == 0.0
+
+
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh"])
+def test_equivalence_matching_is_bijective(kind):
+    # both ridges of n1 lie within match_tol of n2's first ridge, but only one
+    # of them may take it
+    n1 = make_net(kind, [((1.0, 0.0), 0.0, 1.0), ((1.0, 0.0), 1.5e-8, 1.0)], 0.0)
+    n2 = make_net(kind, [((1.0, 0.0), 0.75e-8, 1.0), ((0.0, 1.0), 0.5, 1.0)], 0.0)
+    assert si.test_equivalent(n1, n2) is None
+
+
+def _relu_with_parallel_pairs(rng, d, m, n_pairs, sep=5e-2):
+    """Admissible relu net with distinct hyperplanes whose last 2*n_pairs
+    neurons form parallel couples (a, b, s), (mu*a, b', -s/mu): flipping both
+    members of a couple frees s*a - (s/mu)*(mu*a) = 0."""
+
+    rows = [(n.a, n.b, n.s) for n in random_irreducible_relu(rng, m, d).neurons]
+    planes = [canonical_hyperplane(a, b)[0] for a, b, _ in rows]
+    added = 0
+    while added < n_pairs:
+        a = rng.normal(size=d)
+        a *= rng.uniform(0.6, 1.8) / np.linalg.norm(a)
+        mu = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        s = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        couple = [(a, rng.uniform(-1.0, 1.0), s), (mu * a, rng.uniform(-1.0, 1.0), -s / mu)]
+        new = [canonical_hyperplane(a2, b2)[0] for a2, b2, _ in couple]
+        if all(float(np.max(np.abs(h.a - h2.a))) + abs(h.b - h2.b) > sep
+               for i, h in enumerate(new) for h2 in planes + new[:i]):
+            rows += couple
+            planes += new
+            added += 1
+    return make_net("relu", rows, rng.uniform(-1.0, 1.0), d=d)
+
+
+def _perturbed(rng, net):
+    """The net with one parameter moved by at least 100 * match_tol."""
+
+    delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(np.log10(100 * DEFAULT_TOL.match_tol), -3)
+    rows = [[n.a.copy(), n.b, n.s] for n in net.neurons]
+    field = int(rng.integers(4))
+    if field == 0:
+        return make_net(net.activation.kind, rows, net.c + delta, d=net.d)
+    k = int(rng.integers(len(rows)))
+    if field == 1:
+        rows[k][0][int(rng.integers(net.d))] += delta
+    else:
+        rows[k][field - 1] += delta
+    return make_net(net.activation.kind, rows, net.c, d=net.d)
+
+
+def _relu_pair(rng, d, m, variant):
+    n_pairs = int(rng.integers(0, 3))
+    net = _relu_with_parallel_pairs(rng, d, m, n_pairs)
+    if variant == "unrelated":
+        return net, random_irreducible_relu(rng, net.m - int(rng.integers(0, 2)), d)
+    # flip every couple chosen, or nothing: a flip set whose s*a cancel; an
+    # "uncancelled" pair flips one more neuron on its own
+    flips = {k for j in range(n_pairs) if rng.random() < 0.7
+             for k in (m + 2 * j, m + 2 * j + 1)}
+    if variant == "uncancelled":
+        flips.add(int(rng.integers(m)))
+    rows, c = [], net.c
+    for k in rng.permutation(net.m):
+        n = net.neurons[int(k)]
+        lam = rng.uniform(0.5, 2.0) * (-1.0 if k in flips else 1.0)
+        rows.append((lam * n.a, lam * n.b, n.s / abs(lam)))
+        if k in flips:
+            c += n.s * n.b
+    other = make_net("relu", rows, c, d=d)
+    return net, (_perturbed(rng, other) if variant == "perturbed" else other)
+
+
+def _analytic_pair(rng, kind, d, m, variant):
+    net = random_analytic_net(rng, m, d, kind)
+    if variant == "unrelated":
+        return net, random_analytic_net(rng, m - int(rng.integers(0, 2)), d, kind)
+    other = equivalent_analytic_variant(rng, net)
+    return net, (_perturbed(rng, other) if variant == "perturbed" else other)
+
+
+def _bits(cert):
+    if cert is None:
+        return None
+    return (cert.permutation, cert.epsilon, tuple(v.hex() for v in cert.lam),
+            cert.K, cert.constant_shift.hex())
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       kind_variant=st.sampled_from(
+           [("relu", v) for v in ("copy", "perturbed", "uncancelled", "unrelated")]
+           + [(k, v) for k in ("sigmoid", "tanh") for v in ("copy", "perturbed", "unrelated")]),
+       d=st.integers(min_value=1, max_value=4), m=st.integers(min_value=1, max_value=5))
+def test_equivalent_agrees_with_the_old_tests(seed, kind_variant, d, m):
+    kind, variant = kind_variant
+    rng = np.random.default_rng(seed)
+    if kind == "relu":
+        n1, n2 = _relu_pair(rng, d, m, variant)
+        cert = si.test_equivalent(n1, n2)
+        assert _bits(cert) == _bits(oracle_test_equivalent(n1, n2))
+    else:
+        n1, n2 = _analytic_pair(rng, kind, d, m, variant)
+        cert = si.test_equivalent(n1, n2)
+        assert (cert is not None) == oracle_test_equivalent_analytic(n1, n2)
+    assert (cert is not None) == (variant == "copy")
+    if variant == "copy":
+        x = rng.uniform(-3.0, 3.0, size=(200, d))
+        base = evaluate_many(n1, x)
+        assert np.max(np.abs(evaluate_many(n2, x) - base)) <= 1e-9 * (1 + np.max(np.abs(base)))

@@ -7,7 +7,7 @@ import shallowid as si
 from shallowid import (HypothesisError, InvariantError, admissibility_violations,
                        evaluate_many, group, make_net, reduce_fully,
                        reduce_once, relu_structure)
-from shallowid.relu_structure import certificate_to_json_obj
+from shallowid.net_core import certificate_to_json_obj
 
 from helpers import (cancelling_pairs_instance, clause_i_instance,
                      clause_ii_instance, clause_k1_ge_3_instance, dense_grid,
