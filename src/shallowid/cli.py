@@ -133,11 +133,11 @@ def _cmd_reconstruct(args, tol) -> int:
     plan = relu_sampling.plan_from_json_obj(_read_json(plan_path))
     samples = relu_sampling.samples_from_json_obj(data_obj, plan, tol)
     net = relu_sampling.reconstruct(samples, tol)
+    # certify before writing, so a failing --against leaves no output file
+    cert = args.against and net_core.test_equivalent(_read_net(args.against), net, tol)
     _write_atomic(args.out, net_core.net_to_json_obj(net))
     print(f"reconstructed a {net.m}-neuron network; wrote {args.out}")
     if args.against:
-        original = _read_net(args.against)
-        cert = net_core.test_equivalent(original, net, tol)
         print(f"equivalence certificate: {'found' if cert else 'none'}")
     return 0
 

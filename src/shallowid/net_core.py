@@ -376,18 +376,19 @@ def test_equivalent(n1: ShallowNet, n2: ShallowNet,
     if n1.d != n2.d:
         raise InputError("networks have different input dimensions", d1=n1.d, d2=n2.d)
     relu = n1.activation.kind == "relu"
-    if relu:
-        for name, g in (("first", group(n1, tol)), ("second", group(n2, tol))):
-            if g.K1:
+    for name, net in (("first", n1), ("second", n2)):
+        try:  # group() is the relu admissibility check
+            if relu and group(net, tol).K1:
                 raise HypothesisError(
                     f"{name} network has coincident hyperplanes; the equivalence "
                     "characterization does not apply", network=name)
-    else:
-        for name, net in (("first", n1), ("second", n2)):
-            violations = admissibility_violations(net, tol)
-            if violations:
-                raise AdmissibilityError(f"{name} network is not admissible",
-                                         violations=violations)
+        except AdmissibilityError as err:
+            raise AdmissibilityError(f"{name} {err.message}", network=name,
+                                     **err.details) from None
+        violations = [] if relu else admissibility_violations(net, tol)
+        if violations:
+            raise AdmissibilityError(f"{name} network is not admissible", network=name,
+                                     violations=violations)
     if n1.m != n2.m:
         return None
 

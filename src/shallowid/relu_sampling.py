@@ -83,8 +83,7 @@ def _distinct_hyperplanes(g: GroupedReLU) -> list[Hyperplane]:
     return [canonical_hyperplane(e.a, e.b)[0] for e in g.K2]
 
 
-def _line_crossings(line: Line, hyperplanes: list[Hyperplane],
-                    tol: ToleranceConfig) -> np.ndarray | None:
+def _line_crossings(line: Line, hyperplanes: list[Hyperplane]) -> np.ndarray | None:
     """Crossing parameters of one line with every hyperplane, or None when the
     line fails the transversality / separation margins."""
 
@@ -97,8 +96,7 @@ def _line_crossings(line: Line, hyperplanes: list[Hyperplane],
         if abs(denom) < _MIN_TRANSVERSALITY * vnorm:
             return None
         params[k] = -(float(h.a @ line.u) + h.b) / denom
-    order = np.argsort(params)
-    gaps = np.diff(params[order])
+    gaps = np.diff(np.sort(params))
     if gaps.size and float(np.min(gaps)) < _MIN_PARAM_GAP:
         return None
     return params
@@ -119,24 +117,30 @@ def _combinations(n: int, r: int) -> np.ndarray:
     return combos
 
 
-def _subset_spread_violation(points: np.ndarray, normal: np.ndarray,
-                             combos: np.ndarray) -> int | None:
-    """Every d-subset of in-plane points (the rows of ``combos``) must
-    affinely span the hyperplane; returns the index of a point in an
-    offending subset, or None."""
+def _spread_culprit(coords: np.ndarray, members: np.ndarray, stale: np.ndarray,
+                    dets: np.ndarray, nearest: np.ndarray) -> int | None:
+    """Every d-subset of one hyperplane's in-plane points (the columns of
+    ``members``) must affinely span it.  ``dets`` and ``nearest`` cache each
+    subset's |normalized determinant| and its first point's distance to the
+    nearest other one; only subsets holding a ``stale`` line are recomputed.
+    Returns the first line of the worst offending subset, or None."""
 
-    basis = np.linalg.svd(normal[None, :])[2][1:]  # orthonormal complement
-    coords = points @ basis.T
-    sub = coords[combos]                       # (C, d, d-1)
-    diffs = sub[:, 1:, :] - sub[:, :1, :]      # (C, d-1, d-1)
-    norms = np.linalg.norm(diffs, axis=2, keepdims=True)
-    flat_min = int(np.argmin(norms))
-    if float(norms.flat[flat_min]) < _MIN_POINT_SEP:
-        return int(combos[np.unravel_index(flat_min, norms.shape)[0], 0])
-    dets = np.abs(np.linalg.det(diffs / norms))
+    redo = np.flatnonzero(np.any(stale[members], axis=0))
+    diff = coords[None, :, :] - coords[:, None, :]   # diff[i, k] = c_k - c_i
+    dist = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(dist, np.inf)
+    sub = np.take(members, redo, axis=1)   # C order, unlike members[:, redo]: a fast min
+    pair = sub[0] * len(coords) + sub[1:]   # flat indices of (first, other) point pairs
+    nearest[redo] = np.min(dist.ravel()[pair], axis=0)
+    unit = (diff / dist[:, :, None]).reshape(len(coords) ** 2, -1)
+    dets[redo] = np.abs(np.linalg.det(unit[pair.T]))
+    stale[:] = False
+    low = int(np.argmin(nearest))
+    if float(nearest[low]) < _MIN_POINT_SEP:
+        return int(members[0, low])
     worst = int(np.argmin(dets))
     if float(dets[worst]) < _MIN_SPREAD_DET:
-        return int(combos[worst, 0])
+        return int(members[0, worst])
     return None
 
 
@@ -159,6 +163,11 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
     lines: list[Line] = [None] * n_lines  # type: ignore[list-item]
     params: list[np.ndarray] = [None] * n_lines  # type: ignore[list-item]
     draws = 0
+    # per hyperplane: an in-plane basis, cached subset spreads, redrawn lines
+    members = np.ascontiguousarray(_combinations(n_lines, d).T)  # one column per subset
+    bases = [np.linalg.svd(h.a[None, :])[2][1:] for h in hyperplanes]
+    dets, nearest = np.empty((2, m, members.shape[1]))
+    stale = np.ones((m, n_lines), dtype=bool)
 
     def draw(j: int) -> None:
         nonlocal draws
@@ -166,13 +175,11 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
             draws += 1
             if draws > _TOTAL_DRAW_CAP:
                 break
-            u = rng.uniform(-1.0, 1.0, size=d)
-            v = rng.uniform(-1.0, 1.0, size=d)
-            cand = Line(u, v)
-            w = _line_crossings(cand, hyperplanes, tol)
+            cand = Line(rng.uniform(-1.0, 1.0, size=d), rng.uniform(-1.0, 1.0, size=d))
+            w = _line_crossings(cand, hyperplanes)
             if w is not None:
-                lines[j] = cand
-                params[j] = w
+                lines[j], params[j] = cand, w
+                stale[:, j] = True
                 return
         raise ConstructionError(
             "line construction exhausted its retry budget; tolerances or the "
@@ -180,7 +187,6 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
 
     for j in range(n_lines):
         draw(j)
-    combos = _combinations(n_lines, d)
 
     for _ in range(_RETRY_BUDGET):
         # (i) directions span the whole space
@@ -198,16 +204,12 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
             draw(bad[0] // m)
             continue
         # (iii) any d crossings inside one hyperplane affinely span it
-        offender = None
-        for k, h in enumerate(hyperplanes):
-            culprit = _subset_spread_violation(crossings[:, k, :], h.a, combos)
-            if culprit is not None:
-                offender = culprit
-                break
-        if offender is not None:
-            draw(offender)
-            continue
-        break
+        culprits = (_spread_culprit(crossings[:, k, :] @ bases[k].T, members,
+                                    stale[k], dets[k], nearest[k]) for k in range(m))
+        offender = next((c for c in culprits if c is not None), None)
+        if offender is None:
+            break
+        draw(offender)
     else:
         raise ConstructionError(
             "feasibility conditions could not be met within the retry budget",

@@ -1,6 +1,6 @@
 """Shared generators, the brute-force reducibility, witness-search,
-orientation, exp-sum, plan-collinearity, hyperplane-recovery, rank and
-equivalence oracles, the frame separating direction and the CLI runner."""
+orientation, exp-sum, plan-collinearity, hyperplane-recovery, line-feasibility,
+rank and equivalence oracles, the frame separating direction and the CLI runner."""
 
 from __future__ import annotations
 
@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 
 import shallowid
-from shallowid import (AdmissibilityError, DegenerateFitError, EquivalenceCertificate,
-                       ExpSumExpansion, HypothesisError, InputError, RecoveryError,
-                       ReductionWitness, ShallowNet, admissibility_violations,
-                       affine_fit, canonical_hyperplane, evaluate_many, group,
-                       make_net, relu_sampling, solve_least_squares)
+from shallowid import (AdmissibilityError, ConstructionError, DegenerateFitError,
+                       EquivalenceCertificate, ExpSumExpansion, HypothesisError,
+                       InputError, RecoveryError, ReductionWitness, ShallowNet,
+                       admissibility_violations, affine_fit, canonical_hyperplane,
+                       evaluate_many, group, make_net, rank, relu_sampling,
+                       solve_least_squares)
 from shallowid.net_core import _duplicate_ridges, _first_significant_sign
 from shallowid.relu_sampling import _point_line_distances
 from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
@@ -573,6 +574,109 @@ def oracle_recover_hyperplanes(crossings_by_line, tol=DEFAULT_TOL):
                 return ordered
     raise RecoveryError("hyperplane recovery found the wrong candidate count",
                         found=len(found), expected=m)
+
+
+# ---------------------------------------------------------------------------
+# from-scratch line-feasibility oracle
+# ---------------------------------------------------------------------------
+
+# The spread check that relu_sampling.build_feasible_lines replaced: every
+# round re-runs all C(md, d) subsets of every hyperplane up to the first
+# culprit.  Budgets and margins are read from relu_sampling.
+def _oracle_subset_spread_violation(points, normal, combos):
+    """Every d-subset of in-plane points (the rows of ``combos``) must
+    affinely span the hyperplane; returns the index of a point in an
+    offending subset, or None."""
+
+    basis = np.linalg.svd(normal[None, :])[2][1:]  # orthonormal complement
+    coords = points @ basis.T
+    sub = coords[combos]                       # (C, d, d-1)
+    diffs = sub[:, 1:, :] - sub[:, :1, :]      # (C, d-1, d-1)
+    norms = np.linalg.norm(diffs, axis=2, keepdims=True)
+    flat_min = int(np.argmin(norms))
+    if float(norms.flat[flat_min]) < relu_sampling._MIN_POINT_SEP:
+        return int(combos[np.unravel_index(flat_min, norms.shape)[0], 0])
+    dets = np.abs(np.linalg.det(diffs / norms))
+    worst = int(np.argmin(dets))
+    if float(dets[worst]) < relu_sampling._MIN_SPREAD_DET:
+        return int(combos[worst, 0])
+    return None
+
+
+def oracle_build_feasible_lines(g, seed, tol=DEFAULT_TOL):
+    """Draw m*d random lines and verify the three feasibility conditions:
+    full-rank directions, mutually distinct crossings, and in-plane spread of
+    every d crossings sharing a hyperplane.  Failing lines are resampled."""
+
+    hyperplanes = relu_sampling._distinct_hyperplanes(g)
+    m = len(hyperplanes)
+    d = g.d
+    if m < 1:
+        raise InputError("need at least one neuron to build lines", m=m)
+    if d < 2:
+        raise InputError("line sampling needs input dimension >= 2", d=d)
+
+    rng = np.random.default_rng(seed)
+    n_lines = m * d
+    lines = [None] * n_lines
+    params = [None] * n_lines
+    draws = 0
+
+    def draw(j):
+        nonlocal draws
+        for _ in range(relu_sampling._RETRY_BUDGET):
+            draws += 1
+            if draws > relu_sampling._TOTAL_DRAW_CAP:
+                break
+            u = rng.uniform(-1.0, 1.0, size=d)
+            v = rng.uniform(-1.0, 1.0, size=d)
+            cand = relu_sampling.Line(u, v)
+            w = relu_sampling._line_crossings(cand, hyperplanes)
+            if w is not None:
+                lines[j] = cand
+                params[j] = w
+                return
+        raise ConstructionError(
+            "line construction exhausted its retry budget; tolerances or the "
+            "network geometry are pathological", draws=draws)
+
+    for j in range(n_lines):
+        draw(j)
+    combos = relu_sampling._combinations(n_lines, d)
+
+    for _ in range(relu_sampling._RETRY_BUDGET):
+        # (i) directions span the whole space
+        if rank(np.stack([ln.v for ln in lines]), tol) != d:
+            draw(0)
+            continue
+        crossings = np.stack([ln.points_at(w) for ln, w in zip(lines, params)])
+        flat = crossings.reshape(n_lines * m, d)
+        # (ii) crossing points mutually distinct
+        diff = flat[:, None, :] - flat[None, :, :]
+        dist = np.linalg.norm(diff, axis=2)
+        np.fill_diagonal(dist, np.inf)
+        bad = np.unravel_index(int(np.argmin(dist)), dist.shape)
+        if float(dist[bad]) < relu_sampling._MIN_POINT_SEP:
+            draw(bad[0] // m)
+            continue
+        # (iii) any d crossings inside one hyperplane affinely span it
+        offender = None
+        for k, h in enumerate(hyperplanes):
+            culprit = _oracle_subset_spread_violation(crossings[:, k, :], h.a, combos)
+            if culprit is not None:
+                offender = culprit
+                break
+        if offender is not None:
+            draw(offender)
+            continue
+        break
+    else:
+        raise ConstructionError(
+            "feasibility conditions could not be met within the retry budget",
+            draws=draws)
+
+    return relu_sampling.FeasibleLineSet(
+        tuple(lines), tuple(tuple(np.sort(w).tolist()) for w in params))
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,32 @@ def test_plan_sample_reconstruct_pipeline(tmp_path, cross_net_file):
     assert rebuilt.m == 2
 
 
+def test_reconstruct_certifies_against_before_writing(tmp_path, cross_net_file, capsys):
+    """An --against net that cannot be certified (a K1 pair) fails before
+    the rebuilt net is written or reported."""
+
+    a = np.array([1.0, 0.2])
+    lin = tmp_path / "lin.json"
+    write_net(lin, make_net("relu", [(a, 0.0, 1.0), (-a, 0.0, -1.0),
+                                     ((0.3, 1.0), 0.0, 1.0), ((-0.3, -1.0), 0.0, -1.0)], 0.0))
+    plan, samples, rec = (str(tmp_path / f) for f in ("plan.json", "samples.json", "rec.json"))
+    assert cli.main(["plan-relu", "--net", str(cross_net_file), "--out", plan]) == 0
+    assert cli.main(["sample", "--net", str(cross_net_file), "--plan", plan,
+                     "--out", samples]) == 0
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--data", samples, "--out", rec,
+                     "--against", str(lin)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "hypothesis" and error["details"]["network"] == "first"
+    assert not (tmp_path / "rec.json").exists()
+    assert cli.main(["reconstruct", "--data", samples, "--out", rec,
+                     "--against", str(cross_net_file)]) == 0
+    assert capsys.readouterr().out == (f"reconstructed a 2-neuron network; wrote {rec}\n"
+                                       "equivalence certificate: found\n")
+
+
 def test_reconstruct_resolves_plan_ref_relative_to_data(tmp_path, cross_net_file):
     plan = tmp_path / "plan.json"
     samples = tmp_path / "samples.json"

@@ -241,6 +241,20 @@ def test_equivalence_matches_ridges_across_the_sign_boundary(kind):
     assert cert.permutation == (0, 1) and cert.constant_shift == 0.0
 
 
+@pytest.mark.parametrize("position", ["first", "second"])
+@pytest.mark.parametrize("kind, reason", [
+    ("relu", ": clause (ii) positive-scale duplicate ridge"), ("sigmoid", ""), ("tanh", "")])
+def test_equivalence_names_the_inadmissible_network(position, kind, reason):
+    dup = make_net(kind, [((1.0, 0.0), 0.5, 1.0), ((1.0, 0.0), 0.5, -2.0)], 0.0)
+    ok = make_net(kind, [((1.0, 1.0), 0.0, 1.0), ((1.0, -1.0), 0.0, 1.0)], 0.0)
+    n1, n2 = (dup, ok) if position == "first" else (ok, dup)
+    with pytest.raises(AdmissibilityError) as err:
+        si.test_equivalent(n1, n2)
+    assert err.value.message == f"{position} network is not admissible{reason}"
+    assert err.value.details["network"] == position
+    assert err.value.details["violations"][0]["clause"] == "ii"
+
+
 @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh"])
 def test_equivalence_matching_is_bijective(kind):
     # both ridges of n1 lie within match_tol of n2's first ridge, but only one

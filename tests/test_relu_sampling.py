@@ -1,5 +1,6 @@
 import functools
 import itertools
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -8,16 +9,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shallowid as si
-from shallowid import (InputError, Line, LabeledSamples, ParseError, ToleranceConfig,
-                       build_feasible_lines, build_sample_plan, canonical_hyperplane,
-                       extract_breakpoints, group, make_net, net_core, reconstruct,
-                       recover_hyperplanes, relu_sampling, sample_values)
+from shallowid import (ConstructionError, InputError, Line, LabeledSamples, ParseError,
+                       ToleranceConfig, build_feasible_lines, build_sample_plan,
+                       canonical_hyperplane, extract_breakpoints, group, make_net,
+                       net_core, reconstruct, recover_hyperplanes, relu_sampling,
+                       sample_values)
 from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
                                      plan_to_json_obj, samples_from_json_obj,
                                      samples_to_json_obj)
 
-from helpers import (oracle_collinearity_ok, oracle_orientation, oracle_recover_hyperplanes,
-                     random_irreducible_relu)
+from helpers import (oracle_build_feasible_lines, oracle_collinearity_ok, oracle_orientation,
+                     oracle_recover_hyperplanes, random_irreducible_relu)
 
 
 def cross_net():
@@ -58,6 +60,88 @@ def test_combinations_are_itertools_rows():
         for r in range(1, n + 1):
             combos = relu_sampling._combinations(n, r)
             assert combos.tolist() == [list(c) for c in itertools.combinations(range(n), r)]
+
+
+def line_bits(ls):
+    return [(ln.u.tobytes(), ln.v.tobytes()) for ln in ls.lines], ls.crossing_params
+
+
+def line_set_outcome(build, g, seed):
+    """A line set's exact bits, or the message and details of the error."""
+
+    try:
+        return line_bits(build(g, seed))
+    except ConstructionError as err:
+        return err.message, err.details
+
+
+def spread_checks(g, seed):
+    """(lines marked stale, culprit) of every spread check the line builder
+    makes, and the line set it returns."""
+
+    calls = []
+    real = relu_sampling._spread_culprit
+
+    def spy(coords, members, stale, dets, nearest):
+        calls.append((int(np.sum(stale)), real(coords, members, stale, dets, nearest)))
+        return calls[-1][1]
+
+    with mock.patch.object(relu_sampling, "_spread_culprit", spy):
+        return calls, build_feasible_lines(g, seed)
+
+
+# every (d, m) with d 2-6, m 1-7 whose C(md, d) subsets the from-scratch
+# oracle checks in well under a second
+LINE_SHAPES = [(d, m) for d in range(2, 7) for m in range(1, 8) if comb(m * d, d) <= 20_000]
+
+
+@pytest.mark.parametrize("d, m", LINE_SHAPES)
+def test_feasible_lines_are_bit_identical_to_the_from_scratch_check(d, m):
+    for seed in range(3):
+        g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+        assert (line_set_outcome(build_feasible_lines, g, seed)
+                == line_set_outcome(oracle_build_feasible_lines, g, seed))
+
+
+@pytest.mark.parametrize("d, m, seed", [(5, 4, 1), (4, 6, 0), (6, 3, 0)])
+def test_feasible_lines_recheck_only_the_subsets_of_a_redrawn_line(d, m, seed):
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    calls, ls = spread_checks(g, seed)
+    assert calls[0][0] == m * d                            # first pass: every line
+    redraws = [k for k, (_, culprit) in enumerate(calls) if culprit is not None]
+    assert len(redraws) >= 2
+    # after a spread redraw the next check recomputes only the redrawn line's subsets
+    assert any(calls[k + 1][0] == 1 for k in redraws)
+    assert line_bits(ls) == line_set_outcome(oracle_build_feasible_lines, g, seed)
+
+
+@pytest.mark.parametrize("d, m, seed, spread", [(3, 3, 1, 1e-2), (3, 5, 2, 3e-3),
+                                                (4, 3, 3, 3e-3), (5, 2, 4, 3e-3)])
+def test_feasible_lines_match_the_oracle_under_a_strict_spread_margin(d, m, seed, spread):
+    """A spread margin that many subsets miss, so lines are redrawn often and
+    each hyperplane's cache is updated many times."""
+
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", spread):
+        calls, ls = spread_checks(g, seed)
+        assert sum(culprit is not None for _, culprit in calls) >= 10
+        assert line_bits(ls) == line_set_outcome(oracle_build_feasible_lines, g, seed)
+
+
+@pytest.mark.parametrize("budget, spread, draw_cap, message", [
+    (25, 2.0, 50_000, "feasibility conditions could not be met within the retry budget"),
+    (1000, 0.3, 40, "line construction exhausted its retry budget; tolerances or the "
+                    "network geometry are pathological")])
+def test_feasible_lines_fail_as_the_oracle(budget, spread, draw_cap, message):
+    """|det| of unit rows is at most 1, so a margin of 2 exhausts the round
+    budget; a small draw cap stops the draws themselves."""
+
+    g = group(random_irreducible_relu(np.random.default_rng(5), 3, 3))
+    with mock.patch.multiple(relu_sampling, _RETRY_BUDGET=budget, _MIN_SPREAD_DET=spread,
+                             _TOTAL_DRAW_CAP=draw_cap):
+        outcome = line_set_outcome(build_feasible_lines, g, 5)
+        assert outcome == line_set_outcome(oracle_build_feasible_lines, g, 5)
+    assert outcome[0] == message
 
 
 def test_feasible_lines_cardinality_and_crossings():
