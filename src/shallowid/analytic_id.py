@@ -194,7 +194,7 @@ def exp_sum_expansion(a, b, s, s0: float,
     prods = subset_sums(np.exp(-b), np.multiply, 1.0)
     if np.any(np.abs(a) <= ZERO_TOL):
         raise InputError("all direction coefficients must be nonzero")
-    pairs = _duplicate_ridges(list(zip(a[:, None], b)), (1.0, -1.0), tol)
+    pairs = _duplicate_ridges(a[:, None], b, (1.0, -1.0), tol)
     if pairs:
         raise InputError("ridge pairs must be distinct and non-opposite", pair=pairs[0])
 

@@ -155,12 +155,35 @@ class Hyperplane:
                 and abs(self.b - other.b) <= tol.match_tol)
 
 
-def _first_significant_sign(a: np.ndarray) -> float:
-    thresh = ZERO_TOL * max(1.0, float(np.max(np.abs(a))))
-    for entry in a:
-        if abs(entry) > thresh:
-            return 1.0 if entry > 0 else -1.0
-    raise InputError("cannot orient the zero vector")
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of A, bit for bit the np.linalg.norm of the
+    row on its own (np.linalg.norm(A, axis=1) sums in another order)."""
+
+    A = np.ascontiguousarray(A)  # a strided row would take another BLAS kernel
+    return np.sqrt(np.vecdot(A, A))
+
+
+def _canonical_rows(A: np.ndarray, B: np.ndarray,
+                    norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """canonical_hyperplane of every row of (A, B), given the row norms:
+    the (n, d) unit directions, the (n,) offsets and the (n,) orientations."""
+
+    if (norms <= ZERO_TOL).any():
+        raise InputError("hyperplane direction is numerically zero")
+    # a row already unit within tolerance is not divided, so that
+    # canonicalization is exactly idempotent
+    scale = np.where(np.abs(norms - 1.0) <= ZERO_TOL, 1.0, norms)
+    U = A / scale[:, None]
+    beta = B / scale
+    # orient by the first entry above ZERO_TOL relative to the row's largest
+    mag = np.abs(U)
+    significant = mag > ZERO_TOL * np.maximum(mag.max(axis=1), 1.0)[:, None]
+    if not significant.any(axis=1).all():
+        raise InputError("cannot orient the zero vector")
+    sign = np.where(U[np.arange(len(U)), significant.argmax(axis=1)] > 0, 1.0, -1.0)
+    U *= sign[:, None]
+    beta *= sign
+    return U, beta, sign
 
 
 def canonical_hyperplane(a, b: float) -> tuple[Hyperplane, float]:
@@ -170,22 +193,19 @@ def canonical_hyperplane(a, b: float) -> tuple[Hyperplane, float]:
     positive multiple of the canonical representative and -1 otherwise.
     """
 
-    v = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm <= ZERO_TOL:
-        raise InputError("hyperplane direction is numerically zero")
-    if abs(norm - 1.0) <= ZERO_TOL:
-        # already unit within tolerance: skip the division so that
-        # canonicalization is exactly idempotent
-        u, beta = v.astype(float), float(b)
-    else:
-        u, beta = v / norm, float(b) / norm
-    sign = _first_significant_sign(u)
-    if sign < 0:
-        u, beta = -u, -beta
-    u = u.copy()
-    u.setflags(write=False)
-    return Hyperplane(u, beta), sign
+    A = np.array(a, dtype=float, ndmin=2)
+    U, beta, sign = _canonical_rows(A, np.array([float(b)]), _row_norms(A))
+    U.setflags(write=False)
+    return Hyperplane(U[0], float(beta[0])), float(sign[0])
+
+
+def _match_matrix(A1: np.ndarray, B1: np.ndarray, A2: np.ndarray, B2: np.ndarray,
+                  sign: float, tol: ToleranceConfig) -> np.ndarray:
+    """(n1, n2) booleans: row i of (A1, B1) equals sign times row j of
+    (A2, B2) within match_tol in every entry (Hyperplane.matches for sign 1)."""
+
+    return ((np.abs(A1[:, None, :] - sign * A2[None, :, :]).max(axis=2) <= tol.match_tol)
+            & (np.abs(B1[:, None] - sign * B2[None, :]) <= tol.match_tol))
 
 
 @dataclass(frozen=True)
@@ -221,21 +241,40 @@ class GroupedReLU:
         return make_net("relu", neurons, self.c, d=self.d)
 
 
-def _duplicate_ridges(rows, signs, tol: ToleranceConfig) -> list[list[int]]:
-    """Index pairs [k1, k2], k1 < k2, whose rows (a, b) satisfy
+def _duplicate_ridges(A: np.ndarray, B: np.ndarray, signs,
+                      tol: ToleranceConfig) -> list[list[int]]:
+    """Index pairs [k1, k2], k1 < k2, whose rows (A, B) satisfy
     (a1, b1) = sign * (a2, b2) within match_tol, once per matching sign in
-    ``signs``; None rows are skipped."""
+    ``signs``, ordered by (k1, k2, sign)."""
 
-    pairs = []
-    for k1, r1 in enumerate(rows):
-        for k2 in range(k1 + 1, len(rows)):
-            if r1 is None or rows[k2] is None:
-                continue
-            (a1, b1), (a2, b2) = r1, rows[k2]
-            pairs += [[k1, k2] for sign in signs
-                      if float(np.max(np.abs(a1 - sign * a2))) <= tol.match_tol
-                      and abs(b1 - sign * b2) <= tol.match_tol]
-    return pairs
+    hits = np.stack([_match_matrix(A, B, A, B, sign, tol) for sign in signs], axis=2)
+    hits &= np.triu(np.ones((len(B), len(B)), dtype=bool), 1)[:, :, None]
+    k1, k2, _ = np.nonzero(hits)
+    return [list(pair) for pair in zip(k1.tolist(), k2.tolist())]
+
+
+def _violations(net: ShallowNet, A: np.ndarray, norms: np.ndarray,
+                tol: ToleranceConfig) -> list[dict]:
+    """admissibility_violations, given the weight matrix and its row norms."""
+
+    relu = net.activation.kind == "relu"
+    zero = np.abs(net.scales()) * norms <= ZERO_TOL
+    violations: list[dict] = [
+        {"clause": "i", "neuron": k,
+         "reason": ("zero neuron" if not relu
+                    else "zero direction" if norms[k] <= ZERO_TOL else "zero scale")}
+        for k in np.flatnonzero(zero).tolist()]
+    if relu:  # a zero relu neuron has no ridge
+        keep = np.flatnonzero(~zero)
+        rows, offsets = A[keep] / norms[keep, None], net.biases()[keep] / norms[keep]
+    else:
+        keep = np.arange(net.m)
+        rows, offsets = A, net.biases()
+    reason = "positive-scale duplicate ridge" if relu else "sign-duplicate ridge"
+    violations += [{"clause": "ii", "neurons": keep[pair].tolist(), "reason": reason}
+                   for pair in _duplicate_ridges(rows, offsets,
+                                                 (1,) if relu else (1.0, -1.0), tol)]
+    return violations
 
 
 def admissibility_violations(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
@@ -248,22 +287,8 @@ def admissibility_violations(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL
     plus or minus another duplicates it, and admissible means irreducible.
     """
 
-    relu = net.activation.kind == "relu"
-    violations: list[dict] = []
-    rows = []
-    for k, n in enumerate(net.neurons):
-        norm = float(np.linalg.norm(n.a))
-        if abs(n.s) * norm <= ZERO_TOL:
-            reason = ("zero neuron" if not relu
-                      else "zero direction" if norm <= ZERO_TOL else "zero scale")
-            violations.append({"clause": "i", "neuron": k, "reason": reason})
-            rows.append(None if relu else (n.a, n.b))
-        else:
-            rows.append((n.a / norm, n.b / norm) if relu else (n.a, n.b))
-    reason = "positive-scale duplicate ridge" if relu else "sign-duplicate ridge"
-    violations += [{"clause": "ii", "neurons": pair, "reason": reason}
-                   for pair in _duplicate_ridges(rows, (1,) if relu else (1.0, -1.0), tol)]
-    return violations
+    A = net.weight_matrix()
+    return _violations(net, A, _row_norms(A), tol)
 
 
 def group(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> GroupedReLU:
@@ -276,10 +301,12 @@ def group(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> GroupedReLU:
 
     if net.activation.kind != "relu":
         raise InputError("admissibility grouping applies to relu networks only")
-    violations = admissibility_violations(net, tol)
+    A = net.weight_matrix()
+    norms = _row_norms(A)
+    violations = _violations(net, A, norms, tol)
     if not violations:
-        g = grouped_from_entries(((n.a, n.b, n.s * float(np.linalg.norm(n.a)))
-                                  for n in net.neurons), net.c, net.d, tol)
+        g, _ = _grouped(A, net.biases(), (net.scales() * norms).tolist(), norms,
+                        net.c, net.d, tol)
         if g.m == net.m:
             return g
         # two neurons met in one hyperplane/orientation slot and were merged
@@ -296,31 +323,50 @@ def grouped_from_entries(entries: Iterable[tuple[np.ndarray, float, float]],
     """Regroup raw oriented (a, b, coefficient) terms, merging coincident
     hyperplane/orientation slots and dropping coefficients below ZERO_TOL."""
 
-    buckets: list[dict] = []
-    for a, b, s in entries:
-        h, sign = canonical_hyperplane(a, b)
-        for bucket in buckets:
-            if h.matches(bucket["h"], tol):
-                break
-        else:
-            bucket = {"h": h, "plus": 0.0, "minus": 0.0}
-            buckets.append(bucket)
-        bucket["plus" if sign > 0 else "minus"] += s
+    entries = list(entries)
+    A = np.array([a for a, _, _ in entries], dtype=float).reshape(len(entries), d)
+    B = np.array([b for _, b, _ in entries], dtype=float)
+    return _grouped(A, B, [s for _, _, s in entries], _row_norms(A), c, d, tol)[0]
+
+
+def _grouped(A: np.ndarray, B: np.ndarray, S: list, norms: np.ndarray,
+             c: float, d: int, tol: ToleranceConfig) -> tuple[GroupedReLU, list[tuple]]:
+    """grouped_from_entries on the rows (A, B) with coefficients S, given the
+    row norms; also returns each term's (bucket, orientation) slot.
+
+    A term joins the first bucket, in creation order, whose representative
+    (the bucket's first term) has a matching canonical hyperplane, and the
+    coefficients are summed in term order."""
+
+    U, beta, signs = _canonical_rows(A, B, norms)
+    U.setflags(write=False)
+    reps: list[int] = []
+    slots = []
+    sums: list[dict] = []
+    for k, (row, sign, s) in enumerate(zip(_match_matrix(U, beta, U, beta, 1, tol).tolist(),
+                                           signs.tolist(), S)):
+        bucket = next((i for i, r in enumerate(reps) if row[r]), len(reps))
+        if bucket == len(reps):
+            reps.append(k)
+            sums.append({1.0: 0.0, -1.0: 0.0})
+        sums[bucket][sign] += s
+        slots.append((bucket, sign))
 
     k1 = []
     k2 = []
-    for bucket in buckets:
-        sp = bucket["plus"] if abs(bucket["plus"]) > ZERO_TOL else 0.0
-        sm = bucket["minus"] if abs(bucket["minus"]) > ZERO_TOL else 0.0
+    for r, bucket in zip(reps, sums):
+        h = Hyperplane(U[r], float(beta[r]))
+        sp = bucket[1.0] if abs(bucket[1.0]) > ZERO_TOL else 0.0
+        sm = bucket[-1.0] if abs(bucket[-1.0]) > ZERO_TOL else 0.0
         if sp and sm:
-            k1.append(PairedEntry(bucket["h"], sp, sm))
+            k1.append(PairedEntry(h, sp, sm))
         elif sp:
-            k2.append(Neuron(bucket["h"].a, bucket["h"].b, sp))
+            k2.append(Neuron(h.a, h.b, sp))
         elif sm:
-            a = -bucket["h"].a
+            a = -h.a
             a.setflags(write=False)
-            k2.append(Neuron(a, -bucket["h"].b, sm))
-    return GroupedReLU(tuple(k1), tuple(k2), float(c), d)
+            k2.append(Neuron(a, -h.b, sm))
+    return GroupedReLU(tuple(k1), tuple(k2), float(c), d), slots
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +439,10 @@ def test_equivalent(n1: ShallowNet, n2: ShallowNet,
         return None
 
     def ridges(net: ShallowNet) -> tuple[np.ndarray, list[float]]:
-        norms = [float(np.linalg.norm(n.a)) for n in net.neurons]
-        rows = np.column_stack([net.weight_matrix(), net.biases()])
-        return (rows / np.array(norms)[:, None] if relu else rows), norms
+        A = net.weight_matrix()
+        norms = _row_norms(A)
+        rows = np.column_stack([A, net.biases()])
+        return (rows / norms[:, None] if relu else rows), norms.tolist()
 
     rows1, norms1 = ridges(n1)
     rows2, norms2 = ridges(n2)

@@ -1,6 +1,7 @@
 """Shared generators, the brute-force reducibility, witness-search,
 orientation, exp-sum, plan-collinearity, hyperplane-recovery, line-feasibility,
-rank and equivalence oracles, the frame separating direction and the CLI runner."""
+rank, equivalence and pairwise grouping/admissibility oracles, the frame
+separating direction and the CLI runner."""
 
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ import shallowid
 from shallowid import (AdmissibilityError, ConstructionError, DegenerateFitError,
                        EquivalenceCertificate, ExpSumExpansion, HypothesisError,
                        InputError, RecoveryError, ReductionWitness, ShallowNet,
+                       GroupedReLU, Hyperplane, Neuron, PairedEntry,
                        admissibility_violations, affine_fit, canonical_hyperplane,
                        evaluate_many, group, make_net, rank, relu_sampling,
                        solve_least_squares)
-from shallowid.net_core import _duplicate_ridges, _first_significant_sign
+from shallowid.net_core import _duplicate_ridges
 from shallowid.relu_sampling import _point_line_distances
 from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
                                       _direction_of)
@@ -767,7 +769,7 @@ def separating_direction(frame, vectors, tol=DEFAULT_TOL) -> np.ndarray:
     m = vecs.shape[0]
     if m == 0:
         raise InputError("need at least one vector to separate")
-    pairs = _duplicate_ridges([(v, 0.0) for v in vecs], (1,), tol)
+    pairs = _duplicate_ridges(vecs, np.zeros(m), (1,), tol)
     if pairs:
         raise InputError("vectors must be pairwise distinct", pair=pairs[0])
     needed = comb(m, 2) * (frame.d - 1) + 1
@@ -926,3 +928,115 @@ def oracle_test_equivalent_analytic(n1: ShallowNet, n2: ShallowNet, tol=DEFAULT_
             return False
         unmatched.remove(hit)
     return True
+
+
+# ---------------------------------------------------------------------------
+# the pairwise loops that net_core's match matrices replaced
+# ---------------------------------------------------------------------------
+
+# Kept as they were, apart from the names: canonical_hyperplane,
+# _duplicate_ridges (which took a list of (a, b) rows, None for a skipped
+# row), admissibility_violations, group and grouped_from_entries.
+
+def _first_significant_sign(a: np.ndarray) -> float:
+    thresh = ZERO_TOL * max(1.0, float(np.max(np.abs(a))))
+    for entry in a:
+        if abs(entry) > thresh:
+            return 1.0 if entry > 0 else -1.0
+    raise InputError("cannot orient the zero vector")
+
+
+def oracle_canonical_hyperplane(a, b: float) -> tuple[Hyperplane, float]:
+    v = np.asarray(a, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if norm <= ZERO_TOL:
+        raise InputError("hyperplane direction is numerically zero")
+    if abs(norm - 1.0) <= ZERO_TOL:
+        # already unit within tolerance: skip the division so that
+        # canonicalization is exactly idempotent
+        u, beta = v.astype(float), float(b)
+    else:
+        u, beta = v / norm, float(b) / norm
+    sign = _first_significant_sign(u)
+    if sign < 0:
+        u, beta = -u, -beta
+    u = u.copy()
+    u.setflags(write=False)
+    return Hyperplane(u, beta), sign
+
+
+def oracle_duplicate_ridges(rows, signs, tol=DEFAULT_TOL) -> list[list[int]]:
+    pairs = []
+    for k1, r1 in enumerate(rows):
+        for k2 in range(k1 + 1, len(rows)):
+            if r1 is None or rows[k2] is None:
+                continue
+            (a1, b1), (a2, b2) = r1, rows[k2]
+            pairs += [[k1, k2] for sign in signs
+                      if float(np.max(np.abs(a1 - sign * a2))) <= tol.match_tol
+                      and abs(b1 - sign * b2) <= tol.match_tol]
+    return pairs
+
+
+def oracle_admissibility_violations(net: ShallowNet, tol=DEFAULT_TOL) -> list[dict]:
+    relu = net.activation.kind == "relu"
+    violations: list[dict] = []
+    rows = []
+    for k, n in enumerate(net.neurons):
+        norm = float(np.linalg.norm(n.a))
+        if abs(n.s) * norm <= ZERO_TOL:
+            reason = ("zero neuron" if not relu
+                      else "zero direction" if norm <= ZERO_TOL else "zero scale")
+            violations.append({"clause": "i", "neuron": k, "reason": reason})
+            rows.append(None if relu else (n.a, n.b))
+        else:
+            rows.append((n.a / norm, n.b / norm) if relu else (n.a, n.b))
+    reason = "positive-scale duplicate ridge" if relu else "sign-duplicate ridge"
+    violations += [{"clause": "ii", "neurons": pair, "reason": reason}
+                   for pair in oracle_duplicate_ridges(rows, (1,) if relu else (1.0, -1.0), tol)]
+    return violations
+
+
+def oracle_group(net: ShallowNet, tol=DEFAULT_TOL) -> GroupedReLU:
+    if net.activation.kind != "relu":
+        raise InputError("admissibility grouping applies to relu networks only")
+    violations = oracle_admissibility_violations(net, tol)
+    if not violations:
+        g = oracle_grouped_from_entries(((n.a, n.b, n.s * float(np.linalg.norm(n.a)))
+                                         for n in net.neurons), net.c, net.d, tol)
+        if g.m == net.m:
+            return g
+        # two neurons met in one hyperplane/orientation slot and were merged
+        violations = [{"clause": "ii", "reason": "positive-scale duplicate ridge"}]
+    v = violations[0]
+    raise AdmissibilityError(
+        f"network is not admissible: clause ({v['clause']}) {v['reason']}",
+        violations=violations)
+
+
+def oracle_grouped_from_entries(entries, c: float, d: int, tol=DEFAULT_TOL) -> GroupedReLU:
+    buckets: list[dict] = []
+    for a, b, s in entries:
+        h, sign = oracle_canonical_hyperplane(a, b)
+        for bucket in buckets:
+            if h.matches(bucket["h"], tol):
+                break
+        else:
+            bucket = {"h": h, "plus": 0.0, "minus": 0.0}
+            buckets.append(bucket)
+        bucket["plus" if sign > 0 else "minus"] += s
+
+    k1 = []
+    k2 = []
+    for bucket in buckets:
+        sp = bucket["plus"] if abs(bucket["plus"]) > ZERO_TOL else 0.0
+        sm = bucket["minus"] if abs(bucket["minus"]) > ZERO_TOL else 0.0
+        if sp and sm:
+            k1.append(PairedEntry(bucket["h"], sp, sm))
+        elif sp:
+            k2.append(Neuron(bucket["h"].a, bucket["h"].b, sp))
+        elif sm:
+            a = -bucket["h"].a
+            a.setflags(write=False)
+            k2.append(Neuron(a, -bucket["h"].b, sm))
+    return GroupedReLU(tuple(k1), tuple(k2), float(c), d)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import shallowid as si
 from shallowid import (AdmissibilityError, InputError, ParseError, deserialize,
                        evaluate, evaluate_many, group, make_net, serialize)
-from shallowid.net_core import (admissibility_violations, canonical_hyperplane,
-                                grouped_from_entries)
+from shallowid.net_core import (_duplicate_ridges, _row_norms, admissibility_violations,
+                                canonical_hyperplane, grouped_from_entries)
 from shallowid.tolerances import DEFAULT_TOL
 
-from helpers import (equivalent_analytic_variant, oracle_test_equivalent,
+from helpers import (equivalent_analytic_variant, oracle_admissibility_violations,
+                     oracle_canonical_hyperplane, oracle_duplicate_ridges, oracle_group,
+                     oracle_grouped_from_entries, oracle_test_equivalent,
                      oracle_test_equivalent_analytic, random_analytic_net,
                      random_irreducible_relu, random_structured_relu)
 
@@ -223,6 +225,131 @@ def test_serialize_round_trip_is_exact(neurons, c, kind):
     assert back.c == net.c and back.m == net.m
     for n1, n2 in zip(net.neurons, back.neurons):
         assert np.array_equal(n1.a, n2.a) and n1.b == n2.b and n1.s == n2.s
+
+
+# ---------------------------------------------------------------------------
+# the match matrices against the pairwise loops they replaced
+# ---------------------------------------------------------------------------
+
+TOL = DEFAULT_TOL.match_tol
+# a planted gap exactly at the tolerance, one ulp either side of it, inside
+# it, or none at all
+GAPS = [0.0, 0.5 * TOL, TOL, -TOL, np.nextafter(TOL, 0.0), np.nextafter(TOL, 1.0),
+        np.nextafter(-TOL, 0.0), np.nextafter(-TOL, -1.0), 2 * TOL]
+
+
+def _planted_rows(rng, m, d, unit, gaps, lams):
+    """m rows (a, b, s): fresh random or lattice rows, and copies lam * (a, b)
+    of an earlier row moved by one of ``gaps`` in b or in one entry of a; one
+    row in ten has a zero scale or a zero direction."""
+
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.6:
+            a0, b0, _ = rows[int(rng.integers(len(rows)))]
+            lam = float(rng.choice(lams))
+            a, b = lam * a0, lam * b0
+            gap = float(rng.choice(gaps))
+            if rng.random() < 0.5:
+                b = b + gap
+            else:
+                a = a.copy()
+                a[int(rng.integers(d))] += gap
+        elif rng.random() < 0.3:
+            # zero entries make a planted gap exact: |0 - gap| == gap
+            a = rng.choice([-1.0, 0.0, 0.0, 1.0], size=d)
+            b = float(rng.choice([-0.5, 0.0, 0.0, 0.5]))
+        else:
+            a = rng.normal(size=d)
+            if unit:
+                a /= np.linalg.norm(a)
+            b = float(rng.uniform(-1.0, 1.0))
+        roll = rng.random()
+        s = 0.0 if roll < 0.05 else float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+        rows.append((np.zeros(d) if 0.05 <= roll < 0.1 else a, float(b), s))
+    return rows
+
+
+def _grouped_bits(g):
+    return ([(p.h.a.tobytes(), p.h.b.hex(), float(p.s1).hex(), float(p.s2).hex()) for p in g.K1],
+            [(e.a.tobytes(), float(e.b).hex(), float(e.s).hex()) for e in g.K2], g.c.hex(), g.d)
+
+
+def _outcome(fn, *args):
+    """Bit-exact result of fn, or the type, message and details of its error."""
+
+    try:
+        return _grouped_bits(fn(*args))
+    except (AdmissibilityError, InputError) as err:
+        return type(err).__name__, err.message, err.details
+
+
+_planted = dict(seed=st.integers(min_value=0, max_value=2**32 - 1),
+                m=st.integers(min_value=0, max_value=7), d=st.integers(min_value=1, max_value=4),
+                unit=st.booleans(), gaps=st.lists(st.sampled_from(GAPS), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(0, 30), st.integers(1, 12)),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), strided=st.booleans())
+def test_row_norms_are_the_per_row_norms_bit_for_bit(shape, scale, seed, strided):
+    A = np.random.default_rng(seed).normal(size=(shape[0], 2 * shape[1])) * scale
+    A = A[:, ::2] if strided else A[:, :shape[1]]
+    assert _row_norms(A).tobytes() == np.array([np.linalg.norm(r) for r in A]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(signs=st.sampled_from([(1,), (1.0, -1.0)]), **_planted)
+def test_duplicate_ridges_match_the_pairwise_loop(signs, seed, m, d, unit, gaps):
+    rng = np.random.default_rng(seed)
+    rows = _planted_rows(rng, m, d, unit, gaps, [1.0, -1.0, 2.0])
+    skipped = rng.random(m) < 0.2
+    keep = np.flatnonzero(~skipped)
+    A = np.array([a for a, _, _ in rows]).reshape(m, d)[keep]
+    B = np.array([b for _, b, _ in rows])[keep]
+    pairs = [keep[pair].tolist() for pair in _duplicate_ridges(A, B, signs, DEFAULT_TOL)]
+    oracle = oracle_duplicate_ridges([None if skip else (a, b) for (a, b, _), skip
+                                      in zip(rows, skipped)], signs)
+    assert pairs == oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["relu", "relu", "sigmoid", "tanh"]), **_planted)
+def test_admissibility_and_group_match_the_pairwise_loops(kind, seed, m, d, unit, gaps):
+    rng = np.random.default_rng(seed)
+    # a positive multiple duplicates a relu ridge, a negative one pairs it
+    rows = _planted_rows(rng, m, d, unit, gaps, [1.0, -1.0, 0.5, -2.0])
+    net = make_net(kind, rows, float(rng.uniform(-1.0, 1.0)), d=d)
+    assert admissibility_violations(net) == oracle_admissibility_violations(net)
+    if kind == "relu":
+        assert _outcome(group, net) == _outcome(oracle_group, net)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_planted)
+def test_grouped_from_entries_matches_the_bucket_loop(seed, m, d, unit, gaps):
+    # raw terms: scales of any size, coincident slots that merge, and a zero
+    # direction, which neither can orient
+    rng = np.random.default_rng(seed)
+    rows = _planted_rows(rng, m, d, unit, gaps, [1.0, -1.0, 0.5, -2.0])
+    c = float(rng.uniform(-1.0, 1.0))
+    assert (_outcome(grouped_from_entries, rows, c, d)
+            == _outcome(oracle_grouped_from_entries, rows, c, d))
+    for a, b, _ in rows:
+        try:
+            h, sign = canonical_hyperplane(a, b)
+        except InputError as err:
+            with pytest.raises(InputError, match=err.message):
+                oracle_canonical_hyperplane(a, b)
+            continue
+        ref, ref_sign = oracle_canonical_hyperplane(a, b)
+        assert (h.a.tobytes(), h.b.hex(), sign) == (ref.a.tobytes(), ref.b.hex(), ref_sign)
+
+
+def test_grouped_from_entries_rejects_a_zero_direction():
+    with pytest.raises(InputError, match="numerically zero"):
+        grouped_from_entries([((1.0, 0.0), 0.0, 1.0), ((0.0, 0.0), 1.0, 1.0)], 0.0, 2)
 
 
 # ---------------------------------------------------------------------------
