@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, InputError
-from .net_core import ShallowNet, canonical_hyperplane, evaluate_many, make_net
+from .net_core import (ShallowNet, _canonical_rows, _match_matrix, _row_norms, evaluate_many,
+                       make_net)
 from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 _RETRY_BUDGET = 1000
@@ -42,15 +43,12 @@ class AdversarialPair:
     params: AdversaryParams
 
 
-def _distinct_from(a: np.ndarray, b: float,
-                   taken: list[tuple[np.ndarray, float]],
-                   tol: ToleranceConfig) -> bool:
-    h, _ = canonical_hyperplane(a, b)
-    for a2, b2 in taken:
-        h2, _ = canonical_hyperplane(a2, b2)
-        if h.matches(h2, tol):
-            return False
-    return True
+def _canonical(rows: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical unit directions and offsets of the hyperplanes <a, x> + b = 0."""
+
+    A = np.array([a for a, _ in rows])
+    U, beta, _ = _canonical_rows(A, np.array([b for _, b in rows]), _row_norms(A))
+    return U, beta
 
 
 def build_pair(points, m: int, seed: int,
@@ -97,6 +95,7 @@ def build_pair(points, m: int, seed: int,
 
         special = [(w + eps * n, b), (w - eps * n, b),
                    (w + eps_prime * n, b), (w - eps_prime * n, b)]
+        taken = _canonical(special)
         extras: list[tuple[np.ndarray, float]] = []
         ok = True
         for _ in range(m - 2):
@@ -107,8 +106,10 @@ def build_pair(points, m: int, seed: int,
                     continue
                 a = a / an
                 bk = float(rng.uniform(-1.0, 1.0))
-                if _distinct_from(a, bk, special + extras, tol):
+                new = _canonical([(a, bk)])
+                if not np.any(_match_matrix(*new, *taken, 1, tol)):
                     extras.append((a, bk))
+                    taken = (np.vstack([taken[0], new[0]]), np.append(taken[1], new[1]))
                     break
             else:
                 ok = False

@@ -68,3 +68,22 @@ def test_pair_json_contains_both_nets_and_parameters():
     assert set(obj) == {"net1", "net2", "witness", "params"}
     assert len(obj["params"]["extra_neurons"]) == 0
     assert obj["params"]["eps"] < obj["params"]["eps_prime"]
+
+
+def test_extra_neurons_avoid_every_earlier_hyperplane():
+    # a coarse match_tol makes the construction redraw about three extras
+    # for every one it keeps
+    from shallowid.tolerances import ToleranceConfig
+    from helpers import oracle_canonical_hyperplane
+
+    tol = ToleranceConfig(match_tol=0.8)
+    rng = np.random.default_rng(12)
+    for seed in range(5):
+        pts = rng.uniform(-2.0, 2.0, size=(30, 3))
+        p = build_pair(pts, m=6, seed=seed, tol=tol).params
+        taken = [oracle_canonical_hyperplane(p.w + sign * eps * p.n, p.b)[0]
+                 for eps in (p.eps, p.eps_prime) for sign in (1.0, -1.0)]
+        for a, b in p.extra_neurons:
+            h, _ = oracle_canonical_hyperplane(a, b)
+            assert not any(h.matches(other, tol) for other in taken)
+            taken.append(h)
