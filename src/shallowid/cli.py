@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from . import analytic_id, net_core, relu_adversary, relu_sampling, relu_structure, schema
-from .errors import InputError, ParseError, ToolkitError
+from .errors import AdmissibilityError, InputError, ParseError, ToolkitError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -62,8 +62,12 @@ def _tol_from_args(args) -> ToleranceConfig:
 
 def _cmd_check(args, tol) -> int:
     net = _read_net(args.net)
-    violations = net_core.admissibility_violations(net, tol)
     relu = net.activation.kind == "relu"
+    violations = [] if relu else net_core.admissibility_violations(net, tol)
+    try:  # group() is the relu admissibility check, merged neurons included
+        g = net_core.group(net, tol) if relu else None
+    except AdmissibilityError as err:
+        violations = err.details["violations"]
     if violations:
         # dropping a zero neuron or merging a duplicate ridge reduces m
         reason = violations[0]["reason"]
@@ -71,7 +75,7 @@ def _cmd_check(args, tol) -> int:
               else f"reducible ({net.m} neurons): {reason}")
         return 0
     # for sigmoid and tanh, admissible means irreducible
-    witness = relu_structure.test_reducible(net_core.group(net, tol), tol) if relu else None
+    witness = relu_structure.test_reducible(g, tol) if relu else None
     if witness is None:
         print(f"irreducible ({net.m} neurons)")
     else:

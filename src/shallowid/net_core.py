@@ -305,12 +305,20 @@ def group(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> GroupedReLU:
     norms = _row_norms(A)
     violations = _violations(net, A, norms, tol)
     if not violations:
-        g, _ = _grouped(A, net.biases(), (net.scales() * norms).tolist(), norms,
-                        net.c, net.d, tol)
-        if g.m == net.m:
+        g, slots = _grouped(A, net.biases(), (net.scales() * norms).tolist(), norms,
+                            net.c, net.d, tol)
+        first: dict[tuple, int] = {}
+        for k, slot in enumerate(slots):
+            if slot in first:
+                # two neurons met in one hyperplane/orientation slot, which
+                # the unit-row check can miss: a canonical row is not divided
+                # at unit norm, and a bucket takes what its first term matches
+                violations = [{"clause": "ii", "neurons": [first[slot], k],
+                               "reason": "positive-scale duplicate ridge"}]
+                break
+            first[slot] = k
+        else:
             return g
-        # two neurons met in one hyperplane/orientation slot and were merged
-        violations = [{"clause": "ii", "reason": "positive-scale duplicate ridge"}]
     v = violations[0]
     raise AdmissibilityError(
         f"network is not admissible: clause ({v['clause']}) {v['reason']}",

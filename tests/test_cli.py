@@ -37,6 +37,22 @@ def test_check_reports_reducible(tmp_path):
     assert proc.returncode == 0 and "reducible" in proc.stdout
 
 
+def test_check_reports_a_duplicate_that_only_grouping_sees(tmp_path):
+    # the unit rows' biases differ by just over match_tol, the canonical
+    # hyperplanes' (the first row is not divided at unit norm) by just under
+    path = tmp_path / "tie.json"
+    path.write_text('{"activation":"relu","d":2,"neurons":['
+                    '{"a":[1.0000000000005,0],"b":1.0000000000005,"s":1},'
+                    '{"a":[1,0],"b":1.0000000100003,"s":1}],"c":0}')
+    proc = run_cli("check", "--net", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "reducible (2 neurons, not admissible: positive-scale duplicate ridge)\n"
+    proc = run_cli("reduce", "--net", str(path), "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"]["details"]["violations"] == [
+        {"clause": "ii", "neurons": [0, 1], "reason": "positive-scale duplicate ridge"}]
+
+
 def test_missing_file_is_parse_error_exit_3(tmp_path):
     proc = run_cli("check", "--net", str(tmp_path / "nope.json"))
     assert proc.returncode == 3

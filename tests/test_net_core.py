@@ -127,8 +127,10 @@ def test_group_rejects_duplicate_that_only_canonical_matching_sees():
     gap = DEFAULT_TOL.match_tol * (1 - 5e-14)
     net = make_net("relu", [((1.0, 0.0), 0.0, 1.0), ((1.0 - 1e-13, 0.0), gap, 1.0)], 0.0)
     assert admissibility_violations(net) == []
-    with pytest.raises(AdmissibilityError, match=r"clause \(ii\)"):
+    with pytest.raises(AdmissibilityError, match=r"clause \(ii\)") as err:
         group(net)
+    assert err.value.details["violations"] == [
+        {"clause": "ii", "neurons": [0, 1], "reason": "positive-scale duplicate ridge"}]
 
 
 @pytest.mark.parametrize("kind, second, reason", [
@@ -323,7 +325,16 @@ def test_admissibility_and_group_match_the_pairwise_loops(kind, seed, m, d, unit
     net = make_net(kind, rows, float(rng.uniform(-1.0, 1.0)), d=d)
     assert admissibility_violations(net) == oracle_admissibility_violations(net)
     if kind == "relu":
-        assert _outcome(group, net) == _outcome(oracle_group, net)
+        got, ref = _outcome(group, net), _outcome(oracle_group, net)
+        merged = {"clause": "ii", "reason": "positive-scale duplicate ridge"}
+        if ref[0] == "AdmissibilityError" and ref[2]["violations"] == [merged]:
+            # the loop named no neurons when two met in one slot; group names
+            # the two, which share an orientation
+            k1, k2 = got[2]["violations"][0].pop("neurons")
+            assert 0 <= k1 < k2 < m
+            assert (oracle_canonical_hyperplane(*rows[k1][:2])[1]
+                    == oracle_canonical_hyperplane(*rows[k2][:2])[1])
+        assert got == ref
 
 
 @settings(max_examples=300, deadline=None)
