@@ -247,9 +247,11 @@ def _duplicate_ridges(A: np.ndarray, B: np.ndarray, signs,
     (a1, b1) = sign * (a2, b2) within match_tol, once per matching sign in
     ``signs``, ordered by (k1, k2, sign)."""
 
-    hits = np.stack([_match_matrix(A, B, A, B, sign, tol) for sign in signs], axis=2)
-    hits &= np.triu(np.ones((len(B), len(B)), dtype=bool), 1)[:, :, None]
-    k1, k2, _ = np.nonzero(hits)
+    if len(B) < 2:
+        return []
+    upper = np.arange(len(B))[:, None] < np.arange(len(B))
+    k1, k2, _ = np.nonzero(np.stack([_match_matrix(A, B, A, B, sign, tol) & upper
+                                     for sign in signs], axis=2))
     return [list(pair) for pair in zip(k1.tolist(), k2.tolist())]
 
 

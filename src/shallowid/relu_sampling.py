@@ -17,7 +17,7 @@ import numpy as np
 from . import schema
 from .errors import (ConstructionError, DegenerateFitError, InputError, ParseError,
                      ReconstructionError, RecoveryError, SizeError)
-from .net_core import (GroupedReLU, Hyperplane, ShallowNet, canonical_hyperplane,
+from .net_core import (GroupedReLU, Hyperplane, ShallowNet, _canonical_rows, _row_norms,
                        evaluate_many, make_net)
 from .numerics import SUBSET_CAP, affine_fit, rank, solve_least_squares, subset_sums
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -80,7 +80,10 @@ def _distinct_hyperplanes(g: GroupedReLU) -> list[Hyperplane]:
         raise InputError(
             "sampling requires a network whose hyperplanes are mutually "
             "distinct (no opposite-orientation pairs)")
-    return [canonical_hyperplane(e.a, e.b)[0] for e in g.K2]
+    A = np.array([e.a for e in g.K2]).reshape(len(g.K2), g.d)
+    U, beta, _ = _canonical_rows(A, np.array([e.b for e in g.K2]), _row_norms(A))
+    U.setflags(write=False)
+    return [Hyperplane(u, b) for u, b in zip(U, beta.tolist())]
 
 
 def _line_crossings(line: Line, hyperplanes: list[Hyperplane]) -> np.ndarray | None:
