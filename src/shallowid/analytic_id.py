@@ -162,7 +162,10 @@ class ExpSumExpansion:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         alphas = np.asarray(self.exponents)
         coeffs = np.asarray(self.coefficients)
-        return np.exp(-np.outer(xs, alphas)) @ coeffs
+        terms = np.multiply.outer(xs, alphas)    # one (len(xs), 2^n) buffer throughout
+        np.negative(terms, out=terms)
+        np.exp(terms, out=terms)
+        return terms @ coeffs
 
 
 def cleared_form_value(a, b, s, s0: float, x) -> np.ndarray:

@@ -34,6 +34,7 @@ _RETRY_BUDGET = 1000         # per failure site
 _TOTAL_DRAW_CAP = 50_000
 _CANDIDATE_BUDGET = 200_000    # seed tuples fitted by recover_hyperplanes
 _CHUNK_FLOATS = 2 ** 18        # largest batched temporary in recover_hyperplanes
+_BLOCK_ENTRIES = 2 ** 14       # (anchor, point) pairs per block of the collinearity filter
 
 
 @dataclass(frozen=True)
@@ -263,16 +264,28 @@ def _collinearity_ok(points: np.ndarray, lines: tuple[Line, ...],
     line.  A sort over directions proposes a superset of the failing pairs
     and `_third_point_near` re-checks only those, with the arithmetic of the
     full check, so the decision is the same in O(n^2 log n) time, not O(n^3).
+    The filter takes the anchors in blocks of about _BLOCK_ENTRIES (anchor,
+    point) entries, so it holds O(block) floats beside the (n, n) exemptions.
 
     Superset: 16 (d+2) eps R^2 (R = 1 + max |p|) bounds the rounding error of
     the Gram identity to first order, so a third point it counts lies truly
     within tau/2 = sqrt(ctol^2 + 16 (d+2) eps R^2) of the pair's line.  From
-    the anchor, its unit direction (at distance rho) and the partner's then
+    the anchor, its unit direction u (at distance rho) and the partner's then
     differ, up to sign, by a chord of at most sqrt(2) (tau/2) / rho; each
-    direction is paired with all others within a chord of 2 tau / rho, which
-    also covers the rounding of the sort keys.  Directions are folded onto
-    <g, u> >= 0, with a flipped copy near the fold.  A window reaches 1 only
-    for two points within 2 tau; then every non-exempt pair is re-checked.
+    direction is paired with all non-exempt others within a chord of
+    2 tau / rho.  Directions are folded onto <g, u> >= 0, with a flipped copy
+    of each one within its own window of the fold, and sorted by <h, u> plus
+    4 per anchor of the block, so that anchors never share a window.  Fold
+    and key are the points' projections onto g and h, differenced and divided
+    by rho: with the offset they round by at most (4d + 8) eps R / rho +
+    4 _BLOCK_ENTRIES eps, and the expanded pairs' unit vectors by (d + 3) eps.
+    The window leaves a slack of (2 - sqrt(2)/2) tau / rho >= 10 sqrt((d+2)
+    eps) R / rho, 10^4 times any of these, so it still holds a copy of the
+    partner.  Only non-exempt entries are sorted, and one searches only when
+    its sorted neighbour on some side lies in its window: a window holding a
+    non-exempt entry holds the adjacent one on that side.  Exempt entries
+    always search.  A window reaches 1 only for two points within 2 tau;
+    then every non-exempt pair is re-checked.
     """
 
     n, d = points.shape
@@ -283,38 +296,74 @@ def _collinearity_ok(points: np.ndarray, lines: tuple[Line, ...],
     candidate = member @ member.T == 0.0          # pairs sharing no plan line
     radius = 1.0 + float(np.max(np.linalg.norm(points, axis=1)))
     tau = 2.0 * np.sqrt(ctol * ctol + 16 * (d + 2) * np.finfo(float).eps * radius ** 2)
-    unit = points[None, :, :] - points[:, None, :]            # p_k - p_a at [a, k]
-    rho = np.sqrt(np.einsum("abd,abd->ab", unit, unit))
-    np.fill_diagonal(rho, np.inf)             # zero direction, empty window
-    if float(np.min(rho)) > 2.0 * tau:
-        unit = (unit / rho[:, :, None]).reshape(n * n, d)
-        width = (2.0 * tau / rho).ravel()
-        g, h = np.sqrt(np.arange(2.0, d + 2.0)), np.cos(np.arange(d))  # fixed, generic
-        h -= (h @ g) / (g @ g) * g
-        g, h = g / np.linalg.norm(g), h / np.linalg.norm(h)
-        fold = unit @ g
-        unit *= np.where(fold < 0.0, -1.0, 1.0)[:, None]
-        seam = np.flatnonzero(np.abs(fold) < width)
-        origin = np.concatenate([np.arange(n * n), seam])   # flat (anchor, point)
-        unit = np.concatenate([unit, -unit[seam]])
-        width = width[origin]
-        key = unit @ h + 4.0 * (origin // n)     # keys of one anchor stay apart
-        order = np.argsort(key)
-        key, sorted_width = key[order], width[order]
-        lo = np.searchsorted(key, key - sorted_width)
-        count = np.searchsorted(key, key + sorted_width, side="right") - lo - 1
-        src = np.repeat(np.arange(key.size), count)
-        dst = lo[src] + np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
-        dst += dst >= src                         # skip the entry itself
-        src, dst = order[src], order[dst]
-        keep = candidate.ravel()[origin[dst]]     # propose non-exempt partners only
-        src, dst = src[keep], dst[keep]
-        near = np.linalg.norm(unit[src] - unit[dst], axis=1) <= width[src]
-        hit = np.zeros(n * n, dtype=bool)
-        hit[origin[dst[near]]] = True
-        candidate &= hit.reshape(n, n)
-    check_i, check_k = np.nonzero(np.triu(candidate, 1))
+    g, h = np.sqrt(np.arange(2.0, d + 2.0)), np.cos(np.arange(d))  # fixed, generic
+    h -= (h @ g) / (g @ g) * g
+    g, h = g / np.linalg.norm(g), h / np.linalg.norm(h)
+    along = np.stack([points @ g, points @ h])
+    found = []
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for first in range(0, n, rows):
+        hits = _window_hits(points, np.arange(first, min(first + rows, n)), candidate,
+                            along, tau)
+        if hits is None:
+            check_i, check_k = np.nonzero(np.triu(candidate, 1))
+            break
+        found.append(hits)
+    else:
+        flat = np.sort(np.concatenate(found))   # not np.unique, which imports numpy.ma
+        check_i, check_k = np.divmod(flat[np.diff(flat, prepend=-1) > 0], n)
+        upper = check_i < check_k
+        check_i, check_k = check_i[upper], check_k[upper]
     return not _third_point_near(points, check_i, check_k, ctol)
+
+
+def _window_hits(points: np.ndarray, anchors: np.ndarray, candidate: np.ndarray,
+                 along: np.ndarray, tau: float) -> np.ndarray | None:
+    """The filter of `_collinearity_ok` for one block of consecutive anchors:
+    flat indices a * n + k of the non-exempt pairs (a, k) whose direction
+    from a lies, up to sign, in the window of another direction from a; None
+    when two points lie within 2 tau.  ``along`` holds the points'
+    projections onto g and h."""
+
+    n, first = points.shape[0], int(anchors[0])
+    rho, step = np.zeros((2, anchors.size, n))   # |p_k - p_a| at [a - first, k]
+    for x in points.T:
+        np.subtract(x[None, :], x[anchors, None], out=step)
+        step *= step
+        rho += step
+    np.sqrt(rho, out=rho)
+    rho[anchors - first, anchors] = np.inf   # zero direction, empty window
+    if float(np.min(rho)) <= 2.0 * tau:
+        return None
+    width = 2.0 * tau / rho
+    fold = (along[0][None, :] - along[0][anchors, None]) / rho
+    sign = np.where(fold < 0.0, -1.0, 1.0)
+    key = sign * (along[1][None, :] - along[1][anchors, None]) / rho
+    seam = np.flatnonzero(np.abs(fold) < width)
+    origin = np.concatenate([np.arange(rho.size), seam])   # flat (a - first, point)
+    sign = np.concatenate([sign.ravel(), -sign.ravel()[seam]])
+    key = np.concatenate([(key + 4.0 * np.arange(anchors.size)[:, None]).ravel(),
+                          4.0 * (seam // n) - key.ravel()[seam]])   # anchors stay apart
+    width = width.ravel()[origin]
+    free = candidate[anchors].ravel()[origin]   # entries that may be proposed
+    entry = np.flatnonzero(free)
+    entry = entry[np.argsort(key[entry])]
+    free_key, free_width = key[entry], width[entry]
+    below, above = free_key - free_width, free_key + free_width
+    active = np.zeros(entry.size, dtype=bool)
+    active[1:] = free_key[:-1] >= below[1:]
+    active[:-1] |= free_key[1:] <= above[:-1]
+    src = np.concatenate([entry[active], np.flatnonzero(~free)])
+    lo = np.searchsorted(free_key, key[src] - width[src])
+    count = np.searchsorted(free_key, key[src] + width[src], side="right") - lo
+    src = np.repeat(src, count)
+    dst = entry[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(src.size)]
+    ends = np.stack([src[dst != src], dst[dst != src]])
+    pair = origin[ends]
+    unit = ((points[pair % n] - points[first + pair // n])
+            / rho.ravel()[pair][..., None] * sign[ends][..., None])
+    near = np.linalg.norm(unit[0] - unit[1], axis=1) <= width[ends[0]]
+    return first * n + pair[1, near]
 
 
 def build_sample_plan(g: GroupedReLU, ls: FeasibleLineSet, seed: int,

@@ -511,6 +511,55 @@ def oracle_collinearity_ok(points, lines, tol=DEFAULT_TOL) -> bool:
     return True
 
 
+# The sorted-direction filter that relu_sampling._collinearity_ok used before
+# it worked one block of anchors at a time: (n, n, d) unit directions, one
+# sort of all n^2 keys and a window search from every entry.
+def oracle_collinear_candidates(points, lines, tol=DEFAULT_TOL):
+    """The non-exempt pairs (check_i < check_k) that the filter proposes for
+    the exact re-check, and the re-check's tolerance ctol."""
+
+    n, d = points.shape
+    scale = 1.0 + float(np.max(np.abs(points)))
+    ctol = tol.match_tol * scale
+    member = np.stack([_point_line_distances(points, ln) <= ctol for ln in lines],
+                      axis=1).astype(float)
+    candidate = member @ member.T == 0.0          # pairs sharing no plan line
+    radius = 1.0 + float(np.max(np.linalg.norm(points, axis=1)))
+    tau = 2.0 * np.sqrt(ctol * ctol + 16 * (d + 2) * np.finfo(float).eps * radius ** 2)
+    unit = points[None, :, :] - points[:, None, :]            # p_k - p_a at [a, k]
+    rho = np.sqrt(np.einsum("abd,abd->ab", unit, unit))
+    np.fill_diagonal(rho, np.inf)             # zero direction, empty window
+    if float(np.min(rho)) > 2.0 * tau:
+        unit = (unit / rho[:, :, None]).reshape(n * n, d)
+        width = (2.0 * tau / rho).ravel()
+        g, h = np.sqrt(np.arange(2.0, d + 2.0)), np.cos(np.arange(d))  # fixed, generic
+        h -= (h @ g) / (g @ g) * g
+        g, h = g / np.linalg.norm(g), h / np.linalg.norm(h)
+        fold = unit @ g
+        unit *= np.where(fold < 0.0, -1.0, 1.0)[:, None]
+        seam = np.flatnonzero(np.abs(fold) < width)
+        origin = np.concatenate([np.arange(n * n), seam])   # flat (anchor, point)
+        unit = np.concatenate([unit, -unit[seam]])
+        width = width[origin]
+        key = unit @ h + 4.0 * (origin // n)     # keys of one anchor stay apart
+        order = np.argsort(key)
+        key, sorted_width = key[order], width[order]
+        lo = np.searchsorted(key, key - sorted_width)
+        count = np.searchsorted(key, key + sorted_width, side="right") - lo - 1
+        src = np.repeat(np.arange(key.size), count)
+        dst = lo[src] + np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
+        dst += dst >= src                         # skip the entry itself
+        src, dst = order[src], order[dst]
+        keep = candidate.ravel()[origin[dst]]     # propose non-exempt partners only
+        src, dst = src[keep], dst[keep]
+        near = np.linalg.norm(unit[src] - unit[dst], axis=1) <= width[src]
+        hit = np.zeros(n * n, dtype=bool)
+        hit[origin[dst[near]]] = True
+        candidate &= hit.reshape(n, n)
+    check_i, check_k = np.nonzero(np.triu(candidate, 1))
+    return check_i, check_k, ctol
+
+
 # ---------------------------------------------------------------------------
 # per-candidate hyperplane-recovery oracle
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
                                      plan_to_json_obj, samples_from_json_obj,
                                      samples_to_json_obj)
 
-from helpers import (oracle_build_feasible_lines, oracle_collinearity_ok, oracle_orientation,
-                     oracle_recover_hyperplanes, random_irreducible_relu)
+from helpers import (oracle_build_feasible_lines, oracle_collinear_candidates,
+                     oracle_collinearity_ok, oracle_orientation, oracle_recover_hyperplanes,
+                     random_irreducible_relu)
 
 
 def cross_net():
@@ -227,21 +228,46 @@ def non_exempt_pair_count(points, lines, tol):
     return int(np.sum(np.triu(member @ member.T == 0, 1)))
 
 
+def proposals(points, lines, tol, check=relu_sampling._collinearity_ok):
+    """The decision of `_collinearity_ok` and the pairs its filter sends to
+    the exact re-check."""
+
+    with mock.patch.object(relu_sampling, "_third_point_near",
+                           wraps=relu_sampling._third_point_near) as spy:
+        ok = check(points, lines, tol)
+    check_i, check_k = spy.call_args.args[1:3]
+    return ok, set(zip(check_i.tolist(), check_k.tolist()))
+
+
+def flagged_missed_pairs(points, lines, tol, proposed):
+    """The pairs that the unblocked filter proposes, the blocked one does
+    not, and the exact re-check flags."""
+
+    old_i, old_k, ctol = oracle_collinear_candidates(points, lines, tol)
+    missed = [(i, k) for i, k in zip(old_i.tolist(), old_k.tolist()) if (i, k) not in proposed]
+    return [(i, k) for i, k in missed
+            if relu_sampling._third_point_near(points, np.array([i]), np.array([k]), ctol)]
+
+
 @pytest.mark.parametrize("d, m, seed", COLLINEARITY_CORPUS)
 def test_collinearity_check_decides_as_the_oracle_on_seeded_draws(monkeypatch, d, m, seed):
     """Both checks judge each jitter draw of a plan build, up to the first
-    CORPUS_DRAWS draws; the build goes on with the new check's verdict."""
+    CORPUS_DRAWS draws, at the default and the wide tolerance; the build goes
+    on with the new check's verdict at the default one.  Every pair that the
+    unblocked filter proposes and the re-check flags is proposed too."""
 
     g, ls = seeded_line_set(d, m, seed)
     check = relu_sampling._collinearity_ok
     decisions = []
 
     def both(points, lines, tol):
-        ok = check(points, lines, tol)
-        decisions.append((ok, oracle_collinearity_ok(points, lines, tol)))
-        if len(decisions) == CORPUS_DRAWS:
+        for each in (tol, WIDE_TOL):
+            ok, proposed = proposals(points, lines, each, check)
+            assert not flagged_missed_pairs(points, lines, each, proposed)
+            decisions.append((ok, oracle_collinearity_ok(points, lines, each)))
+        if len(decisions) == 2 * CORPUS_DRAWS:
             raise EnoughDraws
-        return ok
+        return decisions[-2][0]
 
     monkeypatch.setattr(relu_sampling, "_collinearity_ok", both)
     try:
@@ -250,10 +276,12 @@ def test_collinearity_check_decides_as_the_oracle_on_seeded_draws(monkeypatch, d
         pass
     assert all(new == old for new, old in decisions), decisions
     if d == 2 and m >= 8:
-        assert not all(old for _, old in decisions)  # rejected draws are covered
+        assert not all(old for _, old in decisions[::2])  # rejected draws are covered
 
 
-@pytest.mark.parametrize("d, m, seed", [(2, 6, 4), (2, 7, 3), (3, 5, 3), (4, 4, 4)])
+# d=2, m=8 with seed 6 rejects its first two jitter draws
+@pytest.mark.parametrize("d, m, seed", [(2, 6, 4), (2, 7, 3), (2, 8, 6), (3, 5, 3), (3, 7, 1),
+                                         (3, 8, 2), (4, 4, 4)])
 def test_sample_plan_is_bit_identical_under_the_oracle(monkeypatch, d, m, seed):
     g, ls = seeded_line_set(d, m, seed)
     plan = build_sample_plan(g, ls, seed=seed)
@@ -392,6 +420,95 @@ def test_collinearity_check_finds_a_triple_straddling_the_fold(d):
     far_line = (Line(np.full(d, 5.0), np.eye(d)[1]),)
     assert not oracle_collinearity_ok(points, far_line, WIDE_TOL)
     assert not relu_sampling._collinearity_ok(points, far_line, WIDE_TOL)
+
+
+@functools.lru_cache(maxsize=None)
+def blocked_plan():
+    """A d=3, m=6 plan of 252 points, 14 to a line: with one or two planted
+    points the filter works through four blocks of anchors, and the last one
+    is partial."""
+
+    g, ls = seeded_line_set(3, 6, 1)
+    return build_sample_plan(g, ls, seed=1)
+
+
+def last_block_start(n):
+    rows = relu_sampling._BLOCK_ENTRIES // n
+    assert n > 2 * rows                  # more than two blocks
+    return (n - 1) // rows * rows
+
+
+def planted_check(planted, tol=WIDE_TOL):
+    """The blocked plan with the planted points appended: the check's
+    decision (which must be the oracle's) and the pairs it re-checked."""
+
+    plan = blocked_plan()
+    points = np.concatenate([plan.points, planted])
+    ok, proposed = proposals(points, plan.lines, tol)
+    assert ok == oracle_collinearity_ok(points, plan.lines, tol)
+    return ok, proposed, points
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_collinearity_check_finds_a_triple_in_the_last_partial_block(factor):
+    """A point planted 0.5 or 2 match tolerances off the line of two plan
+    points on different lines, all three anchored in the last block."""
+
+    plan = blocked_plan()
+    n, per_line = plan.points.shape[0], len(plan.params[0])
+    i, k = last_block_start(n + 1) + 1, n - 1
+    assert i // per_line != k // per_line and i < n - per_line
+    p, q = plan.points[i], plan.points[k]
+    along = (q - p) / np.linalg.norm(q - p)
+    off = np.cross(along, np.ones(3))
+    ctol = WIDE_TOL.match_tol * (1.0 + float(np.max(np.abs(plan.points))))
+    planted = p + 0.4 * (q - p) + factor * ctol * off / np.linalg.norm(off)
+    ok, proposed, _ = planted_check(planted[None, :])
+    if factor < 1.0:
+        assert not ok and (i, k) in proposed
+
+
+def test_collinearity_check_finds_a_fold_straddling_triple_in_the_last_block():
+    """As `test_collinearity_check_finds_a_triple_straddling_the_fold`, from
+    a plan point of the last block and two points planted off it."""
+
+    plan = blocked_plan()
+    n = plan.points.shape[0]
+    i = last_block_start(n + 2) + 3
+    g = np.sqrt(np.arange(2.0, 5.0))
+    g /= np.linalg.norm(g)
+    along = np.eye(3)[0] - g[0] * g
+    along /= np.linalg.norm(along)
+    y = 0.1 * WIDE_TOL.match_tol
+    base = plan.points[i]
+    planted = np.stack([base + 0.5 * along - y * g, base + along + y * g])
+    ok, proposed, _ = planted_check(planted)
+    assert not ok and {(i, n), (i, n + 1)} <= proposed
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5])
+def test_near_coincident_point_in_the_last_block_rechecks_every_pair(factor):
+    """Only the last block holds two points within 2 tau, so the filter
+    gives up there, after the earlier blocks, and re-checks every pair."""
+
+    plan = blocked_plan()
+    n = plan.points.shape[0]
+    j = n - 2
+    assert j >= last_block_start(n + 1)
+    ctol = WIDE_TOL.match_tol * (1.0 + float(np.max(np.abs(plan.points))))
+    planted = plan.points[j] + factor * ctol * np.ones(3) / np.sqrt(3.0)
+    ok, proposed, points = planted_check(planted[None, :])
+    assert len(proposed) == non_exempt_pair_count(points, plan.lines, WIDE_TOL)
+
+
+@pytest.mark.parametrize("tol", [si.DEFAULT_TOL, WIDE_TOL])
+def test_collinearity_filter_does_not_depend_on_the_block_size(monkeypatch, tol):
+    plan = blocked_plan()
+    n = plan.points.shape[0]
+    expected = proposals(plan.points, plan.lines, tol)
+    for entries in (1, 3 * n, n * n):       # one anchor, three anchors, one block
+        monkeypatch.setattr(relu_sampling, "_BLOCK_ENTRIES", entries)
+        assert proposals(plan.points, plan.lines, tol) == expected
 
 
 def test_extract_breakpoints_single_relu_on_line():
