@@ -121,30 +121,112 @@ def _combinations(n: int, r: int) -> np.ndarray:
     return combos
 
 
+def _laplace_dets(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Determinants of C matrices of size k x k, where row r of matrix c is
+    column ``rows[r, c]`` of the (k, N) ``table``.
+
+    Laplace expansion along the rows: after row r, ``minors[mask]`` holds, for
+    every c, the minor of rows 0..r on the columns of ``mask``'s set bits, and
+    row r+1 expands each larger minor along its last row with alternating
+    signs.  That is k * 2^(k-1) multiply-adds on contiguous (C,) arrays."""
+
+    k = len(table)
+    by_size = [[s for s in range(1 << k) if bin(s).count("1") == r] for r in range(k + 1)]
+    minors = {1 << j: entry for j, entry in enumerate(np.take(table, rows[0], axis=1))}
+    term = np.empty(rows.shape[1])
+    for r in range(1, k):
+        entries = np.take(table, rows[r], axis=1)   # (k, C): entry (r, j) of every matrix
+        grown = {}
+        for mask in by_size[r + 1]:
+            bits = [j for j in range(k) if mask >> j & 1]
+            acc = entries[bits[0]] * minors[mask ^ 1 << bits[0]]
+            for t, j in enumerate(bits[1:], 1):
+                np.multiply(entries[j], minors[mask ^ 1 << j], out=term)
+                if t % 2:
+                    acc -= term
+                else:
+                    acc += term
+            grown[mask] = acc
+        minors = grown
+    return minors[(1 << k) - 1]
+
+
+def _spread_slack(k: int) -> float:
+    """A bound on |fast - LAPACK| for the |det| of a k x k matrix A whose rows
+    are unit vectors (2-norm 1 up to rounding, so |a_ij| <= 1), where fast is
+    ``_laplace_dets`` and LAPACK is ``np.linalg.det``, and u = 2^-53.
+
+    * Laplace: each minor of r rows adds one product and r - 1 sums to the
+      minors below it, so every monomial of the expansion carries at most
+      k(k+1)/2 roundings: |fast - det A| <= k(k+1)/2 u per(|A|), and
+      per(|A|) <= prod_i |a_i|_1 <= k^(k/2).
+    * LU with partial pivoting (Higham 2002, thm 9.3): L U = A + E with
+      |E| <= k u |L| |U|, |l_ij| <= 1 and pivot growth |u_ij| <= 2^(k-1), so
+      each row of E has 2-norm at most k^(5/2) 2^(k-1) u.  det is multilinear
+      in the rows and Hadamard bounds every mixed term by its rows' norms, so
+      |det(A + E) - det A| <= k^(7/2) 2^(k-1) u.
+    * numpy forms det as exp(sum_i ln|u_ii|): each log and the exp are within
+      an ulp and the sum adds k - 1 roundings, so the error is at most
+      (k + 1) u P sum_i |ln|u_ii|| + 2 u P with P = |det(A + E)| <= 1.  As
+      |u_ii| <= 2^(k-1) and P |ln P| <= 1/e, P sum_i |ln|u_ii|| is at most
+      2 ln 2 k(k-1) + 1/e.
+
+    The sum of the three, doubled to cover every second-order term (products
+    of the roundings, row norms of 1 + O(k u)) and the rounding of the
+    comparisons that use it."""
+
+    u = 2.0 ** -53
+    return 2 * u * (k * (k + 1) / 2 * k ** (k / 2) + k ** 3.5 * 2 ** (k - 1)
+                    + (k + 1) * (2 * np.log(2) * k * (k - 1) + np.exp(-1)) + 2)
+
+
 def _spread_culprit(coords: np.ndarray, members: np.ndarray, stale: np.ndarray,
                     dets: np.ndarray, nearest: np.ndarray) -> int | None:
     """Every d-subset of one hyperplane's in-plane points (the columns of
-    ``members``) must affinely span it.  ``dets`` and ``nearest`` cache each
-    subset's |normalized determinant| and its first point's distance to the
-    nearest other one; only subsets holding a ``stale`` line are recomputed.
-    Returns the first line of the worst offending subset, or None."""
+    ``members``) must affinely span it: its first point must be far from the
+    others, and the unit vectors from it to the others must have a large
+    |determinant|.  ``dets`` and ``nearest`` cache each subset's fast
+    |determinant| and its first point's distance to the nearest other one;
+    only subsets holding a ``stale`` line are recomputed, in blocks of about
+    ``_CHUNK_FLOATS`` indices, by ``_laplace_dets`` on the (k, n^2) table of
+    unit vectors between the n points (k = d - 1).
+
+    The decision is LAPACK's: the first line of the first subset (by index)
+    whose ``np.linalg.det`` is smallest, if that is below ``_MIN_SPREAD_DET``.
+    A fast value is within ``_spread_slack(k)`` of LAPACK's, so when the
+    smallest fast value exceeds the margin by the slack, every subset passes.
+    Otherwise LAPACK's minimum can only lie among the subsets within twice the
+    slack of the fast minimum; they alone get ``np.linalg.det``, in index
+    order.  Returns the culprit line, or None."""
 
     redo = np.flatnonzero(np.any(stale[members], axis=0))
+    n = len(coords)
     diff = coords[None, :, :] - coords[:, None, :]   # diff[i, k] = c_k - c_i
     dist = np.linalg.norm(diff, axis=2)
     np.fill_diagonal(dist, np.inf)
-    sub = np.take(members, redo, axis=1)   # C order, unlike members[:, redo]: a fast min
-    pair = sub[0] * len(coords) + sub[1:]   # flat indices of (first, other) point pairs
-    nearest[redo] = np.min(dist.ravel()[pair], axis=0)
-    unit = (diff / dist[:, :, None]).reshape(len(coords) ** 2, -1)
-    dets[redo] = np.abs(np.linalg.det(unit[pair.T]))
+    unit = (diff / dist[:, :, None]).reshape(n * n, -1)
+    table = np.ascontiguousarray(unit.T)
+    step = max(1, _CHUNK_FLOATS // len(members))
+    for start in range(0, redo.size, step):
+        block = redo[start:start + step]
+        sub = np.take(members, block, axis=1)   # C order, unlike members[:, block]: a fast min
+        pair = sub[0] * n + sub[1:]   # flat indices of (first, other) point pairs
+        nearest[block] = np.min(dist.ravel()[pair], axis=0)
+        dets[block] = np.abs(_laplace_dets(table, pair))
     stale[:] = False
     low = int(np.argmin(nearest))
     if float(nearest[low]) < _MIN_POINT_SEP:
         return int(members[0, low])
-    worst = int(np.argmin(dets))
-    if float(dets[worst]) < _MIN_SPREAD_DET:
-        return int(members[0, worst])
+    slack = _spread_slack(len(table))
+    least = float(np.min(dets))
+    if least - slack >= _MIN_SPREAD_DET:
+        return None
+    near = np.flatnonzero(dets <= least + 2 * slack)
+    pair = members[0, near] * n + members[1:, near]
+    exact = np.abs(np.linalg.det(unit[pair.T]))
+    worst = int(np.argmin(exact))
+    if float(exact[worst]) < _MIN_SPREAD_DET:
+        return int(members[0, near[worst]])
     return None
 
 

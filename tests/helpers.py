@@ -654,6 +654,34 @@ def _oracle_subset_spread_violation(points, normal, combos):
     return None
 
 
+# The cached spread check that relu_sampling._spread_culprit replaced: every
+# recomputed subset's |det| comes from np.linalg.det, one LAPACK call each.
+def oracle_spread_culprit(coords, members, stale, dets, nearest):
+    """Every d-subset of one hyperplane's in-plane points (the columns of
+    ``members``) must affinely span it.  ``dets`` and ``nearest`` cache each
+    subset's |normalized determinant| and its first point's distance to the
+    nearest other one; only subsets holding a ``stale`` line are recomputed.
+    Returns the first line of the worst offending subset, or None."""
+
+    redo = np.flatnonzero(np.any(stale[members], axis=0))
+    diff = coords[None, :, :] - coords[:, None, :]   # diff[i, k] = c_k - c_i
+    dist = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(dist, np.inf)
+    sub = np.take(members, redo, axis=1)
+    pair = sub[0] * len(coords) + sub[1:]   # flat indices of (first, other) point pairs
+    nearest[redo] = np.min(dist.ravel()[pair], axis=0)
+    unit = (diff / dist[:, :, None]).reshape(len(coords) ** 2, -1)
+    dets[redo] = np.abs(np.linalg.det(unit[pair.T]))
+    stale[:] = False
+    low = int(np.argmin(nearest))
+    if float(nearest[low]) < relu_sampling._MIN_POINT_SEP:
+        return int(members[0, low])
+    worst = int(np.argmin(dets))
+    if float(dets[worst]) < relu_sampling._MIN_SPREAD_DET:
+        return int(members[0, worst])
+    return None
+
+
 def oracle_build_feasible_lines(g, seed, tol=DEFAULT_TOL):
     """Draw m*d random lines and verify the three feasibility conditions:
     full-rank directions, mutually distinct crossings, and in-plane spread of

@@ -20,7 +20,7 @@ from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
 
 from helpers import (oracle_build_feasible_lines, oracle_collinear_candidates,
                      oracle_collinearity_ok, oracle_orientation, oracle_recover_hyperplanes,
-                     random_irreducible_relu)
+                     oracle_spread_culprit, random_irreducible_relu)
 
 
 def cross_net():
@@ -116,8 +116,10 @@ def test_feasible_lines_recheck_only_the_subsets_of_a_redrawn_line(d, m, seed):
     assert line_bits(ls) == line_set_outcome(oracle_build_feasible_lines, g, seed)
 
 
-@pytest.mark.parametrize("d, m, seed, spread", [(3, 3, 1, 1e-2), (3, 5, 2, 3e-3),
-                                                (4, 3, 3, 3e-3), (5, 2, 4, 3e-3)])
+STRICT_SPREAD_CASES = [(3, 3, 1, 1e-2), (3, 5, 2, 3e-3), (4, 3, 3, 3e-3), (5, 2, 4, 3e-3)]
+
+
+@pytest.mark.parametrize("d, m, seed, spread", STRICT_SPREAD_CASES)
 def test_feasible_lines_match_the_oracle_under_a_strict_spread_margin(d, m, seed, spread):
     """A spread margin that many subsets miss, so lines are redrawn often and
     each hyperplane's cache is updated many times."""
@@ -143,6 +145,185 @@ def test_feasible_lines_fail_as_the_oracle(budget, spread, draw_cap, message):
         outcome = line_set_outcome(build_feasible_lines, g, 5)
         assert outcome == line_set_outcome(oracle_build_feasible_lines, g, 5)
     assert outcome[0] == message
+
+
+def spread_checks_against_the_oracle(g, seed):
+    """Builds lines with every spread check also made by oracle_spread_culprit,
+    on copies of the same coords and stale mask and on the oracle's own
+    caches (one per hyperplane).  Each call must name the same culprit, leave
+    bit-identical separations, and keep every |det| within the slack of
+    LAPACK's.  Returns the culprits."""
+
+    real = relu_sampling._spread_culprit
+    caches = {}
+    culprits = []
+
+    def both(coords, members, stale, dets, nearest):
+        own_dets, own_nearest = caches.setdefault(dets.ctypes.data, (dets.copy(), nearest.copy()))
+        expected = oracle_spread_culprit(coords.copy(), members, stale.copy(), own_dets,
+                                         own_nearest)
+        culprits.append(real(coords, members, stale, dets, nearest))
+        assert culprits[-1] == expected
+        assert nearest.tobytes() == own_nearest.tobytes()
+        assert np.max(np.abs(dets - own_dets)) <= relu_sampling._spread_slack(coords.shape[1])
+        return culprits[-1]
+
+    with mock.patch.object(relu_sampling, "_spread_culprit", both):
+        line_set_outcome(build_feasible_lines, g, seed)
+    return culprits
+
+
+@pytest.mark.parametrize("d, m", LINE_SHAPES)
+def test_spread_check_names_the_lapack_oracles_culprit(d, m):
+    for seed in range(3):
+        g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+        assert spread_checks_against_the_oracle(g, seed)
+
+
+@pytest.mark.parametrize("d, m, seed, spread", STRICT_SPREAD_CASES)
+def test_spread_check_names_the_lapack_oracles_culprit_under_a_strict_margin(d, m, seed, spread):
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", spread):
+        culprits = spread_checks_against_the_oracle(g, seed)
+    assert sum(c is not None for c in culprits) >= 10
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 1000])
+@pytest.mark.parametrize("d, m, seed", [(3, 5, 2), (5, 2, 4)])
+def test_spread_check_in_blocks_names_the_lapack_oracles_culprit(monkeypatch, chunk, d, m, seed):
+    """Blocks of one subset, of a few that leave a partial last block, and of
+    a few hundred."""
+
+    monkeypatch.setattr(relu_sampling, "_CHUNK_FLOATS", chunk)
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    assert spread_checks_against_the_oracle(g, seed)
+
+
+def stacked_dets(matrices):
+    """``_laplace_dets`` of a (C, k, k) stack, through a (k, C*k) table."""
+
+    count, k, _ = matrices.shape
+    table = np.ascontiguousarray(matrices.reshape(count * k, k).T)
+    return relu_sampling._laplace_dets(table, np.arange(count)[None, :] * k + np.arange(k)[:, None])
+
+
+def unit_rows(rows):
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       delta=st.sampled_from([0.0] + [10.0 ** -e for e in range(3, 16)]))
+def test_laplace_dets_are_within_the_slack_of_lapack(k, seed, delta):
+    """Random unit rows, and rows whose last one is a combination of the
+    others plus delta (delta 0: random rows only)."""
+
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(64, k, k))
+    if delta:
+        rows[:, -1] = (np.einsum("ci,cij->cj", rng.normal(size=(64, k - 1)), rows[:, :-1])
+                       + delta * rng.normal(size=(64, k)))
+    matrices = unit_rows(rows)
+    diff = np.abs(stacked_dets(matrices)) - np.abs(np.linalg.det(matrices))
+    assert np.all(np.abs(diff) <= relu_sampling._spread_slack(k))
+
+
+def passing_spread_checks(d, m, seed):
+    """Coords and members of a seeded build's spread checks that passed."""
+
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    real = relu_sampling._spread_culprit
+    passed = []
+
+    def spy(coords, members, stale, dets, nearest):
+        culprit = real(coords, members, stale, dets, nearest)
+        if culprit is None:
+            passed.append((coords.copy(), members))
+        return culprit
+
+    with mock.patch.object(relu_sampling, "_spread_culprit", spy):
+        build_feasible_lines(g, seed)
+    return passed
+
+
+def fresh_spread_culprits(check, coords, members):
+    stale = np.ones(len(coords), dtype=bool)
+    return check(coords, members, stale, *np.empty((2, members.shape[1])))
+
+
+@pytest.mark.parametrize("d, m, seed", [(2, 3, 0), (3, 3, 1), (4, 3, 0), (5, 2, 4), (6, 2, 0)])
+def test_spread_check_at_a_margin_on_the_worst_lapack_determinant(d, m, seed):
+    """A margin of exactly the worst subset's LAPACK |det| passes it, one ulp
+    more names its first line, one ulp less passes: the fast values sit
+    within the slack of the margin, so every decision is LAPACK's."""
+
+    coords, members = passing_spread_checks(d, m, seed)[-1]
+    diff = (coords[members[1:]] - coords[members[0]]).transpose(1, 0, 2)   # (C, d-1, d-1)
+    exact = np.abs(np.linalg.det(diff / np.linalg.norm(diff, axis=2, keepdims=True)))
+    worst = int(np.argmin(exact))
+    outcomes = []
+    for margin in (np.nextafter(exact[worst], 0.0), exact[worst],
+                   np.nextafter(exact[worst], np.inf)):
+        with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", float(margin)):
+            outcomes.append(fresh_spread_culprits(relu_sampling._spread_culprit, coords, members))
+            assert outcomes[-1] == fresh_spread_culprits(oracle_spread_culprit, coords, members)
+    assert outcomes == [None, None, int(members[0, worst])]
+
+
+def mirrored_triples(order=(0, 1, 2, 3, 4, 5), shrink=1.0):
+    """Six in-plane points, listed in ``order``: a near-collinear triple and
+    its mirror image across x = 0, whose third point is ``shrink`` times as
+    far off the line.  Returns the coords, the 3-subsets, the indices of the
+    two triples' subsets, and LAPACK's |det| of every subset."""
+
+    def triple(eps):
+        return np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0 + eps]])
+
+    coords = np.concatenate([triple(1e-7), triple(1e-7 * shrink) * [-1.0, 1.0]])[list(order)]
+    members = np.ascontiguousarray(relu_sampling._combinations(6, 3).T)
+    at = np.argsort(order)
+    first, mirrored = (int(np.flatnonzero(np.all(members == np.sort(at[idx])[:, None], axis=0))[0])
+                       for idx in ([0, 1, 2], [3, 4, 5]))
+    dets = np.empty(members.shape[1])
+    oracle_spread_culprit(coords, members, np.ones(6, dtype=bool), dets, np.empty_like(dets))
+    return coords, members, first, mirrored, dets
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4, 5), (0, 3, 1, 4, 2, 5)])
+def test_spread_check_names_the_first_of_two_equal_determinants(order):
+    """The triple and its mirror image have equal |det| below the margin; the
+    first subset in index order is the culprit."""
+
+    coords, members, first, mirrored, dets = mirrored_triples(order)
+    assert dets[first] == dets[mirrored] == np.min(dets) < relu_sampling._MIN_SPREAD_DET
+    assert np.sum(dets == dets[first]) == 2
+    expected = fresh_spread_culprits(oracle_spread_culprit, coords, members)
+    assert expected == members[0, min(first, mirrored)]
+    assert fresh_spread_culprits(relu_sampling._spread_culprit, coords, members) == expected
+
+
+def test_spread_check_decides_by_lapack_where_fast_values_swap_a_near_tie(monkeypatch):
+    """The mirror image's |det| is smaller by about 4e-16.  Fast values
+    moved by 0.7 slack in opposite directions, which stay within the slack
+    of LAPACK's, rank the first triple lower; the culprit is the mirror
+    image's first line all the same."""
+
+    coords, members, first, mirrored, dets = mirrored_triples(shrink=1 - 2e-8)
+    slack = relu_sampling._spread_slack(2)
+    assert dets[mirrored] < dets[first] < dets[mirrored] + slack / 4
+    assert np.sum(dets < 1e-6) == 2
+    shift = np.zeros_like(dets)
+    shift[[first, mirrored]] = -0.7 * slack, 0.7 * slack
+    fast = relu_sampling._laplace_dets
+    monkeypatch.setattr(relu_sampling, "_laplace_dets",
+                        lambda table, rows: np.abs(fast(table, rows)) + shift)
+    cached = np.empty_like(dets)
+    culprit = relu_sampling._spread_culprit(coords, members, np.ones(6, dtype=bool), cached,
+                                            np.empty_like(dets))
+    assert int(np.argmin(cached)) == first
+    assert np.max(np.abs(cached - dets)) <= slack
+    assert culprit == members[0, mirrored] == fresh_spread_culprits(oracle_spread_culprit,
+                                                                    coords, members)
 
 
 def test_feasible_lines_cardinality_and_crossings():
