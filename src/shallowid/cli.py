@@ -25,15 +25,18 @@ def _write_atomic(path: str, obj) -> None:
     payload = (json.dumps(obj, sort_keys=True, separators=(",", ":"),
                           allow_nan=False) + "\n").encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # a missing directory, or a directory as the path
+        raise InputError(f"cannot write {path}: {exc.strerror}", path=path) from None
 
 
 def _read_json(path: str):
@@ -260,6 +263,8 @@ def main(argv=None) -> int:
         if not hasattr(args, name):
             setattr(args, name, default)
     try:
+        if args.seed < 0:  # numpy's generators take non-negative seeds only
+            raise InputError("seed must be non-negative", seed=args.seed)
         return args.func(args, _tol_from_args(args))
     except ParseError as exc:
         print(json.dumps(exc.to_json_obj(), sort_keys=True), file=sys.stderr)

@@ -8,9 +8,6 @@ from .errors import DegenerateFitError, InputError, SizeError
 from .net_core import Hyperplane, canonical_hyperplane
 from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
-__all__ = ["ToleranceConfig", "DEFAULT_TOL", "rank",
-           "affine_fit", "solve_least_squares"]
-
 SUBSET_CAP = 20
 
 

@@ -181,13 +181,12 @@ def _spread_slack(k: int) -> float:
 
 
 def _spread_culprit(coords: np.ndarray, members: np.ndarray, stale: np.ndarray,
-                    dets: np.ndarray, nearest: np.ndarray) -> int | None:
+                    dets: np.ndarray) -> int | None:
     """Every d-subset of one hyperplane's in-plane points (the columns of
-    ``members``) must affinely span it: its first point must be far from the
-    others, and the unit vectors from it to the others must have a large
-    |determinant|.  ``dets`` and ``nearest`` cache each subset's fast
-    |determinant| and its first point's distance to the nearest other one;
-    only subsets holding a ``stale`` line are recomputed, in blocks of about
+    ``members``), which check (ii) has kept apart, must affinely span it: the
+    unit vectors from its first point to the others must have a large
+    |determinant|.  ``dets`` caches each subset's fast |determinant|; only
+    subsets holding a ``stale`` line are recomputed, in blocks of about
     ``_CHUNK_FLOATS`` indices, by ``_laplace_dets`` on the (k, n^2) table of
     unit vectors between the n points (k = d - 1).
 
@@ -209,14 +208,10 @@ def _spread_culprit(coords: np.ndarray, members: np.ndarray, stale: np.ndarray,
     step = max(1, _CHUNK_FLOATS // len(members))
     for start in range(0, redo.size, step):
         block = redo[start:start + step]
-        sub = np.take(members, block, axis=1)   # C order, unlike members[:, block]: a fast min
+        sub = np.take(members, block, axis=1)   # contiguous rows, unlike members[:, block]
         pair = sub[0] * n + sub[1:]   # flat indices of (first, other) point pairs
-        nearest[block] = np.min(dist.ravel()[pair], axis=0)
         dets[block] = np.abs(_laplace_dets(table, pair))
     stale[:] = False
-    low = int(np.argmin(nearest))
-    if float(nearest[low]) < _MIN_POINT_SEP:
-        return int(members[0, low])
     slack = _spread_slack(len(table))
     least = float(np.min(dets))
     if least - slack >= _MIN_SPREAD_DET:
@@ -252,7 +247,7 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
     # per hyperplane: an in-plane basis, cached subset spreads, redrawn lines
     members = np.ascontiguousarray(_combinations(n_lines, d).T)  # one column per subset
     bases = [np.linalg.svd(h.a[None, :])[2][1:] for h in hyperplanes]
-    dets, nearest = np.empty((2, m, members.shape[1]))
+    dets = np.empty((m, members.shape[1]))
     stale = np.ones((m, n_lines), dtype=bool)
 
     def draw(j: int) -> None:
@@ -281,7 +276,8 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
             continue
         crossings = np.stack([ln.points_at(w) for ln, w in zip(lines, params)])
         flat = crossings.reshape(n_lines * m, d)
-        # (ii) crossing points mutually distinct
+        # (ii) crossing points mutually distinct: the only separation test, as (iii)
+        # sees them in orthonormal in-plane bases, which keep distances up to rounding
         diff = flat[:, None, :] - flat[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
         np.fill_diagonal(dist, np.inf)
@@ -291,7 +287,7 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
             continue
         # (iii) any d crossings inside one hyperplane affinely span it
         culprits = (_spread_culprit(crossings[:, k, :] @ bases[k].T, members,
-                                    stale[k], dets[k], nearest[k]) for k in range(m))
+                                    stale[k], dets[k]) for k in range(m))
         offender = next((c for c in culprits if c is not None), None)
         if offender is None:
             break

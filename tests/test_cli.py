@@ -297,13 +297,31 @@ def test_tolerance_override_flows_through(tmp_path):
     ("--tol-rank", "0", "rank_tol must be strictly positive and finite"),
     ("--tol-residual", "nan", "residual_tol must be strictly positive and finite"),
     ("--tol-match", "inf", "match_tol must be strictly positive and finite"),
-    ("--tol-match", "1e-12", "rank_tol must not exceed match_tol")])
+    ("--tol-match", "1e-12", "rank_tol must not exceed match_tol"),
+    ("--seed", "-1", "seed must be non-negative")])
 def test_invalid_tolerance_flag_is_input_error_exit_2(cross_net_file, flag, value, message):
     proc = run_cli("check", "--net", str(cross_net_file), flag, value)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     err = json.loads(proc.stderr)["error"]
     assert err["type"] == "input" and err["message"] == message
+
+
+@pytest.mark.parametrize("target, reason", [("missing/plan.json", "No such file or directory"),
+                                            ("adir", "Is a directory")])
+def test_unwritable_out_is_input_error_exit_2(tmp_path, capsys, target, reason):
+    """A missing directory fails to make the temporary file; a directory as
+    the path fails to replace it, and the temporary file is removed."""
+
+    (tmp_path / "adir").mkdir()
+    out = str(tmp_path / target)
+    assert cli.main(["plan-analytic", "--m", "1", "--d", "2", "--out", out]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert json.loads(stderr)["error"] == {
+        "type": "input", "message": f"cannot write {out}: {reason}", "details": {"path": out}}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 def test_check_reports_reducible_analytic(tmp_path):

@@ -83,8 +83,8 @@ def spread_checks(g, seed):
     calls = []
     real = relu_sampling._spread_culprit
 
-    def spy(coords, members, stale, dets, nearest):
-        calls.append((int(np.sum(stale)), real(coords, members, stale, dets, nearest)))
+    def spy(coords, members, stale, dets):
+        calls.append((int(np.sum(stale)), real(coords, members, stale, dets)))
         return calls[-1][1]
 
     with mock.patch.object(relu_sampling, "_spread_culprit", spy):
@@ -131,6 +131,40 @@ def test_feasible_lines_match_the_oracle_under_a_strict_spread_margin(d, m, seed
         assert line_bits(ls) == line_set_outcome(oracle_build_feasible_lines, g, seed)
 
 
+def separation_redraws(g, seed):
+    """Rounds of the line builder that redrew a line at check (ii): their
+    directions had full rank, but no spread check followed.  Also returns the
+    line set."""
+
+    rounds = []   # per round: [full rank, spread checks made]
+    real_rank, real_spread = relu_sampling.rank, relu_sampling._spread_culprit
+
+    def rank_spy(*args):
+        full = real_rank(*args)
+        rounds.append([full == g.d, 0])
+        return full
+
+    def spread_spy(*args):
+        rounds[-1][1] += 1
+        return real_spread(*args)
+
+    with mock.patch.multiple(relu_sampling, rank=rank_spy, _spread_culprit=spread_spy):
+        ls = build_feasible_lines(g, seed)
+    return sum(full and not checks for full, checks in rounds), ls
+
+
+@pytest.mark.parametrize("d, m, seed", [(2, 4, 0), (3, 5, 2)])
+def test_feasible_lines_match_the_oracle_under_a_strict_separation_margin(d, m, seed):
+    """Check (ii) alone decides crossing separation; the oracle also tests
+    it in every hyperplane's plane.  A margin of 0.1 redraws lines at (ii)."""
+
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    with mock.patch.object(relu_sampling, "_MIN_POINT_SEP", 0.1):
+        redraws, ls = separation_redraws(g, seed)
+        assert redraws >= 5
+        assert line_bits(ls) == line_set_outcome(oracle_build_feasible_lines, g, seed)
+
+
 @pytest.mark.parametrize("budget, spread, draw_cap, message", [
     (25, 2.0, 50_000, "feasibility conditions could not be met within the retry budget"),
     (1000, 0.3, 40, "line construction exhausted its retry budget; tolerances or the "
@@ -150,21 +184,20 @@ def test_feasible_lines_fail_as_the_oracle(budget, spread, draw_cap, message):
 def spread_checks_against_the_oracle(g, seed):
     """Builds lines with every spread check also made by oracle_spread_culprit,
     on copies of the same coords and stale mask and on the oracle's own
-    caches (one per hyperplane).  Each call must name the same culprit, leave
-    bit-identical separations, and keep every |det| within the slack of
+    caches (one per hyperplane), which also hold its separation test.  Each
+    call must name the same culprit and keep every |det| within the slack of
     LAPACK's.  Returns the culprits."""
 
     real = relu_sampling._spread_culprit
     caches = {}
     culprits = []
 
-    def both(coords, members, stale, dets, nearest):
-        own_dets, own_nearest = caches.setdefault(dets.ctypes.data, (dets.copy(), nearest.copy()))
+    def both(coords, members, stale, dets):
+        own_dets, own_nearest = caches.setdefault(dets.ctypes.data, np.empty((2, dets.size)))
         expected = oracle_spread_culprit(coords.copy(), members, stale.copy(), own_dets,
                                          own_nearest)
-        culprits.append(real(coords, members, stale, dets, nearest))
+        culprits.append(real(coords, members, stale, dets))
         assert culprits[-1] == expected
-        assert nearest.tobytes() == own_nearest.tobytes()
         assert np.max(np.abs(dets - own_dets)) <= relu_sampling._spread_slack(coords.shape[1])
         return culprits[-1]
 
@@ -235,8 +268,8 @@ def passing_spread_checks(d, m, seed):
     real = relu_sampling._spread_culprit
     passed = []
 
-    def spy(coords, members, stale, dets, nearest):
-        culprit = real(coords, members, stale, dets, nearest)
+    def spy(coords, members, stale, dets):
+        culprit = real(coords, members, stale, dets)
         if culprit is None:
             passed.append((coords.copy(), members))
         return culprit
@@ -247,8 +280,10 @@ def passing_spread_checks(d, m, seed):
 
 
 def fresh_spread_culprits(check, coords, members):
-    stale = np.ones(len(coords), dtype=bool)
-    return check(coords, members, stale, *np.empty((2, members.shape[1])))
+    """The culprit of a first check; the oracle also takes a separation cache."""
+
+    caches = np.empty((1 + (check is oracle_spread_culprit), members.shape[1]))
+    return check(coords, members, np.ones(len(coords), dtype=bool), *caches)
 
 
 @pytest.mark.parametrize("d, m, seed", [(2, 3, 0), (3, 3, 1), (4, 3, 0), (5, 2, 4), (6, 2, 0)])
@@ -318,8 +353,7 @@ def test_spread_check_decides_by_lapack_where_fast_values_swap_a_near_tie(monkey
     monkeypatch.setattr(relu_sampling, "_laplace_dets",
                         lambda table, rows: np.abs(fast(table, rows)) + shift)
     cached = np.empty_like(dets)
-    culprit = relu_sampling._spread_culprit(coords, members, np.ones(6, dtype=bool), cached,
-                                            np.empty_like(dets))
+    culprit = relu_sampling._spread_culprit(coords, members, np.ones(6, dtype=bool), cached)
     assert int(np.argmin(cached)) == first
     assert np.max(np.abs(cached - dets)) <= slack
     assert culprit == members[0, mirrored] == fresh_spread_culprits(oracle_spread_culprit,
