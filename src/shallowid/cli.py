@@ -30,6 +30,9 @@ def _write_atomic(path: str, obj) -> None:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)   # mkstemp's 0600 would survive the replace
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -540,42 +540,107 @@ def extract_breakpoints(line: Line, params, values,
     return breakpoints, pieces
 
 
+def _plane_fits(flat: np.ndarray, points: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched total least-squares planes through each of ``points``
+    (tuples, k, d): the |distance| of every row of ``flat`` from each plane
+    (len(flat), tuples), the singular values of the centred points
+    (tuples, d) and their centroids.  For k > d the SVD is taken of the R
+    factor, which has the same right singular vectors."""
+
+    center = points.mean(axis=1)
+    centered = points - center[:, None, :]
+    if centered.shape[1] > centered.shape[2]:
+        centered = np.linalg.qr(centered, mode="r")
+    _, sv, vt = np.linalg.svd(centered)
+    normal = vt[:, -1]
+    dist = flat @ normal.T
+    dist -= np.einsum("cd,cd->c", normal, center)
+    return np.abs(dist, out=dist), sv, center
+
+
+def _refit_keeps(stacked: np.ndarray, matched: np.ndarray, keep_tol: float) -> np.ndarray:
+    """Whether the plane refitted on ``matched`` (tuples, lines, d), one
+    crossing of every line of ``stacked``, comes within 4 keep_tol of every
+    line and within keep_tol / 4 of at most one crossing of each."""
+
+    n_lines, m, d = stacked.shape
+    refit = _plane_fits(stacked.reshape(n_lines * m, d), matched)[0].reshape(n_lines, m, -1)
+    return (np.all(np.min(refit, axis=1) <= 4.0 * keep_tol, axis=0)
+            & np.all(np.sum(refit <= keep_tol / 4.0, axis=1) <= 1, axis=0))
+
+
 def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> np.ndarray:
     """Indices of the seed tuples (``seeds``: (tuples, d, d), one crossing of
     each of d lines) that may pass ``recover_hyperplanes``' exact test.
 
-    The rough fit, nearest-crossing match, refit and containment test run
-    batched.  The refit takes the SVD of the R factor of the centred matched
-    points, which has their right singular vectors.  A tuple is dropped only
-    when its refit misses some line by more than 4 keep_tol or comes within
-    keep_tol / 4 of two crossings of one line, and no line had a second
-    crossing within keep_tol of the one nearest its rough plane (there the
-    per-candidate match could pick another).  Both fits are backward stable,
-    so for well-spread points, as a real hyperplane's crossings are, their
-    distances differ from the per-candidate ones by rounding far below these
-    margins: every tuple the exact test accepts survives.
+    Each tuple gets a rough plane, the batched fit through its seeds.  A
+    tuple is kept outright when some line has a second crossing within
+    keep_tol of the one nearest its rough plane: there the per-candidate match
+    could pick another.  Every other tuple is dropped when its rough plane
+    provably misses some line, and the few left are refitted on every line's
+    nearest crossing by ``_refit_keeps``, which drops the refits that miss a
+    line by more than 4 keep_tol or come within keep_tol / 4 of two crossings
+    of one line.  Both fits are backward stable, so for well-spread points, as
+    a real hyperplane's crossings are, their distances differ from the
+    per-candidate ones by rounding far below these margins: every tuple the
+    exact test accepts survives.
+
+    The miss bound.  Let c be the seeds' centroid, S their centred rows with
+    singular values s_1 >= ... >= s_d and rough normal n (the last right
+    singular vector), and t = 4 keep_tol.  Suppose the refit H' = {x : n'.x +
+    b' = 0}, |n'| = 1, comes within t of one crossing of every line, and on
+    each seed's line that crossing is the seed (without a tie the seeds are
+    among the matched crossings it is fitted on).
+    * |n'.c + b'| <= t, every entry of S n' is at most 2t in size, and so
+      |S n'| <= 2 sqrt(d) t.
+    * Write n' = cos(a) n + sin(a) w, w a unit vector orthogonal to n and so
+      in the span of the other right singular vectors: |S n'| >= s_{d-1}
+      |sin a|, so |sin a| <= 2 sqrt(d) t / s_{d-1}.
+    * With the sign of n' that makes a <= pi/2, |n - n'| = 2 sin(a/2) <=
+      sqrt(2) sin a.  A crossing x within t of H' therefore lies within
+      |n'.(x - c)| + |n - n'| |x - c| <= 2t + sqrt(2) R sin a of the rough
+      plane, where R >= |x - c| for every crossing: here R = r + |c - o|,
+      with o the mean of all crossings and r their largest distance from o.
+    So every line has a crossing within B = 2t + sqrt(2) R (2 sqrt(d) t +
+    s_d + eta) / s_{d-1} + eta of the rough plane, and a tuple whose nearest
+    crossing on some line is farther than B can be neither kept by the refit
+    nor accepted by the exact test, whose margin keep_tol is below t.  (A
+    refit that passes within t of some other crossing of a seed's line, but
+    not of the seed, breaks the premise.  Under a loose keep_tol the refit
+    test alone kept a few such tuples; the exact test rejects them.)
+
+    Rounding.  With P the largest coordinate size and u = 2^-53, centring,
+    the SVD (backward stable: exact for S + E with |E| = O(d u s_1) and s_1 <=
+    2 d P) and the distances each move |S n'| and the distances above by
+    O(d^2 u P); eta = 64 d^3 u (1 + P) covers each with room.  s_d joins the
+    numerator too: S has rank at most d - 1, so s_d is the size of the
+    perturbation the computed fit saw.  A drop needs B < nearest <= R <=
+    4 sqrt(d) P, so B's own few relative roundings are below eta as well.
+    At d = 1 the normal is fixed and sin a = 0.  A degenerate tuple (s_{d-1}
+    = 0, or R = 0) has an infinite or NaN bound, for which ``nearest >
+    bound`` is false: it goes to the refit.
     """
 
     n_lines, m, d = stacked.shape
     flat = stacked.reshape(n_lines * m, d)
-
-    def distances(points):                        # (lines, m, chunk)
-        center = points.mean(axis=1)
-        centered = points - center[:, None, :]
-        if centered.shape[1] > d:
-            centered = np.linalg.qr(centered, mode="r")
-        normal = np.linalg.svd(centered)[2][:, -1]
-        dist = flat @ normal.T
-        dist -= np.einsum("cd,cd->c", normal, center)
-        return np.abs(dist, out=dist).reshape(n_lines, m, -1)
-
-    rough = distances(seeds)
+    rough, sv, center = _plane_fits(flat, seeds)
+    rough = rough.reshape(n_lines, m, -1)
     nearest = np.min(rough, axis=1)
     tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
-    refit = distances(stacked[np.arange(n_lines), np.argmin(rough, axis=1).T])
-    keep = (np.all(np.min(refit, axis=1) <= 4.0 * keep_tol, axis=0)
-            & np.all(np.sum(refit <= keep_tol / 4.0, axis=1) <= 1, axis=0))
-    return np.flatnonzero(keep | tie)
+
+    t = 4.0 * keep_tol
+    eta = 64 * d ** 3 * 2.0 ** -53 * (1.0 + float(np.max(np.abs(flat))))
+    mid = flat.mean(axis=0)
+    reach = np.max(_row_norms(flat - mid)) + _row_norms(center - mid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin = (2 * np.sqrt(d) * t + sv[:, -1] + eta) / (sv[:, -2] if d > 1 else np.inf)
+        bound = 2 * t + np.sqrt(2) * reach * sin + eta
+        refit = ~tie & ~np.any(nearest > bound, axis=0)
+    keep = tie
+    rows = np.argmin(rough[:, :, refit], axis=1).T
+    keep[refit] = _refit_keeps(stacked, stacked[np.arange(n_lines), rows], keep_tol)
+    return np.flatnonzero(keep)
 
 
 def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL

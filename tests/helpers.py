@@ -627,6 +627,37 @@ def oracle_recover_hyperplanes(crossings_by_line, tol=DEFAULT_TOL):
                         found=len(found), expected=m)
 
 
+# The seed-tuple screen that relu_sampling._seed_survivors replaced: every
+# tuple, tie or not, gets the batched refit on its nearest crossings.
+def oracle_seed_survivors(stacked, seeds, keep_tol):
+    """Indices of the seed tuples (``seeds``: (tuples, d, d), one crossing of
+    each of d lines) that may pass ``recover_hyperplanes``' exact test: those
+    whose rough plane has a near tie on some line, and those whose refit comes
+    within 4 keep_tol of every line and within keep_tol / 4 of at most one
+    crossing of each."""
+
+    n_lines, m, d = stacked.shape
+    flat = stacked.reshape(n_lines * m, d)
+
+    def distances(points):                        # (lines, m, chunk)
+        center = points.mean(axis=1)
+        centered = points - center[:, None, :]
+        if centered.shape[1] > d:
+            centered = np.linalg.qr(centered, mode="r")
+        normal = np.linalg.svd(centered)[2][:, -1]
+        dist = flat @ normal.T
+        dist -= np.einsum("cd,cd->c", normal, center)
+        return np.abs(dist, out=dist).reshape(n_lines, m, -1)
+
+    rough = distances(seeds)
+    nearest = np.min(rough, axis=1)
+    tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
+    refit = distances(stacked[np.arange(n_lines), np.argmin(rough, axis=1).T])
+    keep = (np.all(np.min(refit, axis=1) <= 4.0 * keep_tol, axis=0)
+            & np.all(np.sum(refit <= keep_tol / 4.0, axis=1) <= 1, axis=0))
+    return np.flatnonzero(keep | tie)
+
+
 # ---------------------------------------------------------------------------
 # from-scratch line-feasibility oracle
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import time
 
 import numpy as np
@@ -322,6 +324,22 @@ def test_unwritable_out_is_input_error_exit_2(tmp_path, capsys, target, reason):
         "type": "input", "message": f"cannot write {out}: {reason}", "details": {"path": out}}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
     assert not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_mode_of_a_plain_write(tmp_path, cross_net_file, umask, mode):
+    """Outputs are written through a temporary file, yet get 0o666 less the
+    umask, as a plain open() would give them."""
+
+    plan, samples = str(tmp_path / "plan.json"), str(tmp_path / "samples.json")
+    old = os.umask(umask)
+    try:
+        assert cli.main(["plan-relu", "--net", str(cross_net_file), "--out", plan]) == 0
+        assert cli.main(["sample", "--net", str(cross_net_file), "--plan", plan,
+                         "--out", samples]) == 0
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(os.stat(path).st_mode) for path in (plan, samples)] == [mode, mode]
 
 
 def test_check_reports_reducible_analytic(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import shallowid as si
 from shallowid import (ConstructionError, InputError, Line, LabeledSamples, ParseError,
-                       ToleranceConfig, build_feasible_lines, build_sample_plan,
+                       ToleranceConfig, affine_fit, build_feasible_lines, build_sample_plan,
                        canonical_hyperplane, extract_breakpoints, group, make_net,
                        net_core, reconstruct, recover_hyperplanes, relu_sampling,
                        sample_values)
@@ -20,7 +20,7 @@ from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
 
 from helpers import (oracle_build_feasible_lines, oracle_collinear_candidates,
                      oracle_collinearity_ok, oracle_orientation, oracle_recover_hyperplanes,
-                     oracle_spread_culprit, random_irreducible_relu)
+                     oracle_seed_survivors, oracle_spread_culprit, random_irreducible_relu)
 
 
 def cross_net():
@@ -874,18 +874,18 @@ def pipeline_crossings(d, m, seed):
             for line, params, vals in zip(plan.lines, plan.params, values)]
 
 
-def recovery_outcome(recover, crossings):
+def recovery_outcome(recover, crossings, tol=si.DEFAULT_TOL):
     """The recovered (a, b) bits, or the error's class, message and details."""
 
     try:
-        return [(h.a.tobytes(), h.b) for h in recover(crossings)]
+        return [(h.a.tobytes(), h.b) for h in recover(crossings, tol)]
     except si.ToolkitError as exc:
         return type(exc), exc.message, exc.details
 
 
-def assert_recovers_as_the_oracle(crossings):
-    expected = recovery_outcome(oracle_recover_hyperplanes, crossings)
-    assert recovery_outcome(recover_hyperplanes, crossings) == expected
+def assert_recovers_as_the_oracle(crossings, tol=si.DEFAULT_TOL):
+    expected = recovery_outcome(oracle_recover_hyperplanes, crossings, tol)
+    assert recovery_outcome(recover_hyperplanes, crossings, tol) == expected
     return expected
 
 
@@ -967,6 +967,138 @@ def test_seed_survivors_keeps_a_near_tie_of_the_rough_match():
     assert relu_sampling._seed_survivors(stacked, seeds, 1e-8).tolist() == [0]
     stacked[2, 1, 1] = -1.5
     assert relu_sampling._seed_survivors(stacked, seeds, 1e-8).tolist() == []
+
+
+def counting_refits(fn, *args):
+    """fn(*args) and the number of seed tuples the batched refit received."""
+
+    with mock.patch.object(relu_sampling, "_refit_keeps",
+                           wraps=relu_sampling._refit_keeps) as spy:
+        result = fn(*args)
+    return result, sum(len(call.args[1]) for call in spy.call_args_list)
+
+
+def exact_test_accepts(stacked, seed_pts, tol, keep_tol):
+    """recover_hyperplanes' per-candidate test on one seed tuple: the rough
+    fit, the nearest crossing of every line, the refit and containment."""
+
+    try:
+        rough = affine_fit(seed_pts, tol)
+        rows = [int(np.argmin(np.abs(grp @ rough.a + rough.b))) for grp in stacked]
+        refit = affine_fit(stacked[np.arange(len(stacked)), rows], tol)
+    except si.DegenerateFitError:
+        return False
+    return all(np.sum(np.abs(grp @ refit.a + refit.b) <= keep_tol) == 1 for grp in stacked)
+
+
+def old_refit_seed_miss(stacked, combo, choice):
+    """How far the old screen's refit, on every line's crossing nearest the
+    rough plane, passes from the farthest of the tuple's own seeds."""
+
+    n_lines, m, d = stacked.shape
+    flat = stacked.reshape(n_lines * m, d)
+    rough = relu_sampling._plane_fits(flat, stacked[list(combo), choice][None])[0]
+    matched = stacked[np.arange(n_lines), rough.reshape(n_lines, m).argmin(axis=1)]
+    refit = relu_sampling._plane_fits(flat, matched[None])[0].reshape(n_lines, m)
+    return max(refit[j, i] for j, i in zip(combo, choice))
+
+
+def assert_screen_keeps_the_oracles_survivors(crossings, tol=si.DEFAULT_TOL):
+    """On the first and the last line combination, every tuple the old
+    screen kept is kept.  Under a loose tol the old screen's refit margin
+    also keeps some tuples whose refit passes more than 4 keep_tol from one
+    of their own seeds; the miss bound assumes the opposite, so it may drop
+    those, but only if the exact test rejects them.  Returns how many."""
+
+    stacked = np.stack(crossings)
+    n_lines, m, d = stacked.shape
+    keep_tol = tol.match_tol * (1.0 + float(np.max(np.abs(stacked))))
+    dropped = 0
+    for combo in (range(d), range(n_lines - d, n_lines)):
+        choices = np.array(list(itertools.product(range(m), repeat=d)))
+        seeds = stacked[list(combo), choices]
+        survivors = relu_sampling._seed_survivors(stacked, seeds, keep_tol)
+        for k in np.setdiff1d(oracle_seed_survivors(stacked, seeds, keep_tol), survivors):
+            assert old_refit_seed_miss(stacked, combo, choices[k]) > 4.0 * keep_tol
+            assert not exact_test_accepts(stacked, seeds[k], tol, keep_tol)
+            dropped += 1
+    return dropped
+
+
+NOISY_TOL = ToleranceConfig(match_tol=1e-5, rank_tol=1e-5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from([(d, m) for d in range(2, 6) for m in range(2, 8) if d * m <= 24]),
+       seed=st.integers(0, 10**6))
+def test_seed_survivors_keep_every_survivor_of_the_old_screen(shape, seed):
+    """Pipeline crossings as they come and with the lines permuted: the
+    screen keeps every tuple the old one kept.  With 1e-7 noise at match_tol
+    = rank_tol = 1e-5, where the miss bound is loosest, it keeps every tuple
+    that the old one kept and the exact test accepts, and the hyperplanes are
+    the per-candidate loop's."""
+
+    d, m = shape
+    crossings = pipeline_crossings(d, m, seed)
+    rng = np.random.default_rng(seed)
+    assert assert_screen_keeps_the_oracles_survivors(crossings) == 0
+    permuted = [crossings[j] for j in rng.permutation(len(crossings))]
+    assert assert_screen_keeps_the_oracles_survivors(permuted) == 0
+    noisy = [grp + rng.normal(scale=1e-7, size=grp.shape) for grp in crossings]
+    assert_screen_keeps_the_oracles_survivors(noisy, NOISY_TOL)
+    assert isinstance(assert_recovers_as_the_oracle(noisy, NOISY_TOL), list)
+
+
+def test_seed_survivors_drop_an_old_survivor_only_off_its_own_seeds():
+    """d = 2, m = 7, seed 30798 with noise: the old screen kept one tuple of
+    the last line combination whose refit passes within 4 keep_tol of a
+    crossing of every line, but not of its own seeds; the exact test rejects
+    it and the new screen drops it."""
+
+    crossings = pipeline_crossings(2, 7, 30798)
+    rng = np.random.default_rng(30798)
+    rng.permutation(len(crossings))
+    noisy = [grp + rng.normal(scale=1e-7, size=grp.shape) for grp in crossings]
+    assert assert_screen_keeps_the_oracles_survivors(noisy, NOISY_TOL) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from([(d, m) for d in range(2, 6) for m in range(2, 8) if d * m <= 24]),
+       seed=st.integers(0, 10**6), gap=st.sampled_from([0.0, 1e-9]))
+def test_seed_survivors_refit_ill_conditioned_tuples(shape, seed, gap):
+    """Two seeds of a tuple equal (s_{d-1} = 0) or 1e-9 apart: the miss
+    bound is useless, so the tuple reaches the refit unless a tie keeps it."""
+
+    d, m = shape
+    stacked = np.stack(pipeline_crossings(d, m, seed))
+    rng = np.random.default_rng(seed)
+    choice = rng.integers(m, size=d)
+    stacked[1, choice[1]] = stacked[0, choice[0]] + gap
+    keep_tol = 1e-8 * (1.0 + float(np.max(np.abs(stacked))))
+    seeds = stacked[np.arange(d), choice][None]
+    survivors, refitted = counting_refits(relu_sampling._seed_survivors, stacked, seeds, keep_tol)
+    assert refitted == 1 or survivors.tolist() == [0]
+    assert set(oracle_seed_survivors(stacked, seeds, keep_tol)) <= set(survivors)
+
+
+def test_seed_survivors_refit_a_tuple_whose_bound_is_nan():
+    """m = 1 and every crossing at one point: s_{d-1} = 0 and R = 0, so the
+    bound is 0 * inf; the lone tuple has no tie, goes to the refit and is
+    kept as the old screen kept it."""
+
+    stacked = np.full((3, 1, 3), 0.5)
+    seeds = stacked[np.arange(3), 0][None]
+    survivors, refitted = counting_refits(relu_sampling._seed_survivors, stacked, seeds, 1e-8)
+    assert refitted == 1
+    assert survivors.tolist() == oracle_seed_survivors(stacked, seeds, 1e-8).tolist() == [0]
+
+
+def test_recover_hyperplanes_refits_only_a_few_seed_tuples():
+    """Of the 1,296 seed tuples of (d, m, seed) = (4, 6, 0), the batched
+    refit sees at most 2m: the miss bound drops the rest."""
+
+    found, refitted = counting_refits(recover_hyperplanes, pipeline_crossings(4, 6, 0))
+    assert len(found) == 6 and refitted <= 12
 
 
 def test_recover_hyperplanes_rejects_non_finite_crossings():
