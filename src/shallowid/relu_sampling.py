@@ -497,14 +497,65 @@ def sample_values(net: ShallowNet, plan: SamplePlan) -> LabeledSamples:
 # recovery
 # ---------------------------------------------------------------------------
 
+def _fit_pieces(t: np.ndarray, y: np.ndarray, tol: ToleranceConfig
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints of every row of (lines, samples) arrays of params and
+    values at once; see extract_breakpoints for the rule.
+
+    Returns the (lines, pieces) mask of pieces that start a group, the
+    (slope, intercept) of every group and the breakpoints between neighbouring
+    groups, both in line order.
+    """
+
+    if np.any(t[:, 1:] <= t[:, :-1]):
+        raise InputError("params must be strictly increasing")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise InputError("params and values must be finite")
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a pair shares its predecessor's group iff their slopes are within
+        # merge_tol: that predecessor always ends the open group, so no loop
+        slopes = (y[:, 1::2] - y[:, 0::2]) / (t[:, 1::2] - t[:, 0::2])
+        merge_tol = 10.0 * tol.residual_tol * (1.0 + np.max(np.abs(slopes), axis=1))
+        steps = np.abs(np.diff(slopes, axis=1))
+        if not (np.all(np.isfinite(steps)) and np.all(np.isfinite(merge_tol))):
+            raise InputError("piece slopes overflow the float range")
+        starts = np.ones(slopes.shape, dtype=bool)
+        starts[:, 1:] = ~(steps <= merge_tol[:, None])
+
+        # centred least squares on each group's samples, a contiguous segment
+        first = 2 * np.flatnonzero(starts)
+        size = np.diff(first, append=t.size)
+        tf, yf = t.ravel(), y.ravel()
+        t_mean = np.add.reduceat(tf, first) / size
+        y_mean = np.add.reduceat(yf, first) / size
+        dt = tf - np.repeat(t_mean, size)
+        sxx = np.add.reduceat(dt * dt, first)
+        p = np.add.reduceat(dt * (yf - np.repeat(y_mean, size)), first) / sxx
+        q = y_mean - p * t_mean
+        # groups whose right neighbour is on the same line
+        left = np.flatnonzero(first[1:] % t.shape[1])
+        rise = p[left + 1] - p[left]
+        breakpoints = (q[left] - q[left + 1]) / rise
+    if not all(np.all(np.isfinite(a)) for a in (sxx, p, q, rise, breakpoints)):
+        raise InputError("fitted pieces or breakpoints overflow the float range")
+    return starts, np.stack([p, q], axis=1), breakpoints
+
+
 def extract_breakpoints(line: Line, params, values,
                         tol: ToleranceConfig = DEFAULT_TOL
                         ) -> tuple[list[float], list[tuple[float, float]]]:
     """Fit consecutive sample pairs to affine pieces in the line parameter and
     intersect neighbouring pieces.
 
-    Pieces whose slopes agree within tolerance are merged, so fewer
+    Each pair's slope is compared with the slope of the pair before it, and
+    the two share a piece when they differ by at most 10 * residual_tol *
+    (1 + the largest |slope| on the line).  Merges chain, so a run of small
+    steps is one piece even when its ends differ by more than that.  Each
+    piece is the least-squares line through its samples, so fewer
     breakpoints than hyperplanes is an ordinary outcome, not an error.
+    Non-finite params or values, and slopes, pieces or breakpoints that
+    overflow the float range, raise InputError.
     Returns (breakpoints, merged (slope, intercept) pieces).
     """
 
@@ -515,29 +566,8 @@ def extract_breakpoints(line: Line, params, values,
     if t.size < 4 or t.size % 2 != 0:
         raise InputError("expected an even number (>= 4) of samples, two per piece",
                          count=int(t.size))
-    if np.any(np.diff(t) <= 0):
-        raise InputError("params must be strictly increasing")
-
-    slopes = (y[1::2] - y[0::2]) / (t[1::2] - t[0::2])
-    merge_tol = 10.0 * tol.residual_tol * (1.0 + float(np.max(np.abs(slopes))))
-
-    groups: list[list[int]] = [[0]]
-    for i in range(1, slopes.size):
-        if abs(slopes[i] - slopes[groups[-1][-1]]) <= merge_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    pieces: list[tuple[float, float]] = []
-    for grp in groups:
-        sel = np.concatenate([[2 * i, 2 * i + 1] for i in grp])
-        p, q = np.polyfit(t[sel], y[sel], 1)
-        pieces.append((float(p), float(q)))
-
-    breakpoints = []
-    for (p1, q1), (p2, q2) in zip(pieces, pieces[1:]):
-        breakpoints.append((q1 - q2) / (p2 - p1))
-    return breakpoints, pieces
+    _, pieces, breakpoints = _fit_pieces(t[None, :], y[None, :], tol)
+    return breakpoints.tolist(), [(p, q) for p, q in pieces.tolist()]
 
 
 def _plane_fits(flat: np.ndarray, points: np.ndarray
@@ -733,14 +763,14 @@ def reconstruct(data: LabeledSamples, tol: ToleranceConfig = DEFAULT_TOL) -> Sha
                                   per_line=per_line)
     m_plan = per_line // 2 - 1
 
-    offsets = np.cumsum([0] + [per_line] * len(lines))
-    breakpoints_by_line = []
-    for j, line in enumerate(lines):
-        bps, _ = extract_breakpoints(line, plan.params[j],
-                                     values[offsets[j]:offsets[j + 1]], tol)
-        breakpoints_by_line.append(bps)
+    total = len(lines) * per_line
+    if values[:total].shape != (total,):
+        raise InputError("params and values must be equal-length vectors")
+    starts, _, breakpoints = _fit_pieces(np.array(plan.params, dtype=float),
+                                         values[:total].reshape(len(lines), per_line), tol)
+    found = np.sum(starts, axis=1) - 1      # breakpoints per line
 
-    m = max(len(b) for b in breakpoints_by_line)
+    m = int(np.max(found))
     value_scale = 1.0 + float(np.max(np.abs(values)))
 
     if m == 0:
@@ -764,7 +794,7 @@ def reconstruct(data: LabeledSamples, tol: ToleranceConfig = DEFAULT_TOL) -> Sha
     if len(lines) != m * d:
         raise ReconstructionError("plan line count disagrees with detected m",
                                   lines=len(lines), m=m, d=d)
-    short = [j for j, b in enumerate(breakpoints_by_line) if len(b) != m]
+    short = np.flatnonzero(found != m).tolist()
     if short:
         raise ReconstructionError(
             "some lines show fewer breakpoints than the detected neuron count",
@@ -772,9 +802,11 @@ def reconstruct(data: LabeledSamples, tol: ToleranceConfig = DEFAULT_TOL) -> Sha
     if m > SUBSET_CAP:  # fail before the costly hyperplane recovery
         raise SizeError(f"orientation search is capped at m <= {SUBSET_CAP}", m=m)
 
-    crossings_by_line = [line.points_at(bps)
-                         for line, bps in zip(lines, breakpoints_by_line)]
-    hyperplanes = recover_hyperplanes(crossings_by_line, tol)
+    # Line.points_at on every line in one broadcast
+    u = np.stack([line.u for line in lines])
+    v = np.stack([line.v for line in lines])
+    crossings = u[:, None, :] + breakpoints.reshape(len(lines), m)[:, :, None] * v[:, None, :]
+    hyperplanes = recover_hyperplanes(crossings, tol)
 
     margins = np.stack([plan.points @ h.a + h.b for h in hyperplanes], axis=1)
     ones = np.ones((plan.points.shape[0], 1))

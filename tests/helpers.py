@@ -561,6 +561,53 @@ def oracle_collinear_candidates(points, lines, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
+# per-piece breakpoint-extraction oracle
+# ---------------------------------------------------------------------------
+
+# The loop that relu_sampling.extract_breakpoints replaced: one np.polyfit
+# per merged piece.  It also returns the merged groups of pair indices.
+def oracle_extract_breakpoints(line, params, values, tol=DEFAULT_TOL):
+    """Fit consecutive sample pairs to affine pieces in the line parameter and
+    intersect neighbouring pieces.
+
+    Pieces whose slopes agree within tolerance are merged, so fewer
+    breakpoints than hyperplanes is an ordinary outcome, not an error.
+    Returns (breakpoints, merged (slope, intercept) pieces, groups).
+    """
+
+    t = np.asarray(params, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != y.shape:
+        raise InputError("params and values must be equal-length vectors")
+    if t.size < 4 or t.size % 2 != 0:
+        raise InputError("expected an even number (>= 4) of samples, two per piece",
+                         count=int(t.size))
+    if np.any(np.diff(t) <= 0):
+        raise InputError("params must be strictly increasing")
+
+    slopes = (y[1::2] - y[0::2]) / (t[1::2] - t[0::2])
+    merge_tol = 10.0 * tol.residual_tol * (1.0 + float(np.max(np.abs(slopes))))
+
+    groups: list[list[int]] = [[0]]
+    for i in range(1, slopes.size):
+        if abs(slopes[i] - slopes[groups[-1][-1]]) <= merge_tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+
+    pieces: list[tuple[float, float]] = []
+    for grp in groups:
+        sel = np.concatenate([[2 * i, 2 * i + 1] for i in grp])
+        p, q = np.polyfit(t[sel], y[sel], 1)
+        pieces.append((float(p), float(q)))
+
+    breakpoints = []
+    for (p1, q1), (p2, q2) in zip(pieces, pieces[1:]):
+        breakpoints.append((q1 - q2) / (p2 - p1))
+    return breakpoints, pieces, groups
+
+
+# ---------------------------------------------------------------------------
 # per-candidate hyperplane-recovery oracle
 # ---------------------------------------------------------------------------
 

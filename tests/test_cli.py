@@ -191,6 +191,34 @@ def test_reconstruct_rejects_nan_sample_value_exit_3(tmp_path, cross_net_file):
     assert err["type"] == "parse" and err["details"]["location"] == "samples.values[0]"
 
 
+def test_reconstruct_rejects_params_not_increasing_on_one_line_exit_2(
+        tmp_path, cross_net_file, capsys):
+    """Line 1's first two samples swapped in the plan and in the samples file,
+    so the files agree with each other but the params go down."""
+
+    plan, samples = tmp_path / "plan.json", tmp_path / "samples.json"
+    assert cli.main(["plan-relu", "--net", str(cross_net_file), "--out", str(plan)]) == 0
+    assert cli.main(["sample", "--net", str(cross_net_file), "--plan", str(plan),
+                     "--out", str(samples)]) == 0
+    plan_obj, samples_obj = json.loads(plan.read_text()), json.loads(samples.read_text())
+    row = plan_obj["params"][1]
+    row[0], row[1] = row[1], row[0]
+    first = len(plan_obj["params"][0])
+    for key in ("points", "values"):
+        col = samples_obj[key]
+        col[first], col[first + 1] = col[first + 1], col[first]
+    plan.write_text(json.dumps(plan_obj))
+    samples.write_text(json.dumps(samples_obj))
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--data", str(samples),
+                     "--out", str(tmp_path / "rec.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "input", "details": {},
+                                        "message": "params must be strictly increasing"}
+    assert not (tmp_path / "rec.json").exists()
+
+
 def test_reduce_writes_fixpoint(tmp_path):
     a = np.array([1.0, 0.2])
     net = make_net("relu", [(a, 0.0, 1.0), (-a, 0.0, -1.0),

@@ -19,8 +19,9 @@ from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
                                      samples_to_json_obj)
 
 from helpers import (oracle_build_feasible_lines, oracle_collinear_candidates,
-                     oracle_collinearity_ok, oracle_orientation, oracle_recover_hyperplanes,
-                     oracle_seed_survivors, oracle_spread_culprit, random_irreducible_relu)
+                     oracle_collinearity_ok, oracle_extract_breakpoints, oracle_orientation,
+                     oracle_recover_hyperplanes, oracle_seed_survivors, oracle_spread_culprit,
+                     random_irreducible_relu)
 
 
 def cross_net():
@@ -758,6 +759,106 @@ def test_extract_breakpoints_rejects_unsorted():
                             [1.0, 0.0, 2.0, 3.0], [0.0] * 4)
 
 
+@pytest.mark.parametrize("params, values, message", [
+    ([0.0, 1.0, 2.0, 3.0], [0.0, np.inf, 1.0, 2.0], "params and values must be finite"),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, np.nan, 2.0], "params and values must be finite"),
+    ([0.0, 1.0, 2.0, np.inf], [0.0, 0.0, 1.0, 2.0], "params and values must be finite"),
+    # a slope step of -2e308 overflows; an infinite merge_tol would merge the kink away
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1e308, -1e308], "piece slopes overflow the float range"),
+    # slope steps of +-2e308 overflow; the intercepts would give nan breakpoints
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1e308, 0.0, -1e308, 0.0, 1e308],
+     "piece slopes overflow the float range"),
+    # finite slopes 1e10 and 0, but the first piece's intercept is -1e310
+    ([1e300, 1.0000000001e300, 2e300, 2.0000000001e300], [0.0, 1e300, 0.0, 0.0],
+     "fitted pieces or breakpoints overflow the float range"),
+], ids=["inf-value", "nan-value", "inf-param", "merged-kink", "nan-breakpoints",
+        "intercept-overflow"])
+def test_extract_breakpoints_rejects_values_beyond_the_float_range(params, values, message):
+    with pytest.raises(InputError) as err:
+        extract_breakpoints(Line(np.zeros(2), np.ones(2)), params, values)
+    assert err.value.message == message
+
+
+def test_reconstruct_rejects_a_non_finite_sample_value():
+    net = cross_net()
+    g = group(net)
+    plan = build_sample_plan(g, build_feasible_lines(g, seed=0), seed=0)
+    values = sample_values(net, plan).values.copy()
+    values[7] = np.inf
+    with pytest.raises(InputError, match="params and values must be finite"):
+        reconstruct(LabeledSamples(plan, values))
+
+
+STEP_KINDS = {"equal": 0.0, "inside": 0.999, "outside": 1.001, "chain": 0.6}
+
+
+@st.composite
+def planted_line(draw, steps):
+    """Params and values of a continuous piecewise-linear function, two
+    samples per piece, whose slope steps are planted: equal slopes, steps well
+    above merge_tol ("big"), steps just inside and just outside it, and
+    chains of steps of 0.6 merge_tol in one direction, whose ends differ by
+    more than merge_tol.  Returns them with the kinds of the steps."""
+
+    near = draw(st.booleans())
+    kinds = draw(st.lists(st.sampled_from(["big", *STEP_KINDS] if near else ["big", "equal"]),
+                          min_size=steps, max_size=steps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.uniform(-10.0, 0.0) + np.cumsum(rng.uniform(0.05, 1.0, size=2 * steps + 2))
+    kinks = t[1:-1:2] + rng.uniform(0.1, 0.9, size=steps) * (t[2::2] - t[1:-1:2])
+    # slope k is base[k] + small[k] * merge_tol; lines of one batch differ in
+    # scale, so each needs its own merge_tol
+    scale, sign = 10.0 ** rng.uniform(-1.0, 1.0), rng.choice([-1.0, 1.0])
+    base, small = [scale * rng.uniform(-3.0, 3.0)], [0.0]
+    for kind in kinds:
+        big = rng.choice([-1.0, 1.0]) * scale * rng.uniform(0.1, 2.0) if kind == "big" else 0.0
+        base.append(base[-1] + big)
+        step = STEP_KINDS.get(kind, 0.0)
+        small.append(small[-1] + (sign if kind == "chain" else rng.choice([-1.0, 1.0])) * step)
+    base, small = np.array(base), np.array(small)
+    merge_tol = 0.0
+    for _ in range(3):
+        merge_tol = 10.0 * si.DEFAULT_TOL.residual_tol * (
+            1.0 + np.max(np.abs(base + small * merge_tol)))
+    slopes = base + small * merge_tol
+    values = (rng.uniform(-5.0, 5.0) + slopes[0] * t
+              + np.maximum(t[:, None] - kinks[None, :], 0.0) @ np.diff(slopes))
+    return t, values, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda steps: st.lists(planted_line(steps),
+                                                        min_size=1, max_size=4)))
+def test_extract_breakpoints_merges_as_the_per_piece_polyfit_loop(batch):
+    """One batched pass over several lines gives each line what
+    extract_breakpoints gives it alone, and its merged groups are the
+    oracle's exactly.  Where every step is equal or well above merge_tol, a
+    slope moves by O(eps Y / h) between the two fits, with Y = 1 +
+    max|value| and h the closest pair of samples; an intercept by that times
+    1 + max|param|, and a breakpoint by the sum over the smallest slope step
+    between neighbouring pieces."""
+
+    starts, pieces, breakpoints = relu_sampling._fit_pieces(
+        np.stack([t for t, _, _ in batch]), np.stack([y for _, y, _ in batch]), si.DEFAULT_TOL)
+    counts = np.sum(starts, axis=1)
+    for k, (t, y, kinds) in enumerate(batch):
+        first = int(np.sum(counts[:k]))       # line k's first group; k fewer breakpoints
+        bps, own = extract_breakpoints(None, t, y)
+        assert pieces[first:first + counts[k]].tolist() == [list(pq) for pq in own]
+        assert breakpoints[first - k:first - k + counts[k] - 1].tolist() == bps
+        oracle_bps, oracle_pieces, groups = oracle_extract_breakpoints(None, t, y)
+        assert np.flatnonzero(starts[k]).tolist() == [grp[0] for grp in groups]
+        assert starts[k, 1:].tolist() == [kind in ("big", "outside") for kind in kinds]
+        if not set(kinds) <= {"big", "equal"}:
+            continue
+        scale = (np.finfo(float).eps * (1.0 + np.max(np.abs(y))) / np.min(t[1::2] - t[0::2])
+                 * (1.0 + np.max(np.abs(t))))
+        assert np.all(np.abs(np.asarray(own) - oracle_pieces) <= 64.0 * scale)
+        if len(groups) > 1:
+            rise = np.min(np.abs(np.diff(np.asarray(oracle_pieces)[:, 0])))
+            assert np.all(np.abs(np.asarray(bps) - oracle_bps) <= 64.0 * scale / rise)
+
+
 def test_recover_hyperplanes_cross_net_exact():
     g = group(cross_net())
     ls = build_feasible_lines(g, seed=0)
@@ -862,16 +963,36 @@ def test_recover_hyperplanes_rejects_scattered_points():
     assert assert_recovers_as_the_oracle(scattered)[0] is si.RecoveryError
 
 
+def pipeline_samples(d, m, seed):
+    """Plan samples of a seeded net, through its lines and plan."""
+
+    net = random_irreducible_relu(np.random.default_rng(seed), m, d)
+    g = group(net)
+    return sample_values(net, build_sample_plan(g, build_feasible_lines(g, seed=seed),
+                                                seed=seed))
+
+
 def pipeline_crossings(d, m, seed):
     """The crossings reconstruct hands to recover_hyperplanes for a seeded
     net: lines, plan, samples and the breakpoints extracted on every line."""
 
-    net = random_irreducible_relu(np.random.default_rng(seed), m, d)
-    g = group(net)
-    plan = build_sample_plan(g, build_feasible_lines(g, seed=seed), seed=seed)
-    values = sample_values(net, plan).values.reshape(len(plan.lines), -1)
+    data = pipeline_samples(d, m, seed)
+    plan = data.plan
+    values = data.values.reshape(len(plan.lines), -1)
     return [line.points_at(extract_breakpoints(line, params, vals)[0])
             for line, params, vals in zip(plan.lines, plan.params, values)]
+
+
+@pytest.mark.parametrize("d, m, seed", [(2, 3, 0), (3, 5, 1), (4, 4, 2)])
+def test_reconstruct_hands_recovery_the_public_extraction_bit_for_bit(d, m, seed):
+    with mock.patch.object(relu_sampling, "recover_hyperplanes",
+                           wraps=relu_sampling.recover_hyperplanes) as spy:
+        reconstruct(pipeline_samples(d, m, seed))
+    handed = spy.call_args.args[0]
+    expected = pipeline_crossings(d, m, seed)
+    assert len(handed) == len(expected)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(handed, expected))
 
 
 def recovery_outcome(recover, crossings, tol=si.DEFAULT_TOL):
