@@ -82,7 +82,13 @@ class AnalyticSamplePlan:
         return int(self.points.shape[0])
 
 
-def _check_plan_size(count: int, cap: int) -> None:
+def _check_plan_size(frame_size: int, log2_scalars: int, cap: int) -> None:
+    # compare bit lengths first, so that a huge point count is never expanded
+    bits = frame_size.bit_length() + log2_scalars
+    if bits > max(cap.bit_length(), 64):
+        raise SizeError(f"plan would hold over 2^{bits - 1} points, above the cap {cap}",
+                        points_log2=bits - 1, cap=cap)
+    count = frame_size << log2_scalars
     if count > cap:
         raise SizeError(f"plan would hold {count} points, above the cap {cap}",
                         points=count, cap=cap)
@@ -102,7 +108,7 @@ def build_analytic_plan(m: int, d: int, cap: int = _DEFAULT_PLAN_CAP) -> Analyti
     if m < 1 or d < 1:
         raise InputError("need m >= 1 and d >= 1", m=m, d=d)
     n = comb(4 * m, 2) * (d - 1) + 1
-    _check_plan_size(n * (1 << (2 * m)), cap)
+    _check_plan_size(n, 2 * m, cap)
     return _scaled_plan(m, vandermonde_frame(d, n), np.linspace(-2.0, 2.0, 1 << (2 * m)))
 
 
@@ -184,26 +190,28 @@ def exp_sum_expansion(a, b, s, s0: float,
                       tol: ToleranceConfig = DEFAULT_TOL) -> ExpSumExpansion:
     """Exponents are the 2^n subset sums of the directions (merged within
     match_tol); each coefficient sums, over the subsets hitting that exponent,
-    the unused scales times the product of e^(-b) over the subset."""
+    the unused scales times the product of e^(-b) over the subset.  Raises
+    InputError when an exponent or a coefficient overflows the float range."""
 
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     s = np.asarray(s, dtype=float)
     if not (a.shape == b.shape == s.shape) or a.ndim != 1:
         raise InputError("a, b, s must be equal-length vectors")
-    # subset sums first, so that an oversized input fails before the checks
-    alphas = subset_sums(a)
-    used = subset_sums(s)
-    prods = subset_sums(np.exp(-b), np.multiply, 1.0)
+    # subset sums first, so that an oversized input fails before the checks;
+    # an overflow is reported from the merged terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        alphas = subset_sums(a)
+        used = subset_sums(s)
+        terms = (float(np.sum(s)) + float(s0) - used) * subset_sums(np.exp(-b), np.multiply, 1.0)
     if np.any(np.abs(a) <= ZERO_TOL):
         raise InputError("all direction coefficients must be nonzero")
     pairs = _duplicate_ridges(a[:, None], b, (1.0, -1.0), tol)
     if pairs:
         raise InputError("ridge pairs must be distinct and non-opposite", pair=pairs[0])
 
-    total = float(np.sum(s)) + float(s0)
     order = np.argsort(alphas, kind="stable")
-    raw = zip(alphas[order].tolist(), ((total - used) * prods)[order].tolist())
+    raw = zip(alphas[order].tolist(), terms[order].tolist())
     exponents: list[float] = []
     coefficients: list[float] = []
     for alpha, coeff in raw:
@@ -212,6 +220,10 @@ def exp_sum_expansion(a, b, s, s0: float,
         else:
             exponents.append(alpha)
             coefficients.append(coeff)
+    # a list of 2^n floats is slow to convert: read the coefficients only if terms merged
+    merged = coefficients if len(coefficients) < alphas.size else []
+    if not (np.isfinite(alphas).all() and np.isfinite(terms).all() and np.isfinite(merged).all()):
+        raise InputError("the expansion overflows the float range")
     return ExpSumExpansion(tuple(exponents), tuple(coefficients))
 
 
@@ -250,7 +262,7 @@ def analytic_plan_from_json_obj(obj, *, cap: int = _DEFAULT_PLAN_CAP) -> Analyti
     for name, values in (("nodes", nodes), ("scalars", scalars)):
         if np.unique(values).size != values.size:
             raise ParseError(f"{name} must be pairwise distinct", location=f"plan.{name}")
-    _check_plan_size(nodes.size * scalars.size, cap)
+    _check_plan_size(nodes.size, 2 * m, cap)
     with np.errstate(over="ignore", invalid="ignore"):
         plan = _scaled_plan(m, _moment_frame(nodes, d), scalars)
     for name, values in (("nodes", plan.frame.vectors), ("scalars", plan.points)):

@@ -197,12 +197,16 @@ def _cmd_expsum(args, tol) -> int:
     b = [float(n.b) for n in net.neurons]
     s = [float(n.s) for n in net.neurons]
     expansion = analytic_id.exp_sum_expansion(a, b, s, net.c, tol)
+    # check the identity before writing, so that an overflow leaves no output file
+    xs = np.linspace(-1.0, 1.0, 101)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = analytic_id.cleared_form_value(a, b, s, net.c, xs)
+        rhs = expansion.evaluate(xs)
+        residual = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+        raise InputError("the identity check overflows the float range on [-1, 1]")
     _write_atomic(args.out, {"exponents": list(expansion.exponents),
                              "coefficients": list(expansion.coefficients)})
-    xs = np.linspace(-1.0, 1.0, 101)
-    lhs = analytic_id.cleared_form_value(a, b, s, net.c, xs)
-    rhs = expansion.evaluate(xs)
-    residual = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
     print(f"{len(expansion.exponents)} exponents; identity residual "
           f"{residual:.3e}; wrote {args.out}")
     return 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateFitError, InputError, SizeError
-from .net_core import Hyperplane, canonical_hyperplane
+from .net_core import Hyperplane, _canonical_rows, _row_norms
 from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 SUBSET_CAP = 20
@@ -18,14 +18,34 @@ def _as_matrix(matrix) -> np.ndarray:
     return a
 
 
-def rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above rank_tol times the largest."""
+def _ranks(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """``rank`` of each matrix of a (k, n, d) stack."""
 
-    a = _as_matrix(matrix)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] <= ZERO_TOL:
-        return 0
-    return int(np.sum(sv > tol.rank_tol * sv[0]))
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.where(sv[:, 0] > ZERO_TOL, np.sum(sv > tol.rank_tol * sv[:, :1], axis=1), 0)
+
+
+def rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Numerical rank: singular values above rank_tol times the largest, or 0
+    when the largest is at most ZERO_TOL."""
+
+    return int(_ranks(_as_matrix(matrix)[None], tol)[0])
+
+
+def affine_fits(points: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """affine_fit of every (n, d) matrix of a (k, n, d) stack, bit for bit: the
+    (k, d) canonical normals (read-only), the (k,) offsets and the dimension of
+    the flat each matrix affinely spans, where affine_fit needs d - 1."""
+
+    center = points.mean(axis=1)
+    centered = points - center[:, None, :]
+    spanned = np.where(np.max(np.abs(centered), axis=(1, 2)) > ZERO_TOL,
+                       _ranks(centered, tol), 0)
+    normal = np.linalg.svd(centered)[2][:, -1]
+    A, B, _ = _canonical_rows(normal, -np.vecdot(normal, center), _row_norms(normal))
+    A.setflags(write=False)
+    return A, B, spanned
 
 
 def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> Hyperplane:
@@ -42,16 +62,12 @@ def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> Hyperplane:
     n, d = pts.shape
     if n < d:
         raise InputError(f"need at least {d} points, got {n}")
-    center = pts.mean(axis=0)
-    centered = pts - center
-    r = rank(centered, tol) if float(np.max(np.abs(centered))) > ZERO_TOL else 0
+    A, B, (r,) = affine_fits(pts[None], tol)
     if r != d - 1:
         raise DegenerateFitError(
             f"points affinely span a flat of dimension {r}, expected {d - 1}",
-            spanned=r, expected=d - 1)
-    _, _, vt = np.linalg.svd(centered)
-    normal = vt[-1]
-    return canonical_hyperplane(normal, -float(normal @ center))[0]
+            spanned=int(r), expected=d - 1)
+    return Hyperplane(A[0], float(B[0]))
 
 
 def solve_least_squares(a, y, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:

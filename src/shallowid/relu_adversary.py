@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConstructionError, InputError
 from .net_core import (ShallowNet, _canonical_rows, _match_matrix, _row_norms, evaluate_many,
-                       make_net)
+                       make_net, net_to_json_obj)
 from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 _RETRY_BUDGET = 1000
@@ -41,14 +41,6 @@ class AdversarialPair:
     net2: ShallowNet
     witness: np.ndarray
     params: AdversaryParams
-
-
-def _canonical(rows: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical unit directions and offsets of the hyperplanes <a, x> + b = 0."""
-
-    A = np.array([a for a, _ in rows])
-    U, beta, _ = _canonical_rows(A, np.array([b for _, b in rows]), _row_norms(A))
-    return U, beta
 
 
 def build_pair(points, m: int, seed: int,
@@ -93,9 +85,8 @@ def build_pair(points, m: int, seed: int,
             continue
         eps = eps_prime / 2.0
 
-        special = [(w + eps * n, b), (w - eps * n, b),
-                   (w + eps_prime * n, b), (w - eps_prime * n, b)]
-        taken = _canonical(special)
+        special = np.array([w + eps * n, w - eps * n, w + eps_prime * n, w - eps_prime * n])
+        taken = _canonical_rows(special, np.full(4, b), _row_norms(special))[:2]
         extras: list[tuple[np.ndarray, float]] = []
         ok = True
         for _ in range(m - 2):
@@ -106,7 +97,7 @@ def build_pair(points, m: int, seed: int,
                     continue
                 a = a / an
                 bk = float(rng.uniform(-1.0, 1.0))
-                new = _canonical([(a, bk)])
+                new = _canonical_rows(a[None], np.array([bk]), _row_norms(a[None]))[:2]
                 if not np.any(_match_matrix(*new, *taken, 1, tol)):
                     extras.append((a, bk))
                     taken = (np.vstack([taken[0], new[0]]), np.append(taken[1], new[1]))
@@ -136,8 +127,6 @@ def build_pair(points, m: int, seed: int,
 
 
 def pair_to_json_obj(pair: AdversarialPair) -> dict:
-    from .net_core import net_to_json_obj
-
     p = pair.params
     return {
         "net1": net_to_json_obj(pair.net1),

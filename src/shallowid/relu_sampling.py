@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schema
-from .errors import (ConstructionError, DegenerateFitError, InputError, ParseError,
-                     ReconstructionError, RecoveryError, SizeError)
+from .errors import (ConstructionError, InputError, ParseError, ReconstructionError,
+                     RecoveryError, SizeError)
 from .net_core import (GroupedReLU, Hyperplane, ShallowNet, _canonical_rows, _row_norms,
                        evaluate_many, make_net)
-from .numerics import SUBSET_CAP, affine_fit, rank, solve_least_squares, subset_sums
+from .numerics import SUBSET_CAP, affine_fits, rank, solve_least_squares, subset_sums
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # quantitative margins for the randomized constructions; the theory only needs
@@ -570,58 +570,25 @@ def extract_breakpoints(line: Line, params, values,
     return breakpoints.tolist(), [(p, q) for p, q in pieces.tolist()]
 
 
-def _plane_fits(flat: np.ndarray, points: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched total least-squares planes through each of ``points``
-    (tuples, k, d): the |distance| of every row of ``flat`` from each plane
-    (len(flat), tuples), the singular values of the centred points
-    (tuples, d) and their centroids.  For k > d the SVD is taken of the R
-    factor, which has the same right singular vectors."""
-
-    center = points.mean(axis=1)
-    centered = points - center[:, None, :]
-    if centered.shape[1] > centered.shape[2]:
-        centered = np.linalg.qr(centered, mode="r")
-    _, sv, vt = np.linalg.svd(centered)
-    normal = vt[:, -1]
-    dist = flat @ normal.T
-    dist -= np.einsum("cd,cd->c", normal, center)
-    return np.abs(dist, out=dist), sv, center
-
-
-def _refit_keeps(stacked: np.ndarray, matched: np.ndarray, keep_tol: float) -> np.ndarray:
-    """Whether the plane refitted on ``matched`` (tuples, lines, d), one
-    crossing of every line of ``stacked``, comes within 4 keep_tol of every
-    line and within keep_tol / 4 of at most one crossing of each."""
-
-    n_lines, m, d = stacked.shape
-    refit = _plane_fits(stacked.reshape(n_lines * m, d), matched)[0].reshape(n_lines, m, -1)
-    return (np.all(np.min(refit, axis=1) <= 4.0 * keep_tol, axis=0)
-            & np.all(np.sum(refit <= keep_tol / 4.0, axis=1) <= 1, axis=0))
-
-
 def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> np.ndarray:
     """Indices of the seed tuples (``seeds``: (tuples, d, d), one crossing of
     each of d lines) that may pass ``recover_hyperplanes``' exact test.
 
     Each tuple gets a rough plane, the batched fit through its seeds.  A
     tuple is kept outright when some line has a second crossing within
-    keep_tol of the one nearest its rough plane: there the per-candidate match
+    keep_tol of the one nearest its rough plane: there the exact test's match
     could pick another.  Every other tuple is dropped when its rough plane
-    provably misses some line, and the few left are refitted on every line's
-    nearest crossing by ``_refit_keeps``, which drops the refits that miss a
-    line by more than 4 keep_tol or come within keep_tol / 4 of two crossings
-    of one line.  Both fits are backward stable, so for well-spread points, as
-    a real hyperplane's crossings are, their distances differ from the
-    per-candidate ones by rounding far below these margins: every tuple the
-    exact test accepts survives.
+    provably misses some line, and kept otherwise.  For well-spread points,
+    as a real hyperplane's crossings are, this leaves about m tuples of a line
+    combination's m^d, and every tuple the exact test accepts survives.
 
     The miss bound.  Let c be the seeds' centroid, S their centred rows with
     singular values s_1 >= ... >= s_d and rough normal n (the last right
-    singular vector), and t = 4 keep_tol.  Suppose the refit H' = {x : n'.x +
-    b' = 0}, |n'| = 1, comes within t of one crossing of every line, and on
-    each seed's line that crossing is the seed (without a tie the seeds are
-    among the matched crossings it is fitted on).
+    singular vector), and t = 4 keep_tol, a margin above the exact test's
+    keep_tol.  Suppose the refit H' = {x : n'.x + b' = 0}, |n'| = 1, comes
+    within t of one crossing of every line, and on each seed's line that
+    crossing is the seed (without a tie the seeds are among the matched
+    crossings it is fitted on).
     * |n'.c + b'| <= t, every entry of S n' is at most 2t in size, and so
       |S n'| <= 2 sqrt(d) t.
     * Write n' = cos(a) n + sin(a) w, w a unit vector orthogonal to n and so
@@ -634,11 +601,10 @@ def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> 
       with o the mean of all crossings and r their largest distance from o.
     So every line has a crossing within B = 2t + sqrt(2) R (2 sqrt(d) t +
     s_d + eta) / s_{d-1} + eta of the rough plane, and a tuple whose nearest
-    crossing on some line is farther than B can be neither kept by the refit
-    nor accepted by the exact test, whose margin keep_tol is below t.  (A
-    refit that passes within t of some other crossing of a seed's line, but
-    not of the seed, breaks the premise.  Under a loose keep_tol the refit
-    test alone kept a few such tuples; the exact test rejects them.)
+    crossing on some line is farther than B cannot pass the exact test.  (A
+    refit that passes within keep_tol of some other crossing of a seed's
+    line, but not of the seed, breaks the premise; under a loose keep_tol
+    such tuples exist, and the exact test rejects them.)
 
     Rounding.  With P the largest coordinate size and u = 2^-53, centring,
     the SVD (backward stable: exact for S + E with |E| = O(d u s_1) and s_1 <=
@@ -649,13 +615,17 @@ def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> 
     4 sqrt(d) P, so B's own few relative roundings are below eta as well.
     At d = 1 the normal is fixed and sin a = 0.  A degenerate tuple (s_{d-1}
     = 0, or R = 0) has an infinite or NaN bound, for which ``nearest >
-    bound`` is false: it goes to the refit.
+    bound`` is false: it is kept.
     """
 
     n_lines, m, d = stacked.shape
     flat = stacked.reshape(n_lines * m, d)
-    rough, sv, center = _plane_fits(flat, seeds)
-    rough = rough.reshape(n_lines, m, -1)
+    center = seeds.mean(axis=1)
+    _, sv, vt = np.linalg.svd(seeds - center[:, None, :])
+    normal = vt[:, -1]
+    rough = flat @ normal.T
+    rough -= np.einsum("cd,cd->c", normal, center)
+    rough = np.abs(rough, out=rough).reshape(n_lines, m, -1)
     nearest = np.min(rough, axis=1)
     tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
 
@@ -666,11 +636,30 @@ def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> 
     with np.errstate(divide="ignore", invalid="ignore"):
         sin = (2 * np.sqrt(d) * t + sv[:, -1] + eta) / (sv[:, -2] if d > 1 else np.inf)
         bound = 2 * t + np.sqrt(2) * reach * sin + eta
-        refit = ~tie & ~np.any(nearest > bound, axis=0)
-    keep = tie
-    rows = np.argmin(rough[:, :, refit], axis=1).T
-    keep[refit] = _refit_keeps(stacked, stacked[np.arange(n_lines), rows], keep_tol)
-    return np.flatnonzero(keep)
+        return np.flatnonzero(tie | ~np.any(nearest > bound, axis=0))
+
+
+def _plane_distances(stacked: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|a.x + b| of every crossing x of ``stacked`` (lines, m, d) from each plane
+    (a, b) of (A, B): (planes, lines, m), with the bits of ``stacked[j] @ a + b``."""
+
+    return np.abs(np.matmul(stacked, A[:, None, :, None])[..., 0] + B[:, None, None])
+
+
+def _exact_fits(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float,
+                tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``recover_hyperplanes``' exact test on each tuple of ``seeds`` (tuples,
+    d, d): fit the seeds, refit on every line's crossing nearest that plane,
+    and accept a refit within keep_tol of exactly one crossing of every line.
+    Returns the refits' normals and offsets and the accepted ones' indices."""
+
+    n_lines, _, d = stacked.shape
+    A, B, spanned = affine_fits(seeds, tol)
+    fitted = spanned == d - 1
+    rows = np.argmin(_plane_distances(stacked, A[fitted], B[fitted]), axis=2)
+    A, B, spanned = affine_fits(stacked[np.arange(n_lines), rows], tol)
+    hits = np.sum(_plane_distances(stacked, A, B) <= keep_tol, axis=2)
+    return A, B, np.flatnonzero((spanned == d - 1) & np.all(hits == 1, axis=1))
 
 
 def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
@@ -678,11 +667,13 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
     """Fit candidate hyperplanes through d crossings from d distinct lines and
     keep those containing exactly one crossing of every line.
 
-    Each kept candidate is refitted on all of its matched crossings before the
+    Each candidate is refitted on all of its matched crossings before the
     final containment test, which makes the fit insensitive to how well spread
-    the d seed points happened to be.  Seed tuples are screened in chunks by
-    ``_seed_survivors``; only the survivors get the per-candidate fits, in
-    itertools order, so the result is the one of fitting every tuple.
+    the d seed points happened to be.  Seed tuples go in chunks through two
+    stages: the miss-bound screen ``_seed_survivors``, then one batched exact
+    test ``_exact_fits`` on its survivors.  Accepted refits are taken in
+    itertools order and a refit matching one already found is skipped, so
+    the result is the one of testing every tuple on its own.
     """
 
     groups = [np.asarray(grp, dtype=float) for grp in crossings_by_line]
@@ -702,7 +693,6 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
 
     keep_tol = tol.match_tol * (1.0 + float(np.max(np.abs(stacked))))
     found: list[Hyperplane] = []
-    refitted: set[tuple[int, ...]] = set()   # the same matched rows give the same refit
     fits = 0
     tuples = m ** d
     chunk = max(1, _CHUNK_FLOATS // (n_lines * max(m, d)))
@@ -718,22 +708,10 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
             for k in range(d - 1, -1, -1):       # itertools.product order
                 index, choices[:, k] = np.divmod(index, m)
             seeds = stacked[list(line_combo), choices]
-            for seed_pts in seeds[_seed_survivors(stacked, seeds, keep_tol)]:
-                try:
-                    rough = affine_fit(seed_pts, tol)
-                except DegenerateFitError:
-                    continue
-                rows = tuple(int(np.argmin(np.abs(grp @ rough.a + rough.b))) for grp in groups)
-                if rows in refitted:
-                    continue
-                refitted.add(rows)
-                try:
-                    refit = affine_fit(stacked[np.arange(n_lines), rows], tol)
-                except DegenerateFitError:
-                    continue
-                if any(np.sum(np.abs(grp @ refit.a + refit.b) <= keep_tol) != 1
-                       for grp in groups):
-                    continue
+            seeds = seeds[_seed_survivors(stacked, seeds, keep_tol)]
+            A, B, accepted = _exact_fits(stacked, seeds, keep_tol, tol)
+            for k in accepted:
+                refit = Hyperplane(A[k], float(B[k]))
                 if any(refit.matches(h, tol) for h in found):
                     continue
                 found.append(refit)

@@ -1,7 +1,7 @@
 """Shared generators, the brute-force reducibility, witness-search,
-orientation, exp-sum, plan-collinearity, hyperplane-recovery, line-feasibility,
-rank, equivalence and pairwise grouping/admissibility oracles, the frame
-separating direction and the CLI runner."""
+orientation, exp-sum, plan-collinearity, hyperplane-recovery, seed-screen,
+line-feasibility, rank, equivalence and pairwise grouping/admissibility
+oracles, the frame separating direction and the CLI runner."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from shallowid import (AdmissibilityError, ConstructionError, DegenerateFitError
                        admissibility_violations, affine_fit, canonical_hyperplane,
                        evaluate_many, group, make_net, rank, relu_sampling,
                        solve_least_squares)
-from shallowid.net_core import _duplicate_ridges
+from shallowid.net_core import _duplicate_ridges, _row_norms
 from shallowid.relu_sampling import _point_line_distances
 from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
                                       _direction_of)
@@ -607,6 +607,29 @@ def oracle_extract_breakpoints(line, params, values, tol=DEFAULT_TOL):
     return breakpoints, pieces, groups
 
 
+# The one-matrix fit that numerics.affine_fits generalised to stacks.
+def oracle_affine_fit(points, tol=DEFAULT_TOL):
+    """The hyperplane through (n, d) points that affinely span a (d-1)-flat,
+    from the last right singular vector of the centred points; raises
+    DegenerateFitError for any other span."""
+
+    pts = np.asarray(points, dtype=float)
+    d = pts.shape[1]
+    center = pts.mean(axis=0)
+    centered = pts - center
+    r = 0
+    if float(np.max(np.abs(centered))) > ZERO_TOL:
+        sv = np.linalg.svd(centered, compute_uv=False)
+        r = int(np.sum(sv > tol.rank_tol * sv[0])) if sv[0] > ZERO_TOL else 0
+    if r != d - 1:
+        raise DegenerateFitError(
+            f"points affinely span a flat of dimension {r}, expected {d - 1}",
+            spanned=r, expected=d - 1)
+    _, _, vt = np.linalg.svd(centered)
+    normal = vt[-1]
+    return canonical_hyperplane(normal, -float(normal @ center))[0]
+
+
 # ---------------------------------------------------------------------------
 # per-candidate hyperplane-recovery oracle
 # ---------------------------------------------------------------------------
@@ -703,6 +726,56 @@ def oracle_seed_survivors(stacked, seeds, keep_tol):
     keep = (np.all(np.min(refit, axis=1) <= 4.0 * keep_tol, axis=0)
             & np.all(np.sum(refit <= keep_tol / 4.0, axis=1) <= 1, axis=0))
     return np.flatnonzero(keep | tie)
+
+
+# The two-stage screen that relu_sampling._seed_survivors replaced: the miss
+# bound, then a batched refit with a safety margin on the tuples it leaves.
+def oracle_plane_fits(flat, points):
+    """Batched total least-squares planes through each of ``points``
+    (tuples, k, d): the |distance| of every row of ``flat`` from each plane
+    (len(flat), tuples), the singular values of the centred points
+    (tuples, d) and their centroids.  For k > d the SVD is taken of the R
+    factor, which has the same right singular vectors."""
+
+    center = points.mean(axis=1)
+    centered = points - center[:, None, :]
+    if centered.shape[1] > centered.shape[2]:
+        centered = np.linalg.qr(centered, mode="r")
+    _, sv, vt = np.linalg.svd(centered)
+    normal = vt[:, -1]
+    dist = flat @ normal.T
+    dist -= np.einsum("cd,cd->c", normal, center)
+    return np.abs(dist, out=dist), sv, center
+
+
+def oracle_refit_screen(stacked, seeds, keep_tol):
+    """Indices of the seed tuples that survive the miss bound and then a
+    refit on every line's crossing nearest the rough plane that comes within
+    4 keep_tol of every line and within keep_tol / 4 of at most one crossing
+    of each.  Tuples with a near tie on some line are kept outright."""
+
+    n_lines, m, d = stacked.shape
+    flat = stacked.reshape(n_lines * m, d)
+    rough, sv, center = oracle_plane_fits(flat, seeds)
+    rough = rough.reshape(n_lines, m, -1)
+    nearest = np.min(rough, axis=1)
+    tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
+
+    t = 4.0 * keep_tol
+    eta = 64 * d ** 3 * 2.0 ** -53 * (1.0 + float(np.max(np.abs(flat))))
+    mid = flat.mean(axis=0)
+    reach = np.max(_row_norms(flat - mid)) + _row_norms(center - mid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin = (2 * np.sqrt(d) * t + sv[:, -1] + eta) / (sv[:, -2] if d > 1 else np.inf)
+        bound = 2 * t + np.sqrt(2) * reach * sin + eta
+        refit = ~tie & ~np.any(nearest > bound, axis=0)
+    keep = tie
+    rows = np.argmin(rough[:, :, refit], axis=1).T
+    matched = stacked[np.arange(n_lines), rows]
+    dist = oracle_plane_fits(flat, matched)[0].reshape(n_lines, m, -1)
+    keep[refit] = (np.all(np.min(dist, axis=1) <= 4.0 * keep_tol, axis=0)
+                   & np.all(np.sum(dist <= keep_tol / 4.0, axis=1) <= 1, axis=0))
+    return np.flatnonzero(keep)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -195,8 +196,14 @@ def test_plan_point_counts():
 
 
 def test_plan_cap():
-    with pytest.raises(si.SizeError):
+    with pytest.raises(si.SizeError) as err:
         build_analytic_plan(5, 4, cap=1000)
+    assert err.value.details == {"points": 571 * 1024, "cap": 1000}
+    # C(12000, 2) + 1 (27 bits) frame vectors times 2^6000 scalars: the
+    # count is reported by its bit length, not in 1,800 digits
+    with pytest.raises(si.SizeError) as err:
+        build_analytic_plan(3000, 2)
+    assert err.value.details == {"points_log2": 6026, "cap": 1_000_000}
 
 
 def test_verify_identification_equivalent_pair():
@@ -329,6 +336,18 @@ def test_exp_sum_rejects_zero_direction_and_opposite_pairs():
         exp_sum_expansion([0.0], [0.1], [1.0], 0.0)
     with pytest.raises(InputError):
         exp_sum_expansion([1.0, -1.0], [0.5, -0.5], [1.0, 1.0], 0.0)
+
+
+@pytest.mark.parametrize("a, b, s, s0", [
+    ([6e307, 7e307, 8e307], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0),  # an exponent
+    ([1.0, 2.0], [-800.0, 0.0], [1.0, 1.0], 0.0),          # a coefficient, e^800
+    ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 1.0, 2.0], 1e308 - 4.0),  # {3} and {1, 2} merged
+])
+def test_exp_sum_rejects_overflow(a, b, s, s0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError, match="overflows the float range"):
+            exp_sum_expansion(a, b, s, s0)
 
 
 def test_sigmoid_form_matches_tanh_pointwise():

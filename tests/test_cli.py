@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,34 @@ def test_verify_analytic_and_expsum(tmp_path):
     assert proc.returncode == 0
     obj = json.loads((tmp_path / "exp.json").read_text())
     assert len(obj["exponents"]) == 2
+
+
+@pytest.mark.parametrize("neurons, message", [
+    ([((1.0,), -800.0, 1.0), ((2.0,), 0.0, 1.0)], "the expansion overflows the float range"),
+    ([((800.0,), 0.0, 1.0)], "the identity check overflows the float range on [-1, 1]"),
+])
+def test_expsum_overflow_is_input_error_exit_2(tmp_path, capsys, neurons, message):
+    """e^800 in a coefficient, or in both sides of the identity check on
+    [-1, 1]: exit 2 with an input error, no output file and no warning."""
+
+    path = tmp_path / "big.json"
+    write_net(path, make_net("sigmoid", neurons, 0.0))
+    out = tmp_path / "exp.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["expsum", "--net", str(path), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (error["type"], error["message"]) == ("input", message)
+    assert not out.exists()
+
+
+def test_plan_analytic_refuses_a_huge_m_without_expanding_it(tmp_path, capsys):
+    out = tmp_path / "aplan.json"
+    assert cli.main(["plan-analytic", "--m", "100000000", "--d", "2", "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "size"
+    assert error["details"] == {"points_log2": 200000056, "cap": 1000000}
+    assert not out.exists()
 
 
 def test_global_flags_accepted_after_subcommand(tmp_path, cross_net_file):

@@ -2,12 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shallowid import (DegenerateFitError, InputError, SizeError, affine_fit, rank,
                        solve_least_squares)
-from shallowid.numerics import SUBSET_CAP, subset_sums
+from shallowid.numerics import SUBSET_CAP, affine_fits, subset_sums
 
-from helpers import rank_by_elimination
+from helpers import oracle_affine_fit, rank_by_elimination
 
 
 def test_rank_identity():
@@ -78,6 +80,40 @@ def test_affine_fit_residual_scales_with_points():
         fit = affine_fit(pts)
         scale = 1.0 + float(np.max(np.abs(pts)))
         assert np.max(np.abs(pts @ fit.a + fit.b)) <= 1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 5), extra=st.integers(0, 6), k=st.integers(1, 5),
+       seed=st.integers(0, 10**6), gap=st.sampled_from([None, 0.0, 1e-9]),
+       flat=st.booleans())
+def test_affine_fits_is_affine_fit_bit_for_bit(d, extra, k, seed, gap, flat):
+    """Each matrix of a stack fits with the bits of the one-matrix fit, and
+    the stack agrees on which matrices are degenerate: random points, points
+    on one hyperplane, and stacks whose first two points are equal or 1e-9
+    apart."""
+
+    rng = np.random.default_rng(seed)
+    n = d + extra
+    stack = rng.normal(size=(k, n, d)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1, 1))
+    if flat:
+        normal = rng.normal(size=d)
+        normal /= np.linalg.norm(normal)
+        stack -= (stack @ normal)[..., None] * normal - rng.uniform(-2, 2) * normal
+    if gap is not None and n > 1:
+        stack[:, 1] = stack[:, 0] + gap
+    A, B, spanned = affine_fits(stack)
+    assert not A.flags.writeable
+    for j, pts in enumerate(stack):
+        try:
+            fit = oracle_affine_fit(pts)
+        except DegenerateFitError as err:
+            assert spanned[j] == err.details["spanned"] != d - 1
+            with pytest.raises(DegenerateFitError):
+                affine_fit(pts)
+            continue
+        assert spanned[j] == d - 1
+        assert A[j].tobytes() == fit.a.tobytes() and B[j] == fit.b
+        assert affine_fit(pts).a.tobytes() == fit.a.tobytes() and affine_fit(pts).b == fit.b
 
 
 def test_least_squares_identity():

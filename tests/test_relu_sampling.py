@@ -20,8 +20,8 @@ from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
 
 from helpers import (oracle_build_feasible_lines, oracle_collinear_candidates,
                      oracle_collinearity_ok, oracle_extract_breakpoints, oracle_orientation,
-                     oracle_recover_hyperplanes, oracle_seed_survivors, oracle_spread_culprit,
-                     random_irreducible_relu)
+                     oracle_plane_fits, oracle_recover_hyperplanes, oracle_refit_screen,
+                     oracle_seed_survivors, oracle_spread_culprit, random_irreducible_relu)
 
 
 def cross_net():
@@ -1091,12 +1091,19 @@ def test_seed_survivors_keeps_a_near_tie_of_the_rough_match():
 
 
 def counting_refits(fn, *args):
-    """fn(*args) and the number of seed tuples the batched refit received."""
+    """fn(*args) and the number of seed tuples the batched exact test received."""
 
-    with mock.patch.object(relu_sampling, "_refit_keeps",
-                           wraps=relu_sampling._refit_keeps) as spy:
+    with mock.patch.object(relu_sampling, "_exact_fits",
+                           wraps=relu_sampling._exact_fits) as spy:
         result = fn(*args)
     return result, sum(len(call.args[1]) for call in spy.call_args_list)
+
+
+def screened_exact_fits(stacked, seeds, keep_tol):
+    """recover_hyperplanes' two stages on one chunk of seed tuples."""
+
+    survivors = relu_sampling._seed_survivors(stacked, seeds, keep_tol)
+    return relu_sampling._exact_fits(stacked, seeds[survivors], keep_tol, si.DEFAULT_TOL)
 
 
 def exact_test_accepts(stacked, seed_pts, tol, keep_tol):
@@ -1118,18 +1125,20 @@ def old_refit_seed_miss(stacked, combo, choice):
 
     n_lines, m, d = stacked.shape
     flat = stacked.reshape(n_lines * m, d)
-    rough = relu_sampling._plane_fits(flat, stacked[list(combo), choice][None])[0]
+    rough = oracle_plane_fits(flat, stacked[list(combo), choice][None])[0]
     matched = stacked[np.arange(n_lines), rough.reshape(n_lines, m).argmin(axis=1)]
-    refit = relu_sampling._plane_fits(flat, matched[None])[0].reshape(n_lines, m)
+    refit = oracle_plane_fits(flat, matched[None])[0].reshape(n_lines, m)
     return max(refit[j, i] for j, i in zip(combo, choice))
 
 
 def assert_screen_keeps_the_oracles_survivors(crossings, tol=si.DEFAULT_TOL):
-    """On the first and the last line combination, every tuple the old
-    screen kept is kept.  Under a loose tol the old screen's refit margin
-    also keeps some tuples whose refit passes more than 4 keep_tol from one
-    of their own seeds; the miss bound assumes the opposite, so it may drop
-    those, but only if the exact test rejects them.  Returns how many."""
+    """On the first and the last line combination, every tuple that the
+    refitting screen (``oracle_refit_screen``) kept reaches the exact test,
+    and so does every tuple that the older screen kept, with one exception.
+    Under a loose tol the older screen's refit margin also keeps some tuples
+    whose refit passes more than 4 keep_tol from one of their own seeds; the
+    miss bound assumes the opposite, so it may drop those, but only if the
+    exact test rejects them.  Returns how many."""
 
     stacked = np.stack(crossings)
     n_lines, m, d = stacked.shape
@@ -1139,6 +1148,7 @@ def assert_screen_keeps_the_oracles_survivors(crossings, tol=si.DEFAULT_TOL):
         choices = np.array(list(itertools.product(range(m), repeat=d)))
         seeds = stacked[list(combo), choices]
         survivors = relu_sampling._seed_survivors(stacked, seeds, keep_tol)
+        assert set(oracle_refit_screen(stacked, seeds, keep_tol)) <= set(survivors)
         for k in np.setdiff1d(oracle_seed_survivors(stacked, seeds, keep_tol), survivors):
             assert old_refit_seed_miss(stacked, combo, choices[k]) > 4.0 * keep_tol
             assert not exact_test_accepts(stacked, seeds[k], tol, keep_tol)
@@ -1188,7 +1198,7 @@ def test_seed_survivors_drop_an_old_survivor_only_off_its_own_seeds():
        seed=st.integers(0, 10**6), gap=st.sampled_from([0.0, 1e-9]))
 def test_seed_survivors_refit_ill_conditioned_tuples(shape, seed, gap):
     """Two seeds of a tuple equal (s_{d-1} = 0) or 1e-9 apart: the miss
-    bound is useless, so the tuple reaches the refit unless a tie keeps it."""
+    bound is useless, so the tuple reaches the exact test's refit."""
 
     d, m = shape
     stacked = np.stack(pipeline_crossings(d, m, seed))
@@ -1197,26 +1207,26 @@ def test_seed_survivors_refit_ill_conditioned_tuples(shape, seed, gap):
     stacked[1, choice[1]] = stacked[0, choice[0]] + gap
     keep_tol = 1e-8 * (1.0 + float(np.max(np.abs(stacked))))
     seeds = stacked[np.arange(d), choice][None]
-    survivors, refitted = counting_refits(relu_sampling._seed_survivors, stacked, seeds, keep_tol)
-    assert refitted == 1 or survivors.tolist() == [0]
-    assert set(oracle_seed_survivors(stacked, seeds, keep_tol)) <= set(survivors)
+    _, reached = counting_refits(screened_exact_fits, stacked, seeds, keep_tol)
+    assert reached == 1
 
 
 def test_seed_survivors_refit_a_tuple_whose_bound_is_nan():
     """m = 1 and every crossing at one point: s_{d-1} = 0 and R = 0, so the
-    bound is 0 * inf; the lone tuple has no tie, goes to the refit and is
-    kept as the old screen kept it."""
+    bound is 0 * inf; the lone tuple has no tie and reaches the exact test,
+    as the old screens kept it, which rejects it as degenerate."""
 
     stacked = np.full((3, 1, 3), 0.5)
     seeds = stacked[np.arange(3), 0][None]
-    survivors, refitted = counting_refits(relu_sampling._seed_survivors, stacked, seeds, 1e-8)
-    assert refitted == 1
-    assert survivors.tolist() == oracle_seed_survivors(stacked, seeds, 1e-8).tolist() == [0]
+    (_, _, accepted), reached = counting_refits(screened_exact_fits, stacked, seeds, 1e-8)
+    assert reached == 1 and accepted.tolist() == []
+    assert (oracle_seed_survivors(stacked, seeds, 1e-8).tolist()
+            == oracle_refit_screen(stacked, seeds, 1e-8).tolist() == [0])
 
 
 def test_recover_hyperplanes_refits_only_a_few_seed_tuples():
     """Of the 1,296 seed tuples of (d, m, seed) = (4, 6, 0), the batched
-    refit sees at most 2m: the miss bound drops the rest."""
+    exact test sees at most 2m: the miss bound drops the rest."""
 
     found, refitted = counting_refits(recover_hyperplanes, pipeline_crossings(4, 6, 0))
     assert len(found) == 6 and refitted <= 12
