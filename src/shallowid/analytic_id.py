@@ -82,7 +82,7 @@ class AnalyticSamplePlan:
         return int(self.points.shape[0])
 
 
-def _check_plan_size(frame_size: int, log2_scalars: int, cap: int) -> None:
+def _check_plan_size(frame_size: int, log2_scalars: int, d: int, cap: int) -> None:
     # compare bit lengths first, so that a huge point count is never expanded
     bits = frame_size.bit_length() + log2_scalars
     if bits > max(cap.bit_length(), 64):
@@ -92,6 +92,9 @@ def _check_plan_size(frame_size: int, log2_scalars: int, cap: int) -> None:
     if count > cap:
         raise SizeError(f"plan would hold {count} points, above the cap {cap}",
                         points=count, cap=cap)
+    if count * d * 8 > np.iinfo(np.intp).max:   # numpy refuses such an array outright
+        raise SizeError(f"plan would hold {count} points, more than one array can address",
+                        points=count, d=d)
 
 
 def _scaled_plan(m: int, frame: FullSparkFrame, scalars: np.ndarray) -> AnalyticSamplePlan:
@@ -108,7 +111,7 @@ def build_analytic_plan(m: int, d: int, cap: int = _DEFAULT_PLAN_CAP) -> Analyti
     if m < 1 or d < 1:
         raise InputError("need m >= 1 and d >= 1", m=m, d=d)
     n = comb(4 * m, 2) * (d - 1) + 1
-    _check_plan_size(n, 2 * m, cap)
+    _check_plan_size(n, 2 * m, d, cap)
     return _scaled_plan(m, vandermonde_frame(d, n), np.linspace(-2.0, 2.0, 1 << (2 * m)))
 
 
@@ -262,7 +265,7 @@ def analytic_plan_from_json_obj(obj, *, cap: int = _DEFAULT_PLAN_CAP) -> Analyti
     for name, values in (("nodes", nodes), ("scalars", scalars)):
         if np.unique(values).size != values.size:
             raise ParseError(f"{name} must be pairwise distinct", location=f"plan.{name}")
-    _check_plan_size(nodes.size, 2 * m, cap)
+    _check_plan_size(nodes.size, 2 * m, d, cap)
     with np.errstate(over="ignore", invalid="ignore"):
         plan = _scaled_plan(m, _moment_frame(nodes, d), scalars)
     for name, values in (("nodes", plan.frame.vectors), ("scalars", plan.points)):

@@ -204,8 +204,9 @@ def _match_matrix(A1: np.ndarray, B1: np.ndarray, A2: np.ndarray, B2: np.ndarray
     """(n1, n2) booleans: row i of (A1, B1) equals sign times row j of
     (A2, B2) within match_tol in every entry (Hyperplane.matches for sign 1)."""
 
-    return ((np.abs(A1[:, None, :] - sign * A2[None, :, :]).max(axis=2) <= tol.match_tol)
-            & (np.abs(B1[:, None] - sign * B2[None, :]) <= tol.match_tol))
+    with np.errstate(over="ignore"):   # a difference that overflows is inf, a non-match
+        return ((np.abs(A1[:, None, :] - sign * A2[None, :, :]).max(axis=2) <= tol.match_tol)
+                & (np.abs(B1[:, None] - sign * B2[None, :]) <= tol.match_tol))
 
 
 @dataclass(frozen=True)

@@ -121,23 +121,27 @@ def _combinations(n: int, r: int) -> np.ndarray:
     return combos
 
 
-def _laplace_dets(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Determinants of C matrices of size k x k, where row r of matrix c is
-    column ``rows[r, c]`` of the (k, N) ``table``.
+def _laplace_minors(rows) -> dict[int, np.ndarray]:
+    """Minors of C matrices of r rows and k columns on every r-subset of their
+    columns: ``rows`` yields r (k, C) arrays, and entry (j, c) of the i-th is
+    entry (i, j) of matrix c.  Returns, for each mask of r set bits (bit j for
+    column j), the (C,) minors on the columns of its set bits, all up to one
+    sign that depends on r alone.
 
-    Laplace expansion along the rows: after row r, ``minors[mask]`` holds, for
-    every c, the minor of rows 0..r on the columns of ``mask``'s set bits, and
-    row r+1 expands each larger minor along its last row with alternating
-    signs.  That is k * 2^(k-1) multiply-adds on contiguous (C,) arrays."""
+    Laplace expansion along the rows: after row i, ``minors[mask]`` holds, for
+    every c, the minor of rows 0..i on the columns of ``mask``, and row i+1
+    expands each larger minor along its last row with alternating signs.
+    For a square matrix that is k * 2^(k-1) multiply-adds on contiguous (C,)
+    arrays."""
 
-    k = len(table)
+    rows = iter(rows)
+    minors = {1 << j: entry for j, entry in enumerate(next(rows))}
+    k = len(minors)
     by_size = [[s for s in range(1 << k) if bin(s).count("1") == r] for r in range(k + 1)]
-    minors = {1 << j: entry for j, entry in enumerate(np.take(table, rows[0], axis=1))}
-    term = np.empty(rows.shape[1])
-    for r in range(1, k):
-        entries = np.take(table, rows[r], axis=1)   # (k, C): entry (r, j) of every matrix
+    term = np.empty_like(minors[1])
+    for i, entries in enumerate(rows, 1):   # entries: (k, C), row i of every matrix
         grown = {}
-        for mask in by_size[r + 1]:
+        for mask in by_size[i + 1]:
             bits = [j for j in range(k) if mask >> j & 1]
             acc = entries[bits[0]] * minors[mask ^ 1 << bits[0]]
             for t, j in enumerate(bits[1:], 1):
@@ -148,7 +152,15 @@ def _laplace_dets(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
                     acc += term
             grown[mask] = acc
         minors = grown
-    return minors[(1 << k) - 1]
+    return minors
+
+
+def _laplace_dets(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Determinants of C matrices of size k x k, where row r of matrix c is
+    column ``rows[r, c]`` of the (k, N) ``table``, by ``_laplace_minors``."""
+
+    minors = _laplace_minors(np.take(table, r, axis=1) for r in rows)
+    return minors[(1 << len(table)) - 1]
 
 
 def _spread_slack(k: int) -> float:
@@ -571,70 +583,119 @@ def extract_breakpoints(line: Line, params, values,
 
 
 def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> np.ndarray:
-    """Indices of the seed tuples (``seeds``: (tuples, d, d), one crossing of
-    each of d lines) that may pass ``recover_hyperplanes``' exact test.
+    """Indices of the seed tuples (``seeds``: (tuples, d, d), one crossing p_i
+    of each of d lines) that may pass ``recover_hyperplanes``' exact test.
 
-    Each tuple gets a rough plane, the batched fit through its seeds.  A
-    tuple is kept outright when some line has a second crossing within
-    keep_tol of the one nearest its rough plane: there the exact test's match
-    could pick another.  Every other tuple is dropped when its rough plane
-    provably misses some line, and kept otherwise.  For well-spread points,
-    as a real hyperplane's crossings are, this leaves about m tuples of a line
-    combination's m^d, and every tuple the exact test accepts survives.
+    Each tuple gets a rough plane through its seeds' centroid q.  Its normal
+    is the cofactor vector c of M, the (d - 1) x d matrix of rows p_i - p_1:
+    c_j = (-1)^j det(M without column j), the last level of
+    ``_laplace_minors``.  c is orthogonal to every row of M, and |c| is the
+    product of M's singular values (Cauchy-Binet).  A tuple is kept outright
+    when some line has a second crossing within keep_tol of the one nearest
+    its rough plane: there the exact test's match could pick another.  Every
+    other tuple is dropped when its rough plane provably misses some line,
+    and kept otherwise.  For well-spread points, as a real hyperplane's
+    crossings are, this leaves about m tuples of a line combination's m^d,
+    and every tuple the exact test accepts survives.
 
-    The miss bound.  Let c be the seeds' centroid, S their centred rows with
-    singular values s_1 >= ... >= s_d and rough normal n (the last right
-    singular vector), and t = 4 keep_tol, a margin above the exact test's
-    keep_tol.  Suppose the refit H' = {x : n'.x + b' = 0}, |n'| = 1, comes
-    within t of one crossing of every line, and on each seed's line that
-    crossing is the seed (without a tie the seeds are among the matched
+    The miss bound.  Let n be a unit normal of the rough plane with residual
+    rho = |M n|, t = 4 keep_tol (a margin above the exact test's keep_tol)
+    and F = |M|_F.  Suppose the refit H' = {x : n'.x + b' = 0}, |n'| = 1,
+    comes within t of one crossing of every line, and on each seed's line
+    that crossing is the seed (without a tie the seeds are among the matched
     crossings it is fitted on).
-    * |n'.c + b'| <= t, every entry of S n' is at most 2t in size, and so
-      |S n'| <= 2 sqrt(d) t.
-    * Write n' = cos(a) n + sin(a) w, w a unit vector orthogonal to n and so
-      in the span of the other right singular vectors: |S n'| >= s_{d-1}
-      |sin a|, so |sin a| <= 2 sqrt(d) t / s_{d-1}.
-    * With the sign of n' that makes a <= pi/2, |n - n'| = 2 sin(a/2) <=
-      sqrt(2) sin a.  A crossing x within t of H' therefore lies within
-      |n'.(x - c)| + |n - n'| |x - c| <= 2t + sqrt(2) R sin a of the rough
-      plane, where R >= |x - c| for every crossing: here R = r + |c - o|,
-      with o the mean of all crossings and r their largest distance from o.
-    So every line has a crossing within B = 2t + sqrt(2) R (2 sqrt(d) t +
-    s_d + eta) / s_{d-1} + eta of the rough plane, and a tuple whose nearest
-    crossing on some line is farther than B cannot pass the exact test.  (A
-    refit that passes within keep_tol of some other crossing of a seed's
-    line, but not of the seed, breaks the premise; under a loose keep_tol
-    such tuples exist, and the exact test rejects them.)
+    * Each entry of M n' is a difference of two values at most t in size, so
+      |M n'| <= 2 sqrt(d - 1) t; and |n'.q + b'| <= t.
+    * Write n' = cos(a) n + sin(a) w, w a unit vector orthogonal to n, with
+      the sign of n' that makes a <= pi/2.  Then |sin a| |M w| <= |M n'| +
+      rho.  M w = M' w for M' = M (I - n n^T), which has n in its kernel, so
+      |M w| >= s_{d-1}(M') >= s_{d-1}(M) - rho (Weyl, as |M - M'| = rho).
+    * s_{d-1}(M) >= |c| / G, where G^2 sums, over the rows of M, the product
+      of the other rows' squared norms.  The other d - 2 singular values
+      multiply to at most G: the product of their squares is at most their
+      (d - 2)-th elementary symmetric function, the sum of the principal
+      (d - 2)-minors of M M^T (Cauchy-Binet), and each of those Gram
+      determinants is at most the product of its rows' squared norms
+      (Hadamard).  At d = 3, G = F.  So
+          |sin a| <= (2 sqrt(d - 1) t + rho) / (|c| / G - rho)
+      whenever the denominator is positive.
+    * |n - n'| = 2 sin(a/2) <= sqrt(2) sin a.  A crossing x within t of H'
+      therefore lies within |n'.(x - q)| + |n - n'| |x - q| <= 2t + sqrt(2) R
+      sin a of the rough plane, where R >= |x - q| for every crossing: here R
+      = r + |q - o|, with o the mean of all crossings and r their largest
+      distance from o.
+    So every line has a crossing within B = 2t + sqrt(2) R sin a + eta of the
+    rough plane, and a tuple whose nearest crossing on some line is farther
+    than B cannot pass the exact test.  (A refit that passes within keep_tol
+    of some other crossing of a seed's line, but not of the seed, breaks the
+    premise; under a loose keep_tol such tuples exist, and the exact test
+    rejects them.)
 
-    Rounding.  With P the largest coordinate size and u = 2^-53, centring,
-    the SVD (backward stable: exact for S + E with |E| = O(d u s_1) and s_1 <=
-    2 d P) and the distances each move |S n'| and the distances above by
-    O(d^2 u P); eta = 64 d^3 u (1 + P) covers each with room.  s_d joins the
-    numerator too: S has rank at most d - 1, so s_d is the size of the
-    perturbation the computed fit saw.  A drop needs B < nearest <= R <=
-    4 sqrt(d) P, so B's own few relative roundings are below eta as well.
-    At d = 1 the normal is fixed and sin a = 0.  A degenerate tuple (s_{d-1}
-    = 0, or R = 0) has an infinite or NaN bound, for which ``nearest >
-    bound`` is false: it is kept.
+    Rounding, with u = 2^-53 and M the computed differences.  These are
+    within u F of the exact ones, which adds u F to |M n'|.  Each Laplace
+    cofactor carries at most d(d - 1)/2 roundings per monomial, so it is
+    within d(d - 1)/2 u times the permanent of |M| without its column, at
+    most the product of M's row 1-norms, which is at most d^((d-1)/2) times
+    the product of the row norms.  That product over G is at most the
+    smallest row norm, so over the d cofactors and divided by G this is at
+    most d^(d/2 + 1) (d - 1) u F.  The computed residual is within d u F of
+    |M n| for the float normal, whose norm is 1 within 2 d u, and |c|, F and
+    G carry at most d^2 relative roundings, which move |c| / G <= F by at
+    most d^2 u F.  slack = 4 d^(d/2 + 2) u F covers their sum with room for
+    second-order terms, so with the computed |c| and residual rho,
+        sin a <= (2 sqrt(d - 1) t + rho + slack) / max(0, |c| / G - rho - slack).
+    With P the largest coordinate size, the centroid, the float normal's norm
+    and the distances each move a distance by O(d^2 u P), and a drop needs B
+    < nearest <= R <= 4 sqrt(d) P, so B's own few relative roundings are of
+    that size too; eta = 64 d^3 u (1 + P) covers each with room.  At d = 1
+    the normal is fixed and sin a = 0.  A degenerate tuple (|c| = 0, or R =
+    0) has an infinite or NaN bound, for which ``nearest > bound`` is false:
+    it is kept.
+
+    The tie margin.  The exact test matches by its own fit through the
+    seeds.  That fit and the rough plane both contain the seeds up to
+    backward errors of O(d u F), so by the bound on sin a with those in place
+    of t they tilt apart by O(d u F G / |c|), and they rank two crossings of
+    a line alike unless their rough distances differ by less than about R d
+    u F G / |c|.  A tuple can only be dropped when sin a < 1 / sqrt(2), that
+    is G / |c| < 1 / (8 sqrt(2 (d - 1)) keep_tol), and then that gap is below
+    keep_tol as long as match_tol exceeds about d sqrt(u), 1e-8 d.  The
+    guard keeps its margin of keep_tol; for a smaller match_tol the premise
+    is only as good as the exact test's own seed fit.
     """
 
     n_lines, m, d = stacked.shape
     flat = stacked.reshape(n_lines * m, d)
     center = seeds.mean(axis=1)
-    _, sv, vt = np.linalg.svd(seeds - center[:, None, :])
-    normal = vt[:, -1]
-    rough = flat @ normal.T
-    rough -= np.einsum("cd,cd->c", normal, center)
-    rough = np.abs(rough, out=rough).reshape(n_lines, m, -1)
-    nearest = np.min(rough, axis=1)
-    tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
-
     t = 4.0 * keep_tol
-    eta = 64 * d ** 3 * 2.0 ** -53 * (1.0 + float(np.max(np.abs(flat))))
-    mid = flat.mean(axis=0)
-    reach = np.max(_row_norms(flat - mid)) + _row_norms(center - mid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sin = (2 * np.sqrt(d) * t + sv[:, -1] + eta) / (sv[:, -2] if d > 1 else np.inf)
+        if d == 1:
+            normal, sin = np.ones((1, len(seeds))), 0.0
+        else:
+            points = np.ascontiguousarray(seeds.transpose(1, 2, 0))  # (seed, coordinate, tuple)
+            diff = points[1:] - points[0]                            # M of every tuple
+            minors = _laplace_minors(diff)
+            cof = np.stack([minors[(1 << d) - 1 ^ 1 << j] for j in range(d)])
+            cof[1::2] *= -1.0
+            size = np.sqrt(np.einsum("jc,jc->c", cof, cof))
+            normal = cof / size
+            resid = np.einsum("ijc,jc->ic", diff, normal)
+            resid = np.sqrt(np.einsum("ic,ic->c", resid, resid))
+            sq = np.einsum("ijc,ijc->ic", diff, diff)                # squared row norms
+            frob = np.sqrt(np.sum(sq, axis=0))
+            gram = np.sqrt(sum(np.prod(np.delete(sq, i, axis=0), axis=0) for i in range(d - 1)))
+            slack = 4 * d ** (d / 2 + 2) * 2.0 ** -53 * frob
+            sin = ((2 * np.sqrt(d - 1) * t + resid + slack)
+                   / np.maximum(size / gram - resid - slack, 0.0))
+        rough = flat @ normal
+        rough -= np.einsum("dc,cd->c", normal, center)
+        rough = np.abs(rough, out=rough).reshape(n_lines, m, -1)
+        nearest = np.min(rough, axis=1)
+        tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
+
+        eta = 64 * d ** 3 * 2.0 ** -53 * (1.0 + float(np.max(np.abs(flat))))
+        mid = flat.mean(axis=0)
+        reach = np.max(_row_norms(flat - mid)) + _row_norms(center - mid)
         bound = 2 * t + np.sqrt(2) * reach * sin + eta
         return np.flatnonzero(tie | ~np.any(nearest > bound, axis=0))
 
@@ -709,6 +770,8 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
                 index, choices[:, k] = np.divmod(index, m)
             seeds = stacked[list(line_combo), choices]
             seeds = seeds[_seed_survivors(stacked, seeds, keep_tol)]
+            if not len(seeds):
+                continue
             A, B, accepted = _exact_fits(stacked, seeds, keep_tol, tol)
             for k in accepted:
                 refit = Hyperplane(A[k], float(B[k]))

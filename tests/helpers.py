@@ -728,6 +728,35 @@ def oracle_seed_survivors(stacked, seeds, keep_tol):
     return np.flatnonzero(keep | tie)
 
 
+# The rough fit that relu_sampling._seed_survivors replaced: one batched SVD
+# per chunk, whose singular values give the miss bound.
+def oracle_svd_screen(stacked, seeds, keep_tol):
+    """Indices of the seed tuples kept by a near tie of their rough plane, the
+    SVD fit through their seeds, or by a miss bound that takes sin a <=
+    (2 sqrt(d) t + s_d + eta) / s_{d-1} from the centred seeds' singular
+    values, where ``relu_sampling._seed_survivors`` takes it from cofactors."""
+
+    n_lines, m, d = stacked.shape
+    flat = stacked.reshape(n_lines * m, d)
+    center = seeds.mean(axis=1)
+    _, sv, vt = np.linalg.svd(seeds - center[:, None, :])
+    normal = vt[:, -1]
+    rough = flat @ normal.T
+    rough -= np.einsum("cd,cd->c", normal, center)
+    rough = np.abs(rough, out=rough).reshape(n_lines, m, -1)
+    nearest = np.min(rough, axis=1)
+    tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
+
+    t = 4.0 * keep_tol
+    eta = 64 * d ** 3 * 2.0 ** -53 * (1.0 + float(np.max(np.abs(flat))))
+    mid = flat.mean(axis=0)
+    reach = np.max(_row_norms(flat - mid)) + _row_norms(center - mid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin = (2 * np.sqrt(d) * t + sv[:, -1] + eta) / (sv[:, -2] if d > 1 else np.inf)
+        bound = 2 * t + np.sqrt(2) * reach * sin + eta
+        return np.flatnonzero(tie | ~np.any(nearest > bound, axis=0))
+
+
 # The two-stage screen that relu_sampling._seed_survivors replaced: the miss
 # bound, then a batched refit with a safety margin on the tuples it leaves.
 def oracle_plane_fits(flat, points):

@@ -342,6 +342,7 @@ def test_exp_sum_rejects_zero_direction_and_opposite_pairs():
     ([6e307, 7e307, 8e307], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0),  # an exponent
     ([1.0, 2.0], [-800.0, 0.0], [1.0, 1.0], 0.0),          # a coefficient, e^800
     ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 1.0, 2.0], 1e308 - 4.0),  # {3} and {1, 2} merged
+    ([1e308, 1.5e308], [0.0, 1.0], [1.0, 1.0], 0.0),   # directions whose difference overflows
 ])
 def test_exp_sum_rejects_overflow(a, b, s, s0):
     with warnings.catch_warnings():

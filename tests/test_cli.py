@@ -304,6 +304,19 @@ def test_plan_analytic_refuses_a_huge_m_without_expanding_it(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_plan_analytic_refuses_a_plan_numpy_cannot_address(tmp_path, capsys):
+    """Under a cap of 10^30, m = 40 asks for 12,721 * 2^80 points, below the
+    cap but more than one array can hold: a size error before numpy sees it."""
+
+    out = tmp_path / "aplan.json"
+    args = ["--cap", str(10 ** 30), "plan-analytic", "--m", "40", "--d", "2", "--out", str(out)]
+    assert cli.main(args) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "size"
+    assert error["details"] == {"points": 12721 << 80, "d": 2}
+    assert not out.exists()
+
+
 def test_global_flags_accepted_after_subcommand(tmp_path, cross_net_file):
     out1 = tmp_path / "p1.json"
     out2 = tmp_path / "p2.json"

@@ -14,6 +14,7 @@ from shallowid import (ConstructionError, InputError, Line, LabeledSamples, Pars
                        canonical_hyperplane, extract_breakpoints, group, make_net,
                        net_core, reconstruct, recover_hyperplanes, relu_sampling,
                        sample_values)
+from shallowid.numerics import affine_fits
 from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
                                      plan_to_json_obj, samples_from_json_obj,
                                      samples_to_json_obj)
@@ -21,7 +22,8 @@ from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
 from helpers import (oracle_build_feasible_lines, oracle_collinear_candidates,
                      oracle_collinearity_ok, oracle_extract_breakpoints, oracle_orientation,
                      oracle_plane_fits, oracle_recover_hyperplanes, oracle_refit_screen,
-                     oracle_seed_survivors, oracle_spread_culprit, random_irreducible_relu)
+                     oracle_seed_survivors, oracle_spread_culprit, oracle_svd_screen,
+                     random_irreducible_relu)
 
 
 def cross_net():
@@ -1230,6 +1232,104 @@ def test_recover_hyperplanes_refits_only_a_few_seed_tuples():
 
     found, refitted = counting_refits(recover_hyperplanes, pipeline_crossings(4, 6, 0))
     assert len(found) == 6 and refitted <= 12
+
+
+def raw_crossings(d, m, seed):
+    """The crossings of m random hyperplanes with m*d random lines, in the
+    order of their line parameters: what extraction hands recovery, without
+    the line feasibility checks, and at any d (at d = 1 every line crosses the
+    same m points)."""
+
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, d))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b = rng.uniform(-1.0, 1.0, size=m)
+    crossings = []
+    for _ in range(m * d):
+        u, v = rng.normal(size=d), rng.normal(size=d)
+        params = np.sort(-(a @ u + b) / (a @ v))
+        crossings.append(u + params[:, None] * v)
+    return crossings
+
+
+def assert_screen_keeps_every_accepted_tuple(crossings, tol=si.DEFAULT_TOL):
+    """On the first and the last line combination, every seed tuple that the
+    exact test accepts survives the screen."""
+
+    stacked = np.stack(crossings)
+    n_lines, m, d = stacked.shape
+    keep_tol = tol.match_tol * (1.0 + float(np.max(np.abs(stacked))))
+    choices = np.array(list(itertools.product(range(m), repeat=d)))
+    for combo in (range(d), range(n_lines - d, n_lines)):
+        seeds = stacked[list(combo), choices]
+        survivors = relu_sampling._seed_survivors(stacked, seeds, keep_tol)
+        fitted = np.flatnonzero(affine_fits(seeds, tol)[2] == d - 1)   # as _exact_fits
+        accepted = fitted[relu_sampling._exact_fits(stacked, seeds, keep_tol, tol)[2]]
+        assert set(accepted.tolist()) <= set(survivors.tolist())
+
+
+def assert_recovers_as_the_svd_screen(crossings, tol=si.DEFAULT_TOL):
+    with mock.patch.object(relu_sampling, "_seed_survivors", oracle_svd_screen):
+        expected = recovery_outcome(recover_hyperplanes, crossings, tol)
+    assert recovery_outcome(recover_hyperplanes, crossings, tol) == expected
+    return expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(d, m) for d in range(1, 7) for m in range(2, 8)
+                              if d * m <= 24 and m ** d <= 1024]),
+       seed=st.integers(0, 10**6))
+def test_cofactor_screen_keeps_every_tuple_the_exact_test_accepts(shape, seed):
+    """Pipeline crossings (raw crossings at d = 1, which has no line
+    sampling) as they come and with the lines permuted: the screen keeps
+    every tuple that the exact test accepts, and the hyperplanes are the
+    per-candidate loop's.  With 1e-7 noise at match_tol = rank_tol = 1e-5,
+    where the miss bound is loosest, it keeps every accepted tuple too, and
+    recovery ends as with the SVD screen: mostly in the same hyperplanes, and
+    where the exact test cannot recover them all (at d = 1 the refit on each
+    line's crossing spans the noise), in the same error."""
+
+    d, m = shape
+    crossings = pipeline_crossings(d, m, seed) if d > 1 else raw_crossings(d, m, seed)
+    rng = np.random.default_rng(seed)
+    permuted = [crossings[j] for j in rng.permutation(len(crossings))]
+    for case in (crossings, permuted):
+        assert_screen_keeps_every_accepted_tuple(case)
+        assert isinstance(assert_recovers_as_the_oracle(case), list)
+    noisy = [grp + rng.normal(scale=1e-7, size=grp.shape) for grp in crossings]
+    assert_screen_keeps_every_accepted_tuple(noisy, NOISY_TOL)
+    assert_recovers_as_the_svd_screen(noisy, NOISY_TOL)
+
+
+@pytest.mark.parametrize("d, m", [(1, 4), (2, 5), (3, 4), (4, 3), (5, 3), (6, 2)])
+def test_seed_survivors_fit_no_svd(d, m):
+    """The rough planes are cofactor vectors: the screen makes no SVD call."""
+
+    stacked = np.stack(raw_crossings(d, m, d))
+    seeds = stacked[np.arange(d), np.array(list(itertools.product(range(m), repeat=d)))]
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
+        survivors = relu_sampling._seed_survivors(stacked, seeds, 1e-8)
+    assert spy.call_count == 0 and len(survivors)
+
+
+def test_recover_hyperplanes_skips_chunks_the_screen_empties(monkeypatch):
+    """Scattered crossings that exhaust a lowered candidate budget in chunks
+    of at most 20 tuples: the screen empties most chunks, and those never
+    reach the exact test; the error is the per-candidate loop's, with the
+    same count of hyperplanes found."""
+
+    rng = np.random.default_rng(0)
+    scattered = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(9)]
+    monkeypatch.setattr(relu_sampling, "_CHUNK_FLOATS", 20 * 9 * 3)
+    monkeypatch.setattr(relu_sampling, "_CANDIDATE_BUDGET", 2000)
+    with mock.patch.object(relu_sampling, "_seed_survivors",
+                           wraps=relu_sampling._seed_survivors) as screen, \
+            mock.patch.object(relu_sampling, "_exact_fits",
+                              wraps=relu_sampling._exact_fits) as exact:
+        outcome = assert_recovers_as_the_oracle(scattered)
+    assert outcome[0] is si.RecoveryError and "budget" in outcome[1]
+    assert screen.call_count > 2 * exact.call_count
+    assert all(len(call.args[1]) for call in exact.call_args_list)
 
 
 def test_recover_hyperplanes_rejects_non_finite_crossings():
