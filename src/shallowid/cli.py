@@ -56,8 +56,7 @@ def _read_net(path: str) -> net_core.ShallowNet:
 
 
 def _tol_from_args(args) -> ToleranceConfig:
-    given = {name: value for name, value in (("rank_tol", args.tol_rank),
-                                             ("match_tol", args.tol_match),
+    given = {name: value for name, value in (("match_tol", args.tol_match),
                                              ("residual_tol", args.tol_residual))
              if value is not None}
     try:
@@ -115,7 +114,7 @@ def _cmd_plan_relu(args, tol) -> int:
     g = net_core.group(net, tol)
     if relu_structure.test_reducible(g, tol) is not None:
         raise InputError("network is reducible; reduce it before planning")
-    lines = relu_sampling.build_feasible_lines(g, args.seed, tol)
+    lines = relu_sampling.build_feasible_lines(g, args.seed)
     plan = relu_sampling.build_sample_plan(g, lines, args.seed, tol)
     _write_atomic(args.out, relu_sampling.plan_to_json_obj(plan))
     print(f"plan with {len(plan.lines)} lines and {plan.points.shape[0]} points; "
@@ -215,7 +214,6 @@ def _cmd_expsum(args, tol) -> int:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--tol-rank", type=float, default=argparse.SUPPRESS)
     shared.add_argument("--tol-match", type=float, default=argparse.SUPPRESS)
     shared.add_argument("--tol-residual", type=float, default=argparse.SUPPRESS)
     shared.add_argument("--cap", type=int, default=argparse.SUPPRESS,
@@ -265,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # the global flags are SUPPRESS-defaulted so that either position
     # (before or after the subcommand) wins; fill the gaps here
-    for name, default in (("seed", 0), ("tol_rank", None), ("tol_match", None),
+    for name, default in (("seed", 0), ("tol_match", None),
                           ("tol_residual", None), ("cap", 1_000_000)):
         if not hasattr(args, name):
             setattr(args, name, default)

@@ -256,11 +256,14 @@ def _duplicate_ridges(A: np.ndarray, B: np.ndarray, signs,
     return [list(pair) for pair in zip(k1.tolist(), k2.tolist())]
 
 
-def _violations(net: ShallowNet, A: np.ndarray, norms: np.ndarray,
-                tol: ToleranceConfig) -> list[dict]:
-    """admissibility_violations, given the weight matrix and its row norms."""
+def _admissibility(net: ShallowNet, tol: ToleranceConfig
+                   ) -> tuple[list[dict], GroupedReLU | None]:
+    """admissibility_violations and, for an admissible relu network, its
+    normal form, from one grouping pass."""
 
     relu = net.activation.kind == "relu"
+    A = net.weight_matrix()
+    norms = _row_norms(A)
     zero = np.abs(net.scales()) * norms <= ZERO_TOL
     violations: list[dict] = [
         {"clause": "i", "neuron": k,
@@ -277,7 +280,19 @@ def _violations(net: ShallowNet, A: np.ndarray, norms: np.ndarray,
     violations += [{"clause": "ii", "neurons": keep[pair].tolist(), "reason": reason}
                    for pair in _duplicate_ridges(rows, offsets,
                                                  (1,) if relu else (1.0, -1.0), tol)]
-    return violations
+    if violations or not relu:
+        return violations, None
+    g, slots = _grouped(A, net.biases(), (net.scales() * norms).tolist(), norms,
+                        net.c, net.d, tol)
+    first: dict[tuple, int] = {}
+    for k, slot in enumerate(slots):
+        if slot in first:
+            # two neurons met in one hyperplane/orientation slot, which the
+            # unit-row check can miss: a canonical row is not divided at unit
+            # norm, and a bucket takes what its first term matches
+            return [{"clause": "ii", "neurons": [first[slot], k], "reason": reason}], None
+        first[slot] = k
+    return [], g
 
 
 def admissibility_violations(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
@@ -288,10 +303,11 @@ def admissibility_violations(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL
     compared as unit rows and only a positive multiple duplicates.  For
     sigmoid and tanh sigma(x) + sigma(-x) is constant, so a ridge equal to
     plus or minus another duplicates it, and admissible means irreducible.
+    Two relu neurons that meet in one slot of ``group``'s normal form also
+    violate clause (ii).
     """
 
-    A = net.weight_matrix()
-    return _violations(net, A, _row_norms(A), tol)
+    return _admissibility(net, tol)[0]
 
 
 def group(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> GroupedReLU:
@@ -304,24 +320,9 @@ def group(net: ShallowNet, tol: ToleranceConfig = DEFAULT_TOL) -> GroupedReLU:
 
     if net.activation.kind != "relu":
         raise InputError("admissibility grouping applies to relu networks only")
-    A = net.weight_matrix()
-    norms = _row_norms(A)
-    violations = _violations(net, A, norms, tol)
-    if not violations:
-        g, slots = _grouped(A, net.biases(), (net.scales() * norms).tolist(), norms,
-                            net.c, net.d, tol)
-        first: dict[tuple, int] = {}
-        for k, slot in enumerate(slots):
-            if slot in first:
-                # two neurons met in one hyperplane/orientation slot, which
-                # the unit-row check can miss: a canonical row is not divided
-                # at unit norm, and a bucket takes what its first term matches
-                violations = [{"clause": "ii", "neurons": [first[slot], k],
-                               "reason": "positive-scale duplicate ridge"}]
-                break
-            first[slot] = k
-        else:
-            return g
+    violations, g = _admissibility(net, tol)
+    if g is not None:
+        return g
     v = violations[0]
     raise AdmissibilityError(
         f"network is not admissible: clause ({v['clause']}) {v['reason']}",
@@ -449,26 +450,24 @@ def test_equivalent(n1: ShallowNet, n2: ShallowNet,
     if n1.m != n2.m:
         return None
 
-    def ridges(net: ShallowNet) -> tuple[np.ndarray, list[float]]:
-        A = net.weight_matrix()
+    def ridges(net: ShallowNet) -> tuple[tuple[np.ndarray, np.ndarray], list[float]]:
+        A, B = net.weight_matrix(), net.biases()
         norms = _row_norms(A)
-        rows = np.column_stack([A, net.biases()])
-        return (rows / norms[:, None] if relu else rows), norms.tolist()
+        return ((A / norms[:, None], B / norms) if relu else (A, B)), norms.tolist()
 
     rows1, norms1 = ridges(n1)
     rows2, norms2 = ridges(n2)
+    plus, minus = (_match_matrix(*rows1, *rows2, sign, tol) for sign in (1, -1))
     free = np.ones(n2.m, dtype=bool)
     permutation: list[int] = []
     epsilon: list[int] = []
     lam: list[float] = []
-    for k, row in enumerate(rows1):
-        plus = free & np.all(np.abs(rows2 - row) <= tol.match_tol, axis=1)
-        minus = free & np.all(np.abs(rows2 + row) <= tol.match_tol, axis=1)
-        hits = np.flatnonzero(plus | minus)
+    for k in range(n1.m):
+        hits = np.flatnonzero(free & (plus[k] | minus[k]))
         if hits.size == 0:
             return None
         j = int(hits[0])
-        eps = 1 if plus[j] else -1
+        eps = 1 if plus[k, j] else -1
         scale = norms2[j] / norms1[k] if relu else 1.0
         s1, s2 = n1.neurons[k].s, n2.neurons[j].s
         if abs((s1 / scale if relu else eps * s1) - s2) > tol.match_tol * (1.0 + abs(s2)):

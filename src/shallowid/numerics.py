@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InputError, SizeError
 from .net_core import Hyperplane, _canonical_rows, _row_norms
-from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
+from .tolerances import RANK_TOL, ZERO_TOL
 
 SUBSET_CAP = 20
 
@@ -18,22 +18,21 @@ def _as_matrix(matrix) -> np.ndarray:
     return a
 
 
-def _ranks(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _ranks(stack: np.ndarray) -> np.ndarray:
     """``rank`` of each matrix of a (k, n, d) stack."""
 
     sv = np.linalg.svd(stack, compute_uv=False)
-    return np.where(sv[:, 0] > ZERO_TOL, np.sum(sv > tol.rank_tol * sv[:, :1], axis=1), 0)
+    return np.where(sv[:, 0] > ZERO_TOL, np.sum(sv > RANK_TOL * sv[:, :1], axis=1), 0)
 
 
-def rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above rank_tol times the largest, or 0
+def rank(matrix) -> int:
+    """Numerical rank: singular values above RANK_TOL times the largest, or 0
     when the largest is at most ZERO_TOL."""
 
-    return int(_ranks(_as_matrix(matrix)[None], tol)[0])
+    return int(_ranks(_as_matrix(matrix)[None])[0])
 
 
-def affine_fits(points: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def affine_fits(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """affine_fit of every (n, d) matrix of a (k, n, d) stack, bit for bit: the
     (k, d) canonical normals (read-only), the (k,) offsets and the dimension of
     the flat each matrix affinely spans, where affine_fit needs d - 1."""
@@ -41,14 +40,14 @@ def affine_fits(points: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
     center = points.mean(axis=1)
     centered = points - center[:, None, :]
     spanned = np.where(np.max(np.abs(centered), axis=(1, 2)) > ZERO_TOL,
-                       _ranks(centered, tol), 0)
+                       _ranks(centered), 0)
     normal = np.linalg.svd(centered)[2][:, -1]
     A, B, _ = _canonical_rows(normal, -np.vecdot(normal, center), _row_norms(normal))
     A.setflags(write=False)
     return A, B, spanned
 
 
-def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> Hyperplane:
+def affine_fit(points) -> Hyperplane:
     """Fit the unique hyperplane containing a set of d-dimensional points.
 
     The normal is the singular vector of the centered point matrix belonging
@@ -62,7 +61,7 @@ def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> Hyperplane:
     n, d = pts.shape
     if n < d:
         raise InputError(f"need at least {d} points, got {n}")
-    A, B, (r,) = affine_fits(pts[None], tol)
+    A, B, (r,) = affine_fits(pts[None])
     if r != d - 1:
         raise DegenerateFitError(
             f"points affinely span a flat of dimension {r}, expected {d - 1}",
@@ -70,7 +69,7 @@ def affine_fit(points, tol: ToleranceConfig = DEFAULT_TOL) -> Hyperplane:
     return Hyperplane(A[0], float(B[0]))
 
 
-def solve_least_squares(a, y, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+def solve_least_squares(a, y) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares solution of A z = y and its residual norm."""
 
     mat = _as_matrix(a)
@@ -78,7 +77,7 @@ def solve_least_squares(a, y, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.nd
     if rhs.ndim != 1 or rhs.shape[0] != mat.shape[0]:
         raise InputError("right-hand side length must match the row count",
                          rows=mat.shape[0], rhs=list(rhs.shape))
-    solution, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=tol.rank_tol)
+    solution, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=RANK_TOL)
     residual = float(np.linalg.norm(mat @ solution - rhs))
     return solution, residual
 

@@ -20,7 +20,7 @@ from .errors import (ConstructionError, InputError, ParseError, ReconstructionEr
 from .net_core import (GroupedReLU, Hyperplane, ShallowNet, _canonical_rows, _row_norms,
                        evaluate_many, make_net)
 from .numerics import SUBSET_CAP, affine_fits, rank, solve_least_squares, subset_sums
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, RANK_TOL, ToleranceConfig
 
 # quantitative margins for the randomized constructions; the theory only needs
 # the corresponding quantities to be nonzero, which holds for almost all draws,
@@ -237,8 +237,7 @@ def _spread_culprit(coords: np.ndarray, members: np.ndarray, stale: np.ndarray,
     return None
 
 
-def build_feasible_lines(g: GroupedReLU, seed: int,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> FeasibleLineSet:
+def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
     """Draw m*d random lines and verify the three feasibility conditions:
     full-rank directions, mutually distinct crossings, and in-plane spread of
     every d crossings sharing a hyperplane.  Failing lines are resampled."""
@@ -283,7 +282,7 @@ def build_feasible_lines(g: GroupedReLU, seed: int,
 
     for _ in range(_RETRY_BUDGET):
         # (i) directions span the whole space
-        if rank(np.stack([ln.v for ln in lines]), tol) != d:
+        if rank(np.stack([ln.v for ln in lines])) != d:
             draw(0)
             continue
         crossings = np.stack([ln.points_at(w) for ln, w in zip(lines, params)])
@@ -582,28 +581,35 @@ def extract_breakpoints(line: Line, params, values,
     return breakpoints.tolist(), [(p, q) for p, q in pieces.tolist()]
 
 
-def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> np.ndarray:
+def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the seed tuples (``seeds``: (tuples, d, d), one crossing p_i
-    of each of d lines) that may pass ``recover_hyperplanes``' exact test.
+    of each of d lines) that may pass ``recover_hyperplanes``' exact test,
+    and the (lines, m, tuples) distances of every crossing from each tuple's
+    rough plane, by which that test matches.
 
     Each tuple gets a rough plane through its seeds' centroid q.  Its normal
     is the cofactor vector c of M, the (d - 1) x d matrix of rows p_i - p_1:
     c_j = (-1)^j det(M without column j), the last level of
     ``_laplace_minors``.  c is orthogonal to every row of M, and |c| is the
-    product of M's singular values (Cauchy-Binet).  A tuple is kept outright
-    when some line has a second crossing within keep_tol of the one nearest
-    its rough plane: there the exact test's match could pick another.  Every
-    other tuple is dropped when its rough plane provably misses some line,
-    and kept otherwise.  For well-spread points, as a real hyperplane's
-    crossings are, this leaves about m tuples of a line combination's m^d,
-    and every tuple the exact test accepts survives.
+    product of M's singular values (Cauchy-Binet).  A tuple whose normal is
+    zero or not finite defines no plane and is dropped.  A tuple is kept
+    outright when some line has a second crossing within keep_tol of the one
+    nearest its rough plane: the miss bound below needs each seed to be the
+    crossing its line matches.  Every other tuple is dropped when its rough
+    plane provably misses some line, and kept otherwise.  For well-spread
+    points, as a real hyperplane's crossings are, this leaves about m tuples
+    of a line combination's m^d, and every tuple the exact test accepts
+    survives.
 
     The miss bound.  Let n be a unit normal of the rough plane with residual
     rho = |M n|, t = 4 keep_tol (a margin above the exact test's keep_tol)
     and F = |M|_F.  Suppose the refit H' = {x : n'.x + b' = 0}, |n'| = 1,
-    comes within t of one crossing of every line, and on each seed's line
-    that crossing is the seed (without a tie the seeds are among the matched
-    crossings it is fitted on).
+    passes the exact test: on every line it comes within keep_tol < t of the
+    crossing it is fitted on, the one nearest the rough plane.  n.(p_i - q)
+    is an entry of M n less their mean, so the seeds lie within 2 rho of the
+    rough plane, and without a tie, while 2 rho is below keep_tol, each seed
+    is that crossing of its line.
     * Each entry of M n' is a difference of two values at most t in size, so
       |M n'| <= 2 sqrt(d - 1) t; and |n'.q + b'| <= t.
     * Write n' = cos(a) n + sin(a) w, w a unit vector orthogonal to n, with
@@ -626,10 +632,7 @@ def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> 
       distance from o.
     So every line has a crossing within B = 2t + sqrt(2) R sin a + eta of the
     rough plane, and a tuple whose nearest crossing on some line is farther
-    than B cannot pass the exact test.  (A refit that passes within keep_tol
-    of some other crossing of a seed's line, but not of the seed, breaks the
-    premise; under a loose keep_tol such tuples exist, and the exact test
-    rejects them.)
+    than B cannot pass the exact test.
 
     Rounding, with u = 2^-53 and M the computed differences.  These are
     within u F of the exact ones, which adds u F to |M n'|.  Each Laplace
@@ -643,34 +646,24 @@ def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> 
     G carry at most d^2 relative roundings, which move |c| / G <= F by at
     most d^2 u F.  slack = 4 d^(d/2 + 2) u F covers their sum with room for
     second-order terms, so with the computed |c| and residual rho,
-        sin a <= (2 sqrt(d - 1) t + rho + slack) / max(0, |c| / G - rho - slack).
+        sin a <= (2 sqrt(d - 1) t + rho + slack) / max(0, |c| / G - rho - slack),
+    and a tuple is only dropped when 2 (rho + slack) + eta < keep_tol.
     With P the largest coordinate size, the centroid, the float normal's norm
     and the distances each move a distance by O(d^2 u P), and a drop needs B
     < nearest <= R <= 4 sqrt(d) P, so B's own few relative roundings are of
     that size too; eta = 64 d^3 u (1 + P) covers each with room.  At d = 1
-    the normal is fixed and sin a = 0.  A degenerate tuple (|c| = 0, or R =
-    0) has an infinite or NaN bound, for which ``nearest > bound`` is false:
-    it is kept.
-
-    The tie margin.  The exact test matches by its own fit through the
-    seeds.  That fit and the rough plane both contain the seeds up to
-    backward errors of O(d u F), so by the bound on sin a with those in place
-    of t they tilt apart by O(d u F G / |c|), and they rank two crossings of
-    a line alike unless their rough distances differ by less than about R d
-    u F G / |c|.  A tuple can only be dropped when sin a < 1 / sqrt(2), that
-    is G / |c| < 1 / (8 sqrt(2 (d - 1)) keep_tol), and then that gap is below
-    keep_tol as long as match_tol exceeds about d sqrt(u), 1e-8 d.  The
-    guard keeps its margin of keep_tol; for a smaller match_tol the premise
-    is only as good as the exact test's own seed fit.
+    the normal is fixed and sin a = 0.  A tuple whose bound is infinite
+    (|c| / G at most rho + slack) is kept.
     """
 
     n_lines, m, d = stacked.shape
     flat = stacked.reshape(n_lines * m, d)
     center = seeds.mean(axis=1)
     t = 4.0 * keep_tol
-    with np.errstate(divide="ignore", invalid="ignore"):
+    eta = 64 * d ** 3 * 2.0 ** -53 * (1.0 + float(np.max(np.abs(flat))))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if d == 1:
-            normal, sin = np.ones((1, len(seeds))), 0.0
+            normal, sin, loose = np.ones((1, len(seeds))), 0.0, False
         else:
             points = np.ascontiguousarray(seeds.transpose(1, 2, 0))  # (seed, coordinate, tuple)
             diff = points[1:] - points[0]                            # M of every tuple
@@ -687,17 +680,19 @@ def _seed_survivors(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float) -> 
             slack = 4 * d ** (d / 2 + 2) * 2.0 ** -53 * frob
             sin = ((2 * np.sqrt(d - 1) * t + resid + slack)
                    / np.maximum(size / gram - resid - slack, 0.0))
+            loose = 2 * (resid + slack) + eta >= keep_tol   # a seed may not match
+        plane = np.all(np.isfinite(normal), axis=0) & np.any(normal != 0.0, axis=0)
         rough = flat @ normal
         rough -= np.einsum("dc,cd->c", normal, center)
         rough = np.abs(rough, out=rough).reshape(n_lines, m, -1)
         nearest = np.min(rough, axis=1)
         tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
 
-        eta = 64 * d ** 3 * 2.0 ** -53 * (1.0 + float(np.max(np.abs(flat))))
         mid = flat.mean(axis=0)
         reach = np.max(_row_norms(flat - mid)) + _row_norms(center - mid)
         bound = 2 * t + np.sqrt(2) * reach * sin + eta
-        return np.flatnonzero(tie | ~np.any(nearest > bound, axis=0))
+        keep = tie | loose | ~np.any(nearest > bound, axis=0)
+        return np.flatnonzero(plane & keep), rough
 
 
 def _plane_distances(stacked: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -707,20 +702,21 @@ def _plane_distances(stacked: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.nd
     return np.abs(np.matmul(stacked, A[:, None, :, None])[..., 0] + B[:, None, None])
 
 
-def _exact_fits(stacked: np.ndarray, seeds: np.ndarray, keep_tol: float,
-                tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``recover_hyperplanes``' exact test on each tuple of ``seeds`` (tuples,
-    d, d): fit the seeds, refit on every line's crossing nearest that plane,
-    and accept a refit within keep_tol of exactly one crossing of every line.
-    Returns the refits' normals and offsets and the accepted ones' indices."""
+def _exact_fits(stacked: np.ndarray, rough: np.ndarray, keep_tol: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``recover_hyperplanes``' exact test on each seed tuple, given the
+    (lines, m, tuples) distances of the crossings from its rough plane:
+    refit on every line's nearest crossing, and accept a refit whose
+    crossings span at least a (d - 1)-flat and that comes within keep_tol of
+    exactly one crossing of every line, the one it is fitted on.  Returns the
+    refits' normals and offsets and the accepted ones' indices."""
 
     n_lines, _, d = stacked.shape
-    A, B, spanned = affine_fits(seeds, tol)
-    fitted = spanned == d - 1
-    rows = np.argmin(_plane_distances(stacked, A[fitted], B[fitted]), axis=2)
-    A, B, spanned = affine_fits(stacked[np.arange(n_lines), rows], tol)
-    hits = np.sum(_plane_distances(stacked, A, B) <= keep_tol, axis=2)
-    return A, B, np.flatnonzero((spanned == d - 1) & np.all(hits == 1, axis=1))
+    rows = np.argmin(rough, axis=1).T
+    A, B, spanned = affine_fits(stacked[np.arange(n_lines), rows])
+    near = _plane_distances(stacked, A, B) <= keep_tol
+    alone = np.take_along_axis(near, rows[..., None], axis=2)[..., 0] & (near.sum(axis=2) == 1)
+    return A, B, np.flatnonzero((spanned >= d - 1) & np.all(alone, axis=1))
 
 
 def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
@@ -728,13 +724,14 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
     """Fit candidate hyperplanes through d crossings from d distinct lines and
     keep those containing exactly one crossing of every line.
 
-    Each candidate is refitted on all of its matched crossings before the
-    final containment test, which makes the fit insensitive to how well spread
-    the d seed points happened to be.  Seed tuples go in chunks through two
-    stages: the miss-bound screen ``_seed_survivors``, then one batched exact
-    test ``_exact_fits`` on its survivors.  Accepted refits are taken in
-    itertools order and a refit matching one already found is skipped, so
-    the result is the one of testing every tuple on its own.
+    Each candidate is refitted on every line's crossing nearest the plane
+    through its d seeds before the final containment test, which makes the
+    fit insensitive to how well spread the seeds happened to be.  Seed tuples
+    go in chunks through the miss-bound screen ``_seed_survivors``, then one
+    batched exact test ``_exact_fits`` on its survivors.  Accepted refits are
+    taken in itertools order and a refit matching one already found is
+    skipped, so the result is the one of testing every tuple on its own.  It
+    is sorted on a grid of step match_tol, so rounding cannot reorder it.
     """
 
     groups = [np.asarray(grp, dtype=float) for grp in crossings_by_line]
@@ -768,18 +765,18 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
             choices = np.empty((index.size, d), dtype=int)
             for k in range(d - 1, -1, -1):       # itertools.product order
                 index, choices[:, k] = np.divmod(index, m)
-            seeds = stacked[list(line_combo), choices]
-            seeds = seeds[_seed_survivors(stacked, seeds, keep_tol)]
-            if not len(seeds):
+            kept, rough = _seed_survivors(stacked, stacked[list(line_combo), choices], keep_tol)
+            if not kept.size:
                 continue
-            A, B, accepted = _exact_fits(stacked, seeds, keep_tol, tol)
+            A, B, accepted = _exact_fits(stacked, rough[:, :, kept], keep_tol)
             for k in accepted:
                 refit = Hyperplane(A[k], float(B[k]))
                 if any(refit.matches(h, tol) for h in found):
                     continue
                 found.append(refit)
                 if len(found) == m:
-                    return sorted(found, key=lambda h: (tuple(h.a), h.b))
+                    return sorted(found, key=lambda h: np.round(
+                        np.append(h.a, h.b) / tol.match_tol).tolist())
     raise RecoveryError("hyperplane recovery found the wrong candidate count",
                         found=len(found), expected=m)
 
@@ -816,7 +813,7 @@ def reconstruct(data: LabeledSamples, tol: ToleranceConfig = DEFAULT_TOL) -> Sha
 
     if m == 0:
         design = np.concatenate([plan.points, np.ones((plan.points.shape[0], 1))], axis=1)
-        sol, _ = solve_least_squares(design, values, tol)
+        sol, _ = solve_least_squares(design, values)
         gradient, const = sol[:-1], float(sol[-1])
         residual = float(np.max(np.abs(design @ sol - values)))
         if residual > tol.residual_tol * value_scale:
@@ -860,18 +857,18 @@ def reconstruct(data: LabeledSamples, tol: ToleranceConfig = DEFAULT_TOL) -> Sha
     # deficient), get the per-pattern check.  Neuron 0 on the top bit makes
     # ascending masks follow itertools.product order.
     full = np.concatenate([np.maximum(margins, 0.0), plan.points, ones], axis=1)
-    sol, _, _, sv = np.linalg.lstsq(full, values, rcond=tol.rank_tol)
+    sol, _, _, sv = np.linalg.lstsq(full, values, rcond=RANK_TOL)
     sigma, w = sol[:m], sol[m:m + d]
     moved = sigma[::-1, None] * np.stack([h.a for h in hyperplanes[::-1]])
     miss = np.linalg.norm(subset_sums(moved, start=w), axis=1)
     slack = (2.0 * np.sqrt((1.0 + m) * len(values)) * tol.residual_tol * value_scale / sv[-1]
-             if len(sv) == full.shape[1] and sv[-1] > tol.rank_tol * sv[0] else np.inf)
+             if len(sv) == full.shape[1] and sv[-1] > RANK_TOL * sv[0] else np.inf)
     bound = tol.match_tol * (1.0 + float(np.linalg.norm(w)) + float(np.sum(np.abs(sigma))))
     for mask in np.flatnonzero(miss <= bound + slack).tolist():
         eps = [-1.0 if mask >> (m - 1 - k) & 1 else 1.0 for k in range(m)]
         design = np.concatenate([np.maximum(margins * np.asarray(eps)[None, :], 0.0), ones],
                                 axis=1)
-        sol, _ = solve_least_squares(design, values, tol)
+        sol, _ = solve_least_squares(design, values)
         residual = float(np.max(np.abs(design @ sol - values)))
         if residual <= tol.residual_tol * value_scale:
             neurons = [(eps[k] * hyperplanes[k].a, eps[k] * hyperplanes[k].b,

@@ -23,10 +23,11 @@ from shallowid import (AdmissibilityError, ConstructionError, DegenerateFitError
                        evaluate_many, group, make_net, rank, relu_sampling,
                        solve_least_squares)
 from shallowid.net_core import _duplicate_ridges, _row_norms
+from shallowid.numerics import affine_fits
 from shallowid.relu_sampling import _point_line_distances
 from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
                                       _direction_of)
-from shallowid.tolerances import DEFAULT_TOL, ZERO_TOL
+from shallowid.tolerances import DEFAULT_TOL, RANK_TOL, ZERO_TOL
 
 # The directory that holds the imported package, so that a CLI child process
 # imports the same code as the tests whatever its working directory is.
@@ -427,7 +428,7 @@ def oracle_orientation(hyperplanes, points, values, tol=DEFAULT_TOL):
         sign = np.asarray(eps)
         design = np.concatenate([np.maximum(margins * sign[None, :], 0.0), ones],
                                 axis=1)
-        sol, _ = solve_least_squares(design, values, tol)
+        sol, _ = solve_least_squares(design, values)
         residual = float(np.max(np.abs(design @ sol - values)))
         if residual <= tol.residual_tol * value_scale:
             neurons = [(eps[k] * hyperplanes[k].a, eps[k] * hyperplanes[k].b,
@@ -608,7 +609,7 @@ def oracle_extract_breakpoints(line, params, values, tol=DEFAULT_TOL):
 
 
 # The one-matrix fit that numerics.affine_fits generalised to stacks.
-def oracle_affine_fit(points, tol=DEFAULT_TOL):
+def oracle_affine_fit(points):
     """The hyperplane through (n, d) points that affinely span a (d-1)-flat,
     from the last right singular vector of the centred points; raises
     DegenerateFitError for any other span."""
@@ -620,7 +621,7 @@ def oracle_affine_fit(points, tol=DEFAULT_TOL):
     r = 0
     if float(np.max(np.abs(centered))) > ZERO_TOL:
         sv = np.linalg.svd(centered, compute_uv=False)
-        r = int(np.sum(sv > tol.rank_tol * sv[0])) if sv[0] > ZERO_TOL else 0
+        r = int(np.sum(sv > RANK_TOL * sv[0])) if sv[0] > ZERO_TOL else 0
     if r != d - 1:
         raise DegenerateFitError(
             f"points affinely span a flat of dimension {r}, expected {d - 1}",
@@ -670,13 +671,13 @@ def oracle_recover_hyperplanes(crossings_by_line, tol=DEFAULT_TOL):
                                     "all hyperplanes", found=len(found), expected=m)
             seed_pts = np.stack([groups[j][i] for j, i in zip(line_combo, choice)])
             try:
-                rough = affine_fit(seed_pts, tol)
+                rough = affine_fit(seed_pts)
             except DegenerateFitError:
                 continue
             matched = np.stack([grp[np.argmin(np.abs(grp @ rough.a + rough.b))]
                                 for grp in groups])
             try:
-                refit = affine_fit(matched, tol)
+                refit = affine_fit(matched)
             except DegenerateFitError:
                 continue
             ok = True
@@ -691,8 +692,63 @@ def oracle_recover_hyperplanes(crossings_by_line, tol=DEFAULT_TOL):
                 continue
             found.append(refit)
             if len(found) == m:
-                ordered = sorted(found, key=lambda h: (tuple(h.a), h.b))
-                return ordered
+                return sorted(found, key=lambda h: grid_key(h, tol))
+    raise RecoveryError("hyperplane recovery found the wrong candidate count",
+                        found=len(found), expected=m)
+
+
+def grid_key(h, tol=DEFAULT_TOL):
+    """The order of recovered hyperplanes: (a, b) on a grid of step match_tol."""
+
+    return np.round(np.append(h.a, h.b) / tol.match_tol).tolist()
+
+
+def _oracle_spans(points, rank_tol):
+    """The dimension of the flat each (n, d) matrix of a (k, n, d) stack
+    affinely spans, with singular values above rank_tol times the largest
+    counted: ``affine_fits``' count, at a cutoff of one's choice."""
+
+    centered = points - points.mean(axis=1)[:, None, :]
+    sv = np.linalg.svd(centered, compute_uv=False)
+    spans = np.where(sv[:, 0] > ZERO_TOL, np.sum(sv > rank_tol * sv[:, :1], axis=1), 0)
+    return np.where(np.max(np.abs(centered), axis=(1, 2)) > ZERO_TOL, spans, 0)
+
+
+# The batched recovery before its exact test refitted on the screen's rough
+# planes: each seed tuple got an SVD fit, and its refit on every line's
+# crossing nearest that fit had to span exactly a (d - 1)-flat at a relative
+# singular-value cutoff rank_tol (ToleranceConfig.rank_tol then), which noisy
+# crossings only met with rank_tol raised.  The miss-bound screen is left out:
+# it only dropped tuples that this test rejects.
+def oracle_seed_fit_recovery(crossings_by_line, tol=DEFAULT_TOL, rank_tol=RANK_TOL):
+    stacked = np.stack([np.asarray(grp, dtype=float) for grp in crossings_by_line])
+    n_lines, m, d = stacked.shape
+    keep_tol = tol.match_tol * (1.0 + float(np.max(np.abs(stacked))))
+    choices = np.array(list(itertools.product(range(m), repeat=d)))
+    found = []
+    fits = 0
+    for combo in itertools.combinations(range(n_lines), d):
+        for start in range(0, len(choices), 4096):
+            if fits == relu_sampling._CANDIDATE_BUDGET:
+                raise RecoveryError("candidate budget exhausted before finding "
+                                    "all hyperplanes", found=len(found), expected=m)
+            chunk = choices[start:start + min(4096, relu_sampling._CANDIDATE_BUDGET - fits)]
+            fits += len(chunk)
+            seeds = stacked[list(combo), chunk]
+            A, B, _ = affine_fits(seeds)
+            fitted = _oracle_spans(seeds, rank_tol) == d - 1
+            distances = relu_sampling._plane_distances(stacked, A[fitted], B[fitted])
+            matched = stacked[np.arange(n_lines), np.argmin(distances, axis=2)]
+            A, B, _ = affine_fits(matched)
+            hits = np.sum(relu_sampling._plane_distances(stacked, A, B) <= keep_tol, axis=2)
+            accepted = (_oracle_spans(matched, rank_tol) == d - 1) & np.all(hits == 1, axis=1)
+            for k in np.flatnonzero(accepted):
+                refit = Hyperplane(A[k], float(B[k]))
+                if any(refit.matches(h, tol) for h in found):
+                    continue
+                found.append(refit)
+                if len(found) == m:
+                    return sorted(found, key=lambda h: grid_key(h, tol))
     raise RecoveryError("hyperplane recovery found the wrong candidate count",
                         found=len(found), expected=m)
 
@@ -726,35 +782,6 @@ def oracle_seed_survivors(stacked, seeds, keep_tol):
     keep = (np.all(np.min(refit, axis=1) <= 4.0 * keep_tol, axis=0)
             & np.all(np.sum(refit <= keep_tol / 4.0, axis=1) <= 1, axis=0))
     return np.flatnonzero(keep | tie)
-
-
-# The rough fit that relu_sampling._seed_survivors replaced: one batched SVD
-# per chunk, whose singular values give the miss bound.
-def oracle_svd_screen(stacked, seeds, keep_tol):
-    """Indices of the seed tuples kept by a near tie of their rough plane, the
-    SVD fit through their seeds, or by a miss bound that takes sin a <=
-    (2 sqrt(d) t + s_d + eta) / s_{d-1} from the centred seeds' singular
-    values, where ``relu_sampling._seed_survivors`` takes it from cofactors."""
-
-    n_lines, m, d = stacked.shape
-    flat = stacked.reshape(n_lines * m, d)
-    center = seeds.mean(axis=1)
-    _, sv, vt = np.linalg.svd(seeds - center[:, None, :])
-    normal = vt[:, -1]
-    rough = flat @ normal.T
-    rough -= np.einsum("cd,cd->c", normal, center)
-    rough = np.abs(rough, out=rough).reshape(n_lines, m, -1)
-    nearest = np.min(rough, axis=1)
-    tie = np.any(np.sum(rough <= nearest[:, None] + keep_tol, axis=1) > 1, axis=0)
-
-    t = 4.0 * keep_tol
-    eta = 64 * d ** 3 * 2.0 ** -53 * (1.0 + float(np.max(np.abs(flat))))
-    mid = flat.mean(axis=0)
-    reach = np.max(_row_norms(flat - mid)) + _row_norms(center - mid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sin = (2 * np.sqrt(d) * t + sv[:, -1] + eta) / (sv[:, -2] if d > 1 else np.inf)
-        bound = 2 * t + np.sqrt(2) * reach * sin + eta
-        return np.flatnonzero(tie | ~np.any(nearest > bound, axis=0))
 
 
 # The two-stage screen that relu_sampling._seed_survivors replaced: the miss
@@ -862,7 +889,7 @@ def oracle_spread_culprit(coords, members, stale, dets, nearest):
     return None
 
 
-def oracle_build_feasible_lines(g, seed, tol=DEFAULT_TOL):
+def oracle_build_feasible_lines(g, seed):
     """Draw m*d random lines and verify the three feasibility conditions:
     full-rank directions, mutually distinct crossings, and in-plane spread of
     every d crossings sharing a hyperplane.  Failing lines are resampled."""
@@ -905,7 +932,7 @@ def oracle_build_feasible_lines(g, seed, tol=DEFAULT_TOL):
 
     for _ in range(relu_sampling._RETRY_BUDGET):
         # (i) directions span the whole space
-        if rank(np.stack([ln.v for ln in lines]), tol) != d:
+        if rank(np.stack([ln.v for ln in lines])) != d:
             draw(0)
             continue
         crossings = np.stack([ln.points_at(w) for ln, w in zip(lines, params)])
@@ -988,7 +1015,7 @@ def cancelling_pairs_instance():
 # rank oracle
 # ---------------------------------------------------------------------------
 
-def rank_by_elimination(matrix, tol=DEFAULT_TOL) -> int:
+def rank_by_elimination(matrix) -> int:
     """Column-pivoted Gaussian elimination with the relative threshold that
     ``shallowid.rank`` applies to singular values; the two must agree."""
 
@@ -996,7 +1023,7 @@ def rank_by_elimination(matrix, tol=DEFAULT_TOL) -> int:
     scale = float(np.max(np.abs(a)))
     if scale <= ZERO_TOL:
         return 0
-    threshold = tol.rank_tol * scale
+    threshold = RANK_TOL * scale
     rows, cols = a.shape
     r = 0
     for col in range(cols):
@@ -1251,7 +1278,15 @@ def oracle_admissibility_violations(net: ShallowNet, tol=DEFAULT_TOL) -> list[di
     reason = "positive-scale duplicate ridge" if relu else "sign-duplicate ridge"
     violations += [{"clause": "ii", "neurons": pair, "reason": reason}
                    for pair in oracle_duplicate_ridges(rows, (1,) if relu else (1.0, -1.0), tol)]
+    if relu and not violations and _oracle_relu_group(net, tol).m != net.m:
+        # two neurons met in one hyperplane/orientation slot and were merged
+        violations = [{"clause": "ii", "reason": "positive-scale duplicate ridge"}]
     return violations
+
+
+def _oracle_relu_group(net: ShallowNet, tol=DEFAULT_TOL) -> GroupedReLU:
+    return oracle_grouped_from_entries(((n.a, n.b, n.s * float(np.linalg.norm(n.a)))
+                                        for n in net.neurons), net.c, net.d, tol)
 
 
 def oracle_group(net: ShallowNet, tol=DEFAULT_TOL) -> GroupedReLU:
@@ -1259,12 +1294,7 @@ def oracle_group(net: ShallowNet, tol=DEFAULT_TOL) -> GroupedReLU:
         raise InputError("admissibility grouping applies to relu networks only")
     violations = oracle_admissibility_violations(net, tol)
     if not violations:
-        g = oracle_grouped_from_entries(((n.a, n.b, n.s * float(np.linalg.norm(n.a)))
-                                         for n in net.neurons), net.c, net.d, tol)
-        if g.m == net.m:
-            return g
-        # two neurons met in one hyperplane/orientation slot and were merged
-        violations = [{"clause": "ii", "reason": "positive-scale duplicate ridge"}]
+        return _oracle_relu_group(net, tol)
     v = violations[0]
     raise AdmissibilityError(
         f"network is not admissible: clause ({v['clause']}) {v['reason']}",

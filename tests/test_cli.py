@@ -366,10 +366,9 @@ def test_tolerance_override_flows_through(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--tol-rank", "0", "rank_tol must be strictly positive and finite"),
     ("--tol-residual", "nan", "residual_tol must be strictly positive and finite"),
     ("--tol-match", "inf", "match_tol must be strictly positive and finite"),
-    ("--tol-match", "1e-12", "rank_tol must not exceed match_tol"),
+    ("--tol-match", "1e-12", "match_tol must be at least the rank cutoff 1e-09"),
     ("--seed", "-1", "seed must be non-negative")])
 def test_invalid_tolerance_flag_is_input_error_exit_2(cross_net_file, flag, value, message):
     proc = run_cli("check", "--net", str(cross_net_file), flag, value)
@@ -377,6 +376,16 @@ def test_invalid_tolerance_flag_is_input_error_exit_2(cross_net_file, flag, valu
     assert "Traceback" not in proc.stderr
     err = json.loads(proc.stderr)["error"]
     assert err["type"] == "input" and err["message"] == message
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_tol_rank_flag_is_refused_exit_2(cross_net_file, before):
+    # the rank cutoff is a fixed constant; noise is judged by --tol-match
+    args = ["check", "--net", str(cross_net_file)]
+    flag = ["--tol-rank", "1e-5"]
+    proc = run_cli(*(flag + args if before else args + flag))
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: shallowid")
 
 
 @pytest.mark.parametrize("target, reason", [("missing/plan.json", "No such file or directory"),
@@ -494,7 +503,7 @@ def test_reconstruct_certifies_a_reconstruction_from_noisy_samples(tmp_path):
     obj["values"] = (values + np.random.default_rng(0).normal(scale=1e-7, size=values.size)).tolist()
     (tmp_path / "samples.json").write_text(json.dumps(obj))
     proc = run_cli("reconstruct", "--data", "samples.json", "--out", "rec.json",
-                   "--against", "net.json", "--tol-match", "1e-5", "--tol-rank", "1e-5",
+                   "--against", "net.json", "--tol-match", "1e-5",
                    "--tol-residual", "1e-5", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "equivalence certificate: found" in proc.stdout
@@ -516,7 +525,7 @@ def test_reconstruct_certifies_an_axis_parallel_ridge_from_noisy_samples(tmp_pat
     obj["values"] = (values + np.random.default_rng(0).normal(scale=1e-7, size=values.size)).tolist()
     (tmp_path / "samples.json").write_text(json.dumps(obj))
     proc = run_cli("reconstruct", "--data", "samples.json", "--out", "rec.json",
-                   "--against", "net.json", "--tol-match", "1e-5", "--tol-rank", "1e-5",
+                   "--against", "net.json", "--tol-match", "1e-5",
                    "--tol-residual", "1e-5", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "equivalence certificate: found" in proc.stdout

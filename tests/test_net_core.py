@@ -126,11 +126,23 @@ def test_group_rejects_duplicate_that_only_canonical_matching_sees():
     # just under, so the two neurons meet in one orientation slot
     gap = DEFAULT_TOL.match_tol * (1 - 5e-14)
     net = make_net("relu", [((1.0, 0.0), 0.0, 1.0), ((1.0 - 1e-13, 0.0), gap, 1.0)], 0.0)
-    assert admissibility_violations(net) == []
     with pytest.raises(AdmissibilityError, match=r"clause \(ii\)") as err:
         group(net)
-    assert err.value.details["violations"] == [
+    assert err.value.details["violations"] == admissibility_violations(net) == [
         {"clause": "ii", "neurons": [0, 1], "reason": "positive-scale duplicate ridge"}]
+
+
+def test_admissibility_violations_name_the_tie_nets_slot_collision():
+    # the unit rows' biases differ by just over match_tol, so the ridge check
+    # passes them, but the canonical hyperplanes (the first row is not divided
+    # at unit norm) match: admissibility_violations and group give one answer
+    net = make_net("relu", [((1.0000000000005, 0.0), 1.0000000000005, 1.0),
+                            ((1.0, 0.0), 1.0000000100003, 1.0)], 0.0)
+    expected = [{"clause": "ii", "neurons": [0, 1], "reason": "positive-scale duplicate ridge"}]
+    assert admissibility_violations(net) == expected
+    with pytest.raises(AdmissibilityError) as err:
+        group(net)
+    assert err.value.details["violations"] == expected
 
 
 @pytest.mark.parametrize("kind, second, reason", [
@@ -323,18 +335,20 @@ def test_admissibility_and_group_match_the_pairwise_loops(kind, seed, m, d, unit
     # a positive multiple duplicates a relu ridge, a negative one pairs it
     rows = _planted_rows(rng, m, d, unit, gaps, [1.0, -1.0, 0.5, -2.0])
     net = make_net(kind, rows, float(rng.uniform(-1.0, 1.0)), d=d)
-    assert admissibility_violations(net) == oracle_admissibility_violations(net)
+    violations = admissibility_violations(net)
     if kind == "relu":
         got, ref = _outcome(group, net), _outcome(oracle_group, net)
         merged = {"clause": "ii", "reason": "positive-scale duplicate ridge"}
         if ref[0] == "AdmissibilityError" and ref[2]["violations"] == [merged]:
-            # the loop named no neurons when two met in one slot; group names
-            # the two, which share an orientation
+            # the loop named no neurons when two met in one slot; group and
+            # admissibility_violations name the two, which share an orientation
             k1, k2 = got[2]["violations"][0].pop("neurons")
+            assert violations[0].pop("neurons") == [k1, k2]
             assert 0 <= k1 < k2 < m
             assert (oracle_canonical_hyperplane(*rows[k1][:2])[1]
                     == oracle_canonical_hyperplane(*rows[k2][:2])[1])
         assert got == ref
+    assert violations == oracle_admissibility_violations(net)
 
 
 @settings(max_examples=300, deadline=None)

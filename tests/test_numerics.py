@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shallowid import (DegenerateFitError, InputError, SizeError, affine_fit, rank,
-                       solve_least_squares)
+from shallowid import (DegenerateFitError, InputError, SizeError, ToleranceConfig,
+                       affine_fit, rank, solve_least_squares)
 from shallowid.numerics import SUBSET_CAP, affine_fits, subset_sums
+from shallowid.tolerances import RANK_TOL
 
 from helpers import oracle_affine_fit, rank_by_elimination
 
@@ -28,6 +29,15 @@ def test_rank_three_rows_in_plane():
 def test_rank_empty_matrix_rejected():
     with pytest.raises(InputError):
         rank(np.zeros((0, 3)))
+
+
+def test_tolerance_config_has_no_rank_cutoff():
+    # every rank decision uses the fixed RANK_TOL, which is also match_tol's floor
+    with pytest.raises(TypeError):
+        ToleranceConfig(rank_tol=1e-5)
+    assert ToleranceConfig(match_tol=RANK_TOL).match_tol == RANK_TOL
+    with pytest.raises(ValueError, match="at least the rank cutoff"):
+        ToleranceConfig(match_tol=RANK_TOL / 2)
 
 
 def test_rank_matches_transpose_and_elimination():

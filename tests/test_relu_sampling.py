@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import shallowid as si
 from shallowid import (ConstructionError, InputError, Line, LabeledSamples, ParseError,
-                       ToleranceConfig, affine_fit, build_feasible_lines, build_sample_plan,
+                       ToleranceConfig, build_feasible_lines, build_sample_plan,
                        canonical_hyperplane, extract_breakpoints, group, make_net,
                        net_core, reconstruct, recover_hyperplanes, relu_sampling,
                        sample_values)
@@ -22,7 +22,7 @@ from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
 from helpers import (oracle_build_feasible_lines, oracle_collinear_candidates,
                      oracle_collinearity_ok, oracle_extract_breakpoints, oracle_orientation,
                      oracle_plane_fits, oracle_recover_hyperplanes, oracle_refit_screen,
-                     oracle_seed_survivors, oracle_spread_culprit, oracle_svd_screen,
+                     oracle_seed_fit_recovery, oracle_seed_survivors, oracle_spread_culprit,
                      random_irreducible_relu)
 
 
@@ -874,6 +874,21 @@ def test_recover_hyperplanes_cross_net_exact():
         assert abs(eb - gb) < 1e-9
 
 
+def test_recover_hyperplanes_orders_perturbed_cross_net_crossings_alike():
+    """The cross net's hyperplanes share their first coordinate, 1/sqrt(2),
+    so an order by exact coordinates followed its last bits, and crossings
+    perturbed by 1e-15 gave both orders.  On the match_tol grid the second
+    coordinate decides."""
+
+    ls = build_feasible_lines(group(cross_net()), seed=3)
+    crossings = [line.points_at(w) for line, w in zip(ls.lines, ls.crossing_params)]
+    rng = np.random.default_rng(0)
+    orders = {tuple(float(np.sign(h.a[1])) for h in recover_hyperplanes(
+        [grp + rng.normal(scale=1e-15, size=grp.shape) for grp in crossings]))
+        for _ in range(40)}
+    assert orders == {(-1.0, 1.0)}
+
+
 def test_recover_hyperplanes_round_trip():
     rng = np.random.default_rng(8)
     net = random_irreducible_relu(rng, 3, 2)
@@ -1081,15 +1096,16 @@ def test_recover_hyperplanes_chunk_edges_keep_the_oracle_order(monkeypatch, d, m
 def test_seed_survivors_keeps_a_near_tie_of_the_rough_match():
     """d = 2, m = 2: the seeds (0, 0) and (1, 0) give the rough plane y = 0,
     from which line 2's crossings (0.5, 1) and (0.5, -1) are equally far, so
-    the per-candidate match may take either; the tuple survives although the
-    refit on the first misses line 3.  Without the tie it is dropped."""
+    the match may take either; the tuple survives although the refit on the
+    first misses line 3.  Without the tie it is dropped."""
 
     stacked = np.array([[[0.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [1.0, -3.0]],
                         [[0.5, 1.0], [0.5, -1.0]], [[2.0, 0.3], [3.0, 5.0]]])
     seeds = stacked[[0, 1], [0, 0]][None]
-    assert relu_sampling._seed_survivors(stacked, seeds, 1e-8).tolist() == [0]
+    (_, _, accepted), reached = counting_refits(screened_exact_fits, stacked, seeds, 1e-8)
+    assert reached == 1 and accepted.tolist() == []
     stacked[2, 1, 1] = -1.5
-    assert relu_sampling._seed_survivors(stacked, seeds, 1e-8).tolist() == []
+    assert relu_sampling._seed_survivors(stacked, seeds, 1e-8)[0].tolist() == []
 
 
 def counting_refits(fn, *args):
@@ -1098,27 +1114,23 @@ def counting_refits(fn, *args):
     with mock.patch.object(relu_sampling, "_exact_fits",
                            wraps=relu_sampling._exact_fits) as spy:
         result = fn(*args)
-    return result, sum(len(call.args[1]) for call in spy.call_args_list)
+    return result, sum(call.args[1].shape[2] for call in spy.call_args_list)
 
 
 def screened_exact_fits(stacked, seeds, keep_tol):
     """recover_hyperplanes' two stages on one chunk of seed tuples."""
 
-    survivors = relu_sampling._seed_survivors(stacked, seeds, keep_tol)
-    return relu_sampling._exact_fits(stacked, seeds[survivors], keep_tol, si.DEFAULT_TOL)
+    kept, rough = relu_sampling._seed_survivors(stacked, seeds, keep_tol)
+    return relu_sampling._exact_fits(stacked, rough[:, :, kept], keep_tol)
 
 
-def exact_test_accepts(stacked, seed_pts, tol, keep_tol):
-    """recover_hyperplanes' per-candidate test on one seed tuple: the rough
-    fit, the nearest crossing of every line, the refit and containment."""
+def exact_test_accepts(stacked, seed_pts, keep_tol):
+    """recover_hyperplanes' exact test on one seed tuple, whether the screen
+    keeps it or not: the refit on every line's crossing nearest the tuple's
+    rough plane, its span and containment."""
 
-    try:
-        rough = affine_fit(seed_pts, tol)
-        rows = [int(np.argmin(np.abs(grp @ rough.a + rough.b))) for grp in stacked]
-        refit = affine_fit(stacked[np.arange(len(stacked)), rows], tol)
-    except si.DegenerateFitError:
-        return False
-    return all(np.sum(np.abs(grp @ refit.a + refit.b) <= keep_tol) == 1 for grp in stacked)
+    _, rough = relu_sampling._seed_survivors(stacked, seed_pts[None], keep_tol)
+    return relu_sampling._exact_fits(stacked, rough, keep_tol)[2].size == 1
 
 
 def old_refit_seed_miss(stacked, combo, choice):
@@ -1135,12 +1147,12 @@ def old_refit_seed_miss(stacked, combo, choice):
 
 def assert_screen_keeps_the_oracles_survivors(crossings, tol=si.DEFAULT_TOL):
     """On the first and the last line combination, every tuple that the
-    refitting screen (``oracle_refit_screen``) kept reaches the exact test,
-    and so does every tuple that the older screen kept, with one exception.
-    Under a loose tol the older screen's refit margin also keeps some tuples
-    whose refit passes more than 4 keep_tol from one of their own seeds; the
-    miss bound assumes the opposite, so it may drop those, but only if the
-    exact test rejects them.  Returns how many."""
+    refitting screen (``oracle_refit_screen``) or the older screen kept
+    reaches the exact test, with one exception.  Under a loose tol their
+    refit margins also keep some tuples whose refit passes more than 4
+    keep_tol from one of their own seeds; the miss bound assumes the
+    opposite, so it may drop those, but only if the exact test rejects them.
+    Returns how many."""
 
     stacked = np.stack(crossings)
     n_lines, m, d = stacked.shape
@@ -1149,16 +1161,27 @@ def assert_screen_keeps_the_oracles_survivors(crossings, tol=si.DEFAULT_TOL):
     for combo in (range(d), range(n_lines - d, n_lines)):
         choices = np.array(list(itertools.product(range(m), repeat=d)))
         seeds = stacked[list(combo), choices]
-        survivors = relu_sampling._seed_survivors(stacked, seeds, keep_tol)
-        assert set(oracle_refit_screen(stacked, seeds, keep_tol)) <= set(survivors)
-        for k in np.setdiff1d(oracle_seed_survivors(stacked, seeds, keep_tol), survivors):
+        survivors = relu_sampling._seed_survivors(stacked, seeds, keep_tol)[0]
+        kept = np.union1d(oracle_refit_screen(stacked, seeds, keep_tol),
+                          oracle_seed_survivors(stacked, seeds, keep_tol))
+        for k in np.setdiff1d(kept, survivors):
             assert old_refit_seed_miss(stacked, combo, choices[k]) > 4.0 * keep_tol
-            assert not exact_test_accepts(stacked, seeds[k], tol, keep_tol)
+            assert not exact_test_accepts(stacked, seeds[k], keep_tol)
             dropped += 1
     return dropped
 
 
-NOISY_TOL = ToleranceConfig(match_tol=1e-5, rank_tol=1e-5)
+NOISY_TOL = ToleranceConfig(match_tol=1e-5)
+
+
+def assert_recovers_as_the_seed_fit(crossings):
+    """At NOISY_TOL, recovery ends as the seed-fit recovery did with its rank
+    cutoff raised to match_tol, which noisy crossings needed."""
+
+    expected = recovery_outcome(functools.partial(oracle_seed_fit_recovery, rank_tol=1e-5),
+                                crossings, NOISY_TOL)
+    assert recovery_outcome(recover_hyperplanes, crossings, NOISY_TOL) == expected
+    return expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -1167,9 +1190,9 @@ NOISY_TOL = ToleranceConfig(match_tol=1e-5, rank_tol=1e-5)
 def test_seed_survivors_keep_every_survivor_of_the_old_screen(shape, seed):
     """Pipeline crossings as they come and with the lines permuted: the
     screen keeps every tuple the old one kept.  With 1e-7 noise at match_tol
-    = rank_tol = 1e-5, where the miss bound is loosest, it keeps every tuple
-    that the old one kept and the exact test accepts, and the hyperplanes are
-    the per-candidate loop's."""
+    = 1e-5, where the miss bound is loosest, it keeps every tuple that the
+    old one kept and the exact test accepts, and recovery ends as the
+    seed-fit recovery at a rank cutoff of 1e-5."""
 
     d, m = shape
     crossings = pipeline_crossings(d, m, seed)
@@ -1179,7 +1202,7 @@ def test_seed_survivors_keep_every_survivor_of_the_old_screen(shape, seed):
     assert assert_screen_keeps_the_oracles_survivors(permuted) == 0
     noisy = [grp + rng.normal(scale=1e-7, size=grp.shape) for grp in crossings]
     assert_screen_keeps_the_oracles_survivors(noisy, NOISY_TOL)
-    assert isinstance(assert_recovers_as_the_oracle(noisy, NOISY_TOL), list)
+    assert_recovers_as_the_seed_fit(noisy)
 
 
 def test_seed_survivors_drop_an_old_survivor_only_off_its_own_seeds():
@@ -1199,8 +1222,10 @@ def test_seed_survivors_drop_an_old_survivor_only_off_its_own_seeds():
 @given(shape=st.sampled_from([(d, m) for d in range(2, 6) for m in range(2, 8) if d * m <= 24]),
        seed=st.integers(0, 10**6), gap=st.sampled_from([0.0, 1e-9]))
 def test_seed_survivors_refit_ill_conditioned_tuples(shape, seed, gap):
-    """Two seeds of a tuple equal (s_{d-1} = 0) or 1e-9 apart: the miss
-    bound is useless, so the tuple reaches the exact test's refit."""
+    """Two seeds of a tuple 1e-9 apart: the miss bound is useless, so the
+    tuple reaches the exact test's refit.  Two seeds equal (s_{d-1} = 0):
+    the cofactor normal is zero and the tuple goes no further, as the seed
+    fit's rank test dropped it."""
 
     d, m = shape
     stacked = np.stack(pipeline_crossings(d, m, seed))
@@ -1210,20 +1235,23 @@ def test_seed_survivors_refit_ill_conditioned_tuples(shape, seed, gap):
     keep_tol = 1e-8 * (1.0 + float(np.max(np.abs(stacked))))
     seeds = stacked[np.arange(d), choice][None]
     _, reached = counting_refits(screened_exact_fits, stacked, seeds, keep_tol)
-    assert reached == 1
+    assert reached == (gap > 0)
+    assert gap > 0 or affine_fits(seeds)[2][0] < d - 1
 
 
-def test_seed_survivors_refit_a_tuple_whose_bound_is_nan():
-    """m = 1 and every crossing at one point: s_{d-1} = 0 and R = 0, so the
-    bound is 0 * inf; the lone tuple has no tie and reaches the exact test,
-    as the old screens kept it, which rejects it as degenerate."""
+def test_seed_survivors_drop_a_tuple_whose_cofactor_normal_is_nan():
+    """m = 1 and every crossing at one point: c = 0, so the normal and the
+    bound are NaN.  The old screens kept the lone tuple and the seed fit
+    rejected it as degenerate; now it goes no further, and recovery fails
+    as the per-candidate loop does."""
 
     stacked = np.full((3, 1, 3), 0.5)
     seeds = stacked[np.arange(3), 0][None]
     (_, _, accepted), reached = counting_refits(screened_exact_fits, stacked, seeds, 1e-8)
-    assert reached == 1 and accepted.tolist() == []
+    assert reached == 0 and accepted.tolist() == []
     assert (oracle_seed_survivors(stacked, seeds, 1e-8).tolist()
             == oracle_refit_screen(stacked, seeds, 1e-8).tolist() == [0])
+    assert assert_recovers_as_the_oracle(list(stacked))[0] is si.RecoveryError
 
 
 def test_recover_hyperplanes_refits_only_a_few_seed_tuples():
@@ -1253,26 +1281,18 @@ def raw_crossings(d, m, seed):
 
 
 def assert_screen_keeps_every_accepted_tuple(crossings, tol=si.DEFAULT_TOL):
-    """On the first and the last line combination, every seed tuple that the
-    exact test accepts survives the screen."""
+    """On the first and the last line combination, the exact test, run on
+    every seed tuple, accepts only tuples that survive the screen."""
 
     stacked = np.stack(crossings)
     n_lines, m, d = stacked.shape
     keep_tol = tol.match_tol * (1.0 + float(np.max(np.abs(stacked))))
     choices = np.array(list(itertools.product(range(m), repeat=d)))
     for combo in (range(d), range(n_lines - d, n_lines)):
-        seeds = stacked[list(combo), choices]
-        survivors = relu_sampling._seed_survivors(stacked, seeds, keep_tol)
-        fitted = np.flatnonzero(affine_fits(seeds, tol)[2] == d - 1)   # as _exact_fits
-        accepted = fitted[relu_sampling._exact_fits(stacked, seeds, keep_tol, tol)[2]]
+        survivors, rough = relu_sampling._seed_survivors(stacked, stacked[list(combo), choices],
+                                                         keep_tol)
+        accepted = relu_sampling._exact_fits(stacked, rough, keep_tol)[2]
         assert set(accepted.tolist()) <= set(survivors.tolist())
-
-
-def assert_recovers_as_the_svd_screen(crossings, tol=si.DEFAULT_TOL):
-    with mock.patch.object(relu_sampling, "_seed_survivors", oracle_svd_screen):
-        expected = recovery_outcome(recover_hyperplanes, crossings, tol)
-    assert recovery_outcome(recover_hyperplanes, crossings, tol) == expected
-    return expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -1281,13 +1301,14 @@ def assert_recovers_as_the_svd_screen(crossings, tol=si.DEFAULT_TOL):
        seed=st.integers(0, 10**6))
 def test_cofactor_screen_keeps_every_tuple_the_exact_test_accepts(shape, seed):
     """Pipeline crossings (raw crossings at d = 1, which has no line
-    sampling) as they come and with the lines permuted: the screen keeps
-    every tuple that the exact test accepts, and the hyperplanes are the
-    per-candidate loop's.  With 1e-7 noise at match_tol = rank_tol = 1e-5,
-    where the miss bound is loosest, it keeps every accepted tuple too, and
-    recovery ends as with the SVD screen: mostly in the same hyperplanes, and
-    where the exact test cannot recover them all (at d = 1 the refit on each
-    line's crossing spans the noise), in the same error."""
+    sampling) as they come and with the lines permuted: the exact test, run
+    on every tuple, accepts only tuples the screen keeps, and the
+    hyperplanes are the per-candidate loop's.  With 1e-7 noise at match_tol
+    = 1e-5, where the miss bound is loosest, it accepts only kept tuples
+    too.  Recovery then ends as the seed-fit recovery at a rank cutoff of
+    1e-5, except at d = 1: there every refit spans the noise, a flat of
+    dimension d, which that recovery rejected at any cutoff, and now the
+    hyperplanes are the clean ones within match_tol."""
 
     d, m = shape
     crossings = pipeline_crossings(d, m, seed) if d > 1 else raw_crossings(d, m, seed)
@@ -1298,7 +1319,11 @@ def test_cofactor_screen_keeps_every_tuple_the_exact_test_accepts(shape, seed):
         assert isinstance(assert_recovers_as_the_oracle(case), list)
     noisy = [grp + rng.normal(scale=1e-7, size=grp.shape) for grp in crossings]
     assert_screen_keeps_every_accepted_tuple(noisy, NOISY_TOL)
-    assert_recovers_as_the_svd_screen(noisy, NOISY_TOL)
+    if d > 1:
+        assert_recovers_as_the_seed_fit(noisy)
+    else:
+        rebuilt = recover_hyperplanes(noisy, NOISY_TOL)
+        assert all(h.matches(c, NOISY_TOL) for h, c in zip(rebuilt, recover_hyperplanes(crossings)))
 
 
 @pytest.mark.parametrize("d, m", [(1, 4), (2, 5), (3, 4), (4, 3), (5, 3), (6, 2)])
@@ -1308,7 +1333,7 @@ def test_seed_survivors_fit_no_svd(d, m):
     stacked = np.stack(raw_crossings(d, m, d))
     seeds = stacked[np.arange(d), np.array(list(itertools.product(range(m), repeat=d)))]
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
-        survivors = relu_sampling._seed_survivors(stacked, seeds, 1e-8)
+        survivors = relu_sampling._seed_survivors(stacked, seeds, 1e-8)[0]
     assert spy.call_count == 0 and len(survivors)
 
 
@@ -1329,7 +1354,7 @@ def test_recover_hyperplanes_skips_chunks_the_screen_empties(monkeypatch):
         outcome = assert_recovers_as_the_oracle(scattered)
     assert outcome[0] is si.RecoveryError and "budget" in outcome[1]
     assert screen.call_count > 2 * exact.call_count
-    assert all(len(call.args[1]) for call in exact.call_args_list)
+    assert all(call.args[1].shape[2] for call in exact.call_args_list)
 
 
 def test_recover_hyperplanes_rejects_non_finite_crossings():
