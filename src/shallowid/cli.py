@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import analytic_id, net_core, relu_adversary, relu_sampling, relu_structure, schema
-from .errors import AdmissibilityError, InputError, ParseError, ToolkitError
+from .errors import InputError, ParseError, ToolkitError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -68,11 +69,7 @@ def _tol_from_args(args) -> ToleranceConfig:
 def _cmd_check(args, tol) -> int:
     net = _read_net(args.net)
     relu = net.activation.kind == "relu"
-    violations = [] if relu else net_core.admissibility_violations(net, tol)
-    try:  # group() is the relu admissibility check, merged neurons included
-        g = net_core.group(net, tol) if relu else None
-    except AdmissibilityError as err:
-        violations = err.details["violations"]
+    violations, g = net_core._admissibility(net, tol)  # relu: merged neurons included
     if violations:
         # dropping a zero neuron or merging a duplicate ridge reduces m
         reason = violations[0]["reason"]
@@ -211,6 +208,7 @@ def _cmd_expsum(args, tol) -> int:
     return 0
 
 
+@functools.cache  # one build per process: main reuses it on every call
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)

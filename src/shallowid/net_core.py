@@ -435,18 +435,16 @@ def test_equivalent(n1: ShallowNet, n2: ShallowNet,
         raise InputError("networks have different input dimensions", d1=n1.d, d2=n2.d)
     relu = n1.activation.kind == "relu"
     for name, net in (("first", n1), ("second", n2)):
-        try:  # group() is the relu admissibility check
-            if relu and group(net, tol).K1:
-                raise HypothesisError(
-                    f"{name} network has coincident hyperplanes; the equivalence "
-                    "characterization does not apply", network=name)
-        except AdmissibilityError as err:
-            raise AdmissibilityError(f"{name} {err.message}", network=name,
-                                     **err.details) from None
-        violations = [] if relu else admissibility_violations(net, tol)
+        violations, g = _admissibility(net, tol)
         if violations:
-            raise AdmissibilityError(f"{name} network is not admissible", network=name,
-                                     violations=violations)
+            v = violations[0]
+            clause = f": clause ({v['clause']}) {v['reason']}" if relu else ""
+            raise AdmissibilityError(f"{name} network is not admissible{clause}",
+                                     network=name, violations=violations)
+        if g is not None and g.K1:
+            raise HypothesisError(
+                f"{name} network has coincident hyperplanes; the equivalence "
+                "characterization does not apply", network=name)
     if n1.m != n2.m:
         return None
 

@@ -9,6 +9,7 @@ from .net_core import Hyperplane, _canonical_rows, _row_norms
 from .tolerances import RANK_TOL, ZERO_TOL
 
 SUBSET_CAP = 20
+_CHUNK_ENTRIES = 1 << 18  # subset sums screened at once, to bound memory
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -82,16 +83,36 @@ def solve_least_squares(a, y) -> tuple[np.ndarray, float]:
     return solution, residual
 
 
+def _capped(rows) -> np.ndarray:
+    if len(rows) > SUBSET_CAP:
+        raise SizeError(f"subset enumeration is capped at {SUBSET_CAP} rows", rows=len(rows))
+    return np.asarray(rows, dtype=float)
+
+
 def subset_sums(rows, op=np.add, start=0.0) -> np.ndarray:
     """All 2^n combinations of the rows by doubling: entry ``mask`` folds
     ``op`` from ``start`` over the rows of its set bits (bit k for row k) in
     ascending order.  Raises SizeError above SUBSET_CAP rows, before allocating."""
 
-    if len(rows) > SUBSET_CAP:
-        raise SizeError(f"subset enumeration is capped at {SUBSET_CAP} rows",
-                        rows=len(rows))
-    rows = np.asarray(rows, dtype=float)
+    rows = _capped(rows)
     out = np.full((1,) + rows.shape[1:], start, dtype=float)
     for row in rows:
         out = np.concatenate([out, op(out, row)])
     return out
+
+
+def _screen_subset_sums(rows, keep, start=0.0) -> np.ndarray:
+    """Ascending masks whose entry of ``subset_sums(rows, start=start)`` passes
+    ``keep`` (a (k, d) block of sums in, k booleans out), from blocks of at most
+    _CHUNK_ENTRIES numbers (or one sum) with the same bits: the low rows once,
+    then each block adds the rows past them in ascending order, as the fold does."""
+
+    rows = _capped(rows)
+    n = len(rows)
+    low = min(n, max(1, _CHUNK_ENTRIES // max(1, rows[:1].size)).bit_length() - 1)
+    head = subset_sums(rows[:low], start=start)
+    masks = []
+    for high in range(1 << (n - low)):
+        sums = sum((rows[j] for j in range(low, n) if high >> (j - low) & 1), head)
+        masks.append(np.flatnonzero(keep(sums)) + (high << low))
+    return np.concatenate(masks)

@@ -10,6 +10,7 @@ the hyperplanes; a final least-squares solve pins scales and constant.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import (ConstructionError, InputError, ParseError, ReconstructionEr
                      RecoveryError, SizeError)
 from .net_core import (GroupedReLU, Hyperplane, ShallowNet, _canonical_rows, _row_norms,
                        evaluate_many, make_net)
-from .numerics import SUBSET_CAP, affine_fits, rank, solve_least_squares, subset_sums
+from .numerics import SUBSET_CAP, _screen_subset_sums, affine_fits, rank, solve_least_squares
 from .tolerances import DEFAULT_TOL, RANK_TOL, ToleranceConfig
 
 # quantitative margins for the randomized constructions; the theory only needs
@@ -35,6 +36,9 @@ _TOTAL_DRAW_CAP = 50_000
 _CANDIDATE_BUDGET = 200_000    # seed tuples fitted by recover_hyperplanes
 _CHUNK_FLOATS = 2 ** 18        # largest batched temporary in recover_hyperplanes
 _BLOCK_ENTRIES = 2 ** 14       # (anchor, point) pairs per block of the collinearity filter
+# the spread check keeps d + m numbers per subset of d lines, C(md, d) subsets:
+# 2^27 of them is 1 GiB, above d=5, m=12 (92,845,704) and below d=5, m=13
+_SPREAD_ENTRIES_CAP = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -249,6 +253,11 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
         raise InputError("need at least one neuron to build lines", m=m)
     if d < 2:
         raise InputError("line sampling needs input dimension >= 2", d=d)
+    subsets = math.comb(m * d, d)
+    if (d + m) * subsets > _SPREAD_ENTRIES_CAP:
+        raise SizeError(f"spread check over C(md, d) = {subsets} line subsets needs "
+                        f"{(d + m) * subsets} numbers, above the cap of {_SPREAD_ENTRIES_CAP}",
+                        subsets=subsets, cap=_SPREAD_ENTRIES_CAP)
 
     rng = np.random.default_rng(seed)
     n_lines = m * d
@@ -762,9 +771,7 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
             index = np.arange(start, min(start + chunk, tuples,
                                          start + _CANDIDATE_BUDGET - fits))
             fits += index.size
-            choices = np.empty((index.size, d), dtype=int)
-            for k in range(d - 1, -1, -1):       # itertools.product order
-                index, choices[:, k] = np.divmod(index, m)
+            choices = np.stack(np.unravel_index(index, (m,) * d), axis=1)  # itertools.product order
             kept, rough = _seed_survivors(stacked, stacked[list(line_combo), choices], keep_tol)
             if not kept.size:
                 continue
@@ -860,11 +867,11 @@ def reconstruct(data: LabeledSamples, tol: ToleranceConfig = DEFAULT_TOL) -> Sha
     sol, _, _, sv = np.linalg.lstsq(full, values, rcond=RANK_TOL)
     sigma, w = sol[:m], sol[m:m + d]
     moved = sigma[::-1, None] * np.stack([h.a for h in hyperplanes[::-1]])
-    miss = np.linalg.norm(subset_sums(moved, start=w), axis=1)
     slack = (2.0 * np.sqrt((1.0 + m) * len(values)) * tol.residual_tol * value_scale / sv[-1]
              if len(sv) == full.shape[1] and sv[-1] > RANK_TOL * sv[0] else np.inf)
     bound = tol.match_tol * (1.0 + float(np.linalg.norm(w)) + float(np.sum(np.abs(sigma))))
-    for mask in np.flatnonzero(miss <= bound + slack).tolist():
+    for mask in _screen_subset_sums(
+            moved, lambda sums: np.linalg.norm(sums, axis=1) <= bound + slack, w).tolist():
         eps = [-1.0 if mask >> (m - 1 - k) & 1 else 1.0 for k in range(m)]
         design = np.concatenate([np.maximum(margins * np.asarray(eps)[None, :], 0.0), ones],
                                 axis=1)

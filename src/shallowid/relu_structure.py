@@ -25,12 +25,11 @@ import numpy as np
 
 from .errors import InvariantError
 from .net_core import GroupedReLU, ShallowNet, evaluate_many, group, grouped_from_entries
-from .numerics import subset_sums
+from .numerics import _screen_subset_sums, subset_sums
 from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 _PROBE_SEED = 0x5eed
 _PROBE_POINTS = 200
-_SCREEN_ENTRIES = 1 << 18  # subset sums screened at once, to bound memory
 
 
 @dataclass(frozen=True)
@@ -76,41 +75,42 @@ def _absorption(w: np.ndarray, a0: np.ndarray) -> tuple[float, float]:
     return c0, float(np.linalg.norm(w + c0 * a0))
 
 
+def _freed(g: GroupedReLU, epsilon, flips) -> tuple[np.ndarray, float]:
+    """Linear term (w, q) freed by a flip pattern, summed over the K1 pairs'
+    sides chosen by epsilon first, then the K2 entries of flips ascending."""
+
+    terms = [((p.s1 if e == 1 else p.s2) * e, p.h) for e, p in zip(epsilon, g.K1)]
+    terms += [(g.K2[j].s, g.K2[j]) for j in sorted(flips)]
+    return sum((s * t.a for s, t in terms), np.zeros(g.d)), sum((s * t.b for s, t in terms), 0.0)
+
+
 def _search(g: GroupedReLU, case: str, patterns, absorbers, allow_zero: bool,
             zero: float) -> ReductionWitness | None:
     """First witness over the K1 sign patterns in order, then the K2 flip sets
     F by size and lexicographically, whose freed vector w is zero (if
     allow_zero) or absorbable along an absorber's direction, by index.  A
     vectorised screen over the 2^n subset sums, with room for rounding, picks
-    the flip sets, and reduce_once's scalar test decides them on the same sum."""
+    the flip sets, and the scalar test decides them on reduce_once's sum."""
 
     n = len(g.K2)
     rows = np.array([e.s * e.a for e in g.K2]).reshape(n, g.d)
     directions = {k: _direction_of(g, k)[0] for k in absorbers}
     # size * 2^n minus 2^(n-1-j) per row j sorts as itertools.combinations
     key = subset_sums(2.0 ** n - 2.0 ** np.arange(n - 1, -1, -1))
-    low = min(n, int(np.log2(max(1, _SCREEN_ENTRIES // g.d))))
+
+    def near(sums: np.ndarray) -> np.ndarray:
+        norms = np.linalg.norm(sums, axis=1)
+        loose = zero + 64.0 * (g.d + 2) * np.finfo(float).eps * norms
+        hit = (norms <= loose) & allow_zero
+        for a0 in directions.values():
+            hit |= np.linalg.norm(sums - np.outer(sums @ a0 / (a0 @ a0), a0), axis=1) <= loose
+        return hit
+
     for eps in patterns:
-        # the freed vector adds up in reduce_once's order: K1, then F ascending
-        start = sum(((p.s1 if e == 1 else p.s2) * e * p.h.a for e, p in zip(eps, g.K1)),
-                    np.zeros(g.d))
-        head = subset_sums(rows[:low], start=start)
-        masks = []
-        for high in range(1 << (n - low)):  # a chunk of 2^low sums at a time
-            sums = head
-            for j in range(low, n):  # rows past low come last, as in a full fold
-                if high >> (j - low) & 1:
-                    sums = sums + rows[j]
-            norms = np.linalg.norm(sums, axis=1)
-            loose = zero + 64.0 * (g.d + 2) * np.finfo(float).eps * norms
-            near = (norms <= loose) & allow_zero
-            for a0 in directions.values():
-                near |= np.linalg.norm(sums - np.outer(sums @ a0 / (a0 @ a0), a0), axis=1) <= loose
-            masks.append(np.flatnonzero(near) + (high << low))
-        masks = np.concatenate(masks)
+        masks = _screen_subset_sums(rows, near, _freed(g, eps, ())[0])
         for mask in masks[np.argsort(key[masks])].tolist():
             flips = [j for j in range(n) if mask >> j & 1]
-            w = sum((rows[j] for j in flips), start)
+            w = _freed(g, eps, flips)[0]
             if allow_zero and float(np.linalg.norm(w)) <= zero:
                 return ReductionWitness(case, eps, frozenset(flips))
             for k, a0 in directions.items():
@@ -165,23 +165,13 @@ def reduce_once(g: GroupedReLU, witness: ReductionWitness,
         raise InvariantError("stale witness: index structure does not match the network")
 
     entries: list[tuple[np.ndarray, float, float]] = []
-    w = np.zeros(g.d)
-    q = 0.0
-    for i, pair in enumerate(g.K1):
-        e = witness.epsilon[i]
-        si = pair.s1 if e == 1 else pair.s2
-        coef = pair.s1 + pair.s2
-        if abs(coef) > ZERO_TOL:
-            entries.append((-e * pair.h.a, -e * pair.h.b, coef))
-        w += si * e * pair.h.a
-        q += si * e * pair.h.b
+    for e, pair in zip(witness.epsilon, g.K1):
+        if abs(pair.s1 + pair.s2) > ZERO_TOL:
+            entries.append((-e * pair.h.a, -e * pair.h.b, pair.s1 + pair.s2))
     for j, entry in enumerate(g.K2):
-        if j in witness.k2_prime:
-            entries.append((-entry.a, -entry.b, entry.s))
-            w += entry.s * entry.a
-            q += entry.s * entry.b
-        else:
-            entries.append((entry.a, entry.b, entry.s))
+        flip = -1.0 if j in witness.k2_prime else 1.0
+        entries.append((flip * entry.a, flip * entry.b, entry.s))
+    w, q = _freed(g, witness.epsilon, witness.k2_prime)
 
     c_new = g.c
     zero = ZERO_TOL * _coefficient_scale(g)

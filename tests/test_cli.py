@@ -441,6 +441,20 @@ def test_check_caps_the_witness_search_at_twenty_lone_neurons(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+def test_plan_relu_refuses_a_spread_check_above_the_cap(tmp_path, capsys):
+    """d=8, m=8 would tabulate C(64, 8) line subsets: exit 2 with a size
+    error, not a traceback from a failed allocation."""
+
+    path = tmp_path / "wide.json"
+    write_net(path, random_irreducible_relu(np.random.default_rng(8), 8, 8))
+    out = tmp_path / "plan.json"
+    assert cli.main(["plan-relu", "--net", str(path), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "size"
+    assert error["details"]["subsets"] == 4_426_165_368
+    assert not out.exists()
+
+
 def test_plan_analytic_at_d10_and_d12_separates_a_planted_pair(tmp_path):
     rng = np.random.default_rng(10)
     for m in (1, 2):

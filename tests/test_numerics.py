@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shallowid import (DegenerateFitError, InputError, SizeError, ToleranceConfig,
-                       affine_fit, rank, solve_least_squares)
-from shallowid.numerics import SUBSET_CAP, affine_fits, subset_sums
+                       affine_fit, numerics, rank, solve_least_squares)
+from shallowid.numerics import SUBSET_CAP, _screen_subset_sums, affine_fits, subset_sums
 from shallowid.tolerances import RANK_TOL
 
 from helpers import oracle_affine_fit, rank_by_elimination
@@ -170,7 +171,51 @@ def test_subset_sums_cap_raises_before_allocating():
     try:
         with pytest.raises(SizeError):
             subset_sums(np.ones((SUBSET_CAP + 1, 4)))
+        with pytest.raises(SizeError):
+            _screen_subset_sums(np.ones((SUBSET_CAP + 1, 4)), lambda sums: sums[:, 0] > 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # the 2^21 x 4 result alone would take 64 MiB
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 10), d=st.integers(1, 4), chunk=st.integers(1, numerics._CHUNK_ENTRIES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_screen_subset_sums_hands_keep_the_bits_of_the_full_fold(n, d, chunk, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
+    start = rng.normal(size=d)
+    full = subset_sums(rows, start=start)
+    radius = float(np.median(np.linalg.norm(full, axis=1)))
+    blocks = []
+
+    def keep(sums):
+        blocks.append(sums.copy())
+        return np.linalg.norm(sums, axis=1) <= radius
+
+    with mock.patch.object(numerics, "_CHUNK_ENTRIES", chunk):
+        masks = _screen_subset_sums(rows, keep, start)
+    expected = np.flatnonzero(np.linalg.norm(full, axis=1) <= radius)
+    assert masks.tolist() == expected.tolist()
+    assert all(block.shape == blocks[0].shape for block in blocks)
+    assert blocks[0].size <= max(chunk, d)
+    assert np.concatenate(blocks).tobytes() == full.tobytes()
+
+
+def test_screen_subset_sums_of_the_orientation_search_stays_small():
+    """reconstruct's screen (a miss bound on the norm of each sum) over 20
+    rows in d = 50: subset_sums would hold 2^20 x 50 floats, about 419 MB."""
+
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(20, 50))
+    start = -rows[[2, 7, 19]].sum(axis=0)   # masks 1<<2 | 1<<7 | 1<<19 cancel it
+    tracemalloc.start()
+    try:
+        masks = _screen_subset_sums(rows, lambda sums: np.linalg.norm(sums, axis=1) <= 1e-9,
+                                    start)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.tolist() == [1 << 2 | 1 << 7 | 1 << 19]
+    assert peak < 16 << 20

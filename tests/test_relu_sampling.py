@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from math import comb
 from unittest import mock
 
@@ -12,8 +13,8 @@ import shallowid as si
 from shallowid import (ConstructionError, InputError, Line, LabeledSamples, ParseError,
                        ToleranceConfig, build_feasible_lines, build_sample_plan,
                        canonical_hyperplane, extract_breakpoints, group, make_net,
-                       net_core, reconstruct, recover_hyperplanes, relu_sampling,
-                       sample_values)
+                       net_core, numerics, reconstruct, recover_hyperplanes,
+                       relu_sampling, sample_values)
 from shallowid.numerics import affine_fits
 from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
                                      plan_to_json_obj, samples_from_json_obj,
@@ -182,6 +183,26 @@ def test_feasible_lines_fail_as_the_oracle(budget, spread, draw_cap, message):
         outcome = line_set_outcome(build_feasible_lines, g, 5)
         assert outcome == line_set_outcome(oracle_build_feasible_lines, g, 5)
     assert outcome[0] == message
+
+
+def test_feasible_lines_refuse_a_spread_check_above_the_cap_before_allocating():
+    """d=8, m=8 has C(64, 8) subsets of 16 numbers each, 566 GB: a size
+    error before any table is built.  d=5, m=12 and every round trip of the
+    tests and of CI stay below the cap."""
+
+    cap = relu_sampling._SPREAD_ENTRIES_CAP
+    for d, m in [(5, 12), (2, 8), (4, 8), (5, 4), (5, 5), (5, 6), (6, 3), (3, 5), (4, 6)]:
+        assert (d + m) * comb(m * d, d) <= cap
+    g = group(random_irreducible_relu(np.random.default_rng(8), 8, 8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(si.SizeError) as err:
+            build_feasible_lines(g, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.details == {"subsets": comb(64, 8), "cap": cap}
+    assert peak < 1 << 20
 
 
 def spread_checks_against_the_oracle(g, seed):
@@ -531,8 +552,12 @@ def test_reconstruct_is_byte_identical_to_the_orientation_loop(monkeypatch, d, m
     net = random_irreducible_relu(np.random.default_rng(seed), m, d)
     g = group(net)
     plan = build_sample_plan(g, build_feasible_lines(g, seed=seed), seed=seed)
-    rebuilt, expected = reconstruct_with_oracle(monkeypatch, sample_values(net, plan))
+    data = sample_values(net, plan)
+    rebuilt, expected = reconstruct_with_oracle(monkeypatch, data)
     assert net_core.serialize(rebuilt) == net_core.serialize(expected)
+    # the flip sets' sums screened a few at a time, in many chunks
+    monkeypatch.setattr(numerics, "_CHUNK_ENTRIES", 16)
+    assert net_core.serialize(reconstruct(data)) == net_core.serialize(expected)
 
 
 @pytest.mark.parametrize("deficient", [False, True])

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import shallowid as si
 from shallowid import (HypothesisError, InvariantError, admissibility_violations,
-                       evaluate_many, group, make_net, reduce_fully,
-                       reduce_once, relu_structure)
+                       evaluate_many, group, make_net, numerics, reduce_fully,
+                       reduce_once)
 from shallowid.net_core import certificate_to_json_obj
 
 from helpers import (cancelling_pairs_instance, clause_i_instance,
@@ -186,7 +186,7 @@ def test_reducible_agrees_with_oracle_on_structured_nets():
 @pytest.mark.parametrize("screen", [None, 16])
 def test_witness_matches_the_loop_search(monkeypatch, d, kind, sizes, screen):
     if screen:  # screen the subset sums four at a time, in many chunks
-        monkeypatch.setattr(relu_structure, "_SCREEN_ENTRIES", screen)
+        monkeypatch.setattr(numerics, "_CHUNK_ENTRIES", screen)
     rng = np.random.default_rng(1000 * d + len(kind))
     for n_lone in sizes:
         g = group(structured_relu(rng, d, kind, n_lone))
