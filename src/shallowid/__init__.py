@@ -3,14 +3,14 @@ finite sampling-plan construction, exact relu recovery from samples,
 point-set adversaries, and sigmoid/tanh identification checks."""
 
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .errors import (AdmissibilityError, ConstructionError, DegenerateFitError,
-                     HypothesisError, InputError, InvariantError, ParseError,
-                     ReconstructionError, RecoveryError, SizeError, ToolkitError)
+from .errors import (AdmissibilityError, ConstructionError, HypothesisError, InputError,
+                     InvariantError, ParseError, ReconstructionError, RecoveryError,
+                     SizeError, ToolkitError)
 from .net_core import (Activation, EquivalenceCertificate, GroupedReLU, Hyperplane,
                        Neuron, PairedEntry, ShallowNet, admissibility_violations,
                        canonical_hyperplane, deserialize, evaluate, evaluate_many,
                        group, make_net, serialize, test_equivalent)
-from .numerics import affine_fit, rank, solve_least_squares
+from .numerics import rank, solve_least_squares
 from .relu_structure import ReductionWitness, reduce_fully, reduce_once, test_reducible
 from .relu_sampling import (FeasibleLineSet, LabeledSamples, Line, SamplePlan,
                             build_feasible_lines, build_sample_plan,

@@ -42,12 +42,6 @@ class AdmissibilityError(ToolkitError):
     code = "admissibility"
 
 
-class DegenerateFitError(ToolkitError):
-    """Points do not determine a unique hyperplane."""
-
-    code = "degenerate_fit"
-
-
 class ConstructionError(ToolkitError):
     """A randomized construction exhausted its retry budget."""
 

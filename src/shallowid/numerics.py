@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFitError, InputError, SizeError
-from .net_core import Hyperplane, _canonical_rows, _row_norms
+from .errors import InputError, SizeError
+from .net_core import _canonical_rows, _row_norms
 from .tolerances import RANK_TOL, ZERO_TOL
 
 SUBSET_CAP = 20
@@ -34,9 +34,12 @@ def rank(matrix) -> int:
 
 
 def affine_fits(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """affine_fit of every (n, d) matrix of a (k, n, d) stack, bit for bit: the
-    (k, d) canonical normals (read-only), the (k,) offsets and the dimension of
-    the flat each matrix affinely spans, where affine_fit needs d - 1."""
+    """The hyperplane through each (n, d) matrix of points of a (k, n, d)
+    stack: its normal is the right singular vector of the centred points for
+    their smallest singular value, which treats all points symmetrically.
+    Returns the (k, d) canonical normals (read-only), the (k,) offsets and the
+    dimension of the flat each matrix affinely spans; a fit is unique only
+    where that is d - 1."""
 
     center = points.mean(axis=1)
     centered = points - center[:, None, :]
@@ -46,28 +49,6 @@ def affine_fits(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     A, B, _ = _canonical_rows(normal, -np.vecdot(normal, center), _row_norms(normal))
     A.setflags(write=False)
     return A, B, spanned
-
-
-def affine_fit(points) -> Hyperplane:
-    """Fit the unique hyperplane containing a set of d-dimensional points.
-
-    The normal is the singular vector of the centered point matrix belonging
-    to its smallest singular value, which treats all points symmetrically.
-    Requires the points to affinely span exactly a (d-1)-flat.
-    """
-
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise InputError("points must form an (n, d) array", shape=list(pts.shape))
-    n, d = pts.shape
-    if n < d:
-        raise InputError(f"need at least {d} points, got {n}")
-    A, B, (r,) = affine_fits(pts[None])
-    if r != d - 1:
-        raise DegenerateFitError(
-            f"points affinely span a flat of dimension {r}, expected {d - 1}",
-            spanned=int(r), expected=d - 1)
-    return Hyperplane(A[0], float(B[0]))
 
 
 def solve_least_squares(a, y) -> tuple[np.ndarray, float]:

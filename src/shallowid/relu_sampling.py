@@ -36,8 +36,7 @@ _TOTAL_DRAW_CAP = 50_000
 _CANDIDATE_BUDGET = 200_000    # seed tuples fitted by recover_hyperplanes
 _CHUNK_FLOATS = 2 ** 18        # largest batched temporary in recover_hyperplanes
 _BLOCK_ENTRIES = 2 ** 14       # (anchor, point) pairs per block of the collinearity filter
-# the spread check keeps d + m numbers per subset of d lines, C(md, d) subsets:
-# 2^27 of them is 1 GiB, above d=5, m=12 (92,845,704) and below d=5, m=13
+# subset tests of one spread pass, m * C(md, d): above d=5, m=12 (65,538,144)
 _SPREAD_ENTRIES_CAP = 2 ** 27
 
 
@@ -110,19 +109,17 @@ def _line_crossings(line: Line, hyperplanes: list[Hyperplane]) -> np.ndarray | N
     return params
 
 
-def _combinations(n: int, r: int) -> np.ndarray:
-    """All r-subsets of range(n) as rows of a (C(n, r), r) array, in
-    itertools.combinations order: each row is extended by every larger value
-    that leaves room for the rest."""
+def _colex(n: int, r: int) -> np.ndarray:
+    """All r-subsets of range(n) as the columns of an (r, C(n, r)) array in
+    colex order: by last element j, and before j the (r-1)-subsets of range(j),
+    which are the first C(j, r-1) columns of that order."""
 
-    combos = np.arange(n - r + 1)[:, None]
-    for k in range(1, r):
-        last = combos[:, -1]
-        counts = n - r + k - last
-        rows = np.repeat(np.arange(last.size), counts)
-        step = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        combos = np.column_stack([combos[rows], last[rows] + 1 + step])
-    return combos
+    cols = np.zeros((0, 1), dtype=np.intp)   # the empty subset
+    for k in range(r):
+        count = np.array([math.comb(j, k) for j in range(k, n)])
+        prefix = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        cols = np.vstack([cols[:, prefix], np.repeat(np.arange(k, n), count)])
+    return cols
 
 
 def _laplace_minors(rows) -> dict[int, np.ndarray]:
@@ -159,18 +156,11 @@ def _laplace_minors(rows) -> dict[int, np.ndarray]:
     return minors
 
 
-def _laplace_dets(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Determinants of C matrices of size k x k, where row r of matrix c is
-    column ``rows[r, c]`` of the (k, N) ``table``, by ``_laplace_minors``."""
-
-    minors = _laplace_minors(np.take(table, r, axis=1) for r in rows)
-    return minors[(1 << len(table)) - 1]
-
-
 def _spread_slack(k: int) -> float:
     """A bound on |fast - LAPACK| for the |det| of a k x k matrix A whose rows
     are unit vectors (2-norm 1 up to rounding, so |a_ij| <= 1), where fast is
-    ``_laplace_dets`` and LAPACK is ``np.linalg.det``, and u = 2^-53.
+    the full minor of ``_laplace_minors`` and LAPACK is ``np.linalg.det``, and
+    u = 2^-53.
 
     * Laplace: each minor of r rows adds one product and r - 1 sums to the
       minors below it, so every monomial of the expansion carries at most
@@ -196,55 +186,91 @@ def _spread_slack(k: int) -> float:
                     + (k + 1) * (2 * np.log(2) * k * (k - 1) + np.exp(-1)) + 2)
 
 
-def _spread_culprit(coords: np.ndarray, members: np.ndarray, stale: np.ndarray,
-                    dets: np.ndarray) -> int | None:
-    """Every d-subset of one hyperplane's in-plane points (the columns of
-    ``members``), which check (ii) has kept apart, must affinely span it: the
-    unit vectors from its first point to the others must have a large
-    |determinant|.  ``dets`` caches each subset's fast |determinant|; only
-    subsets holding a ``stale`` line are recomputed, in blocks of about
-    ``_CHUNK_FLOATS`` indices, by ``_laplace_dets`` on the (k, n^2) table of
-    unit vectors between the n points (k = d - 1).
+def _spread_ok(coords: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Whether each d-subset (a column of ``sub``) of one hyperplane's
+    in-plane points ``coords`` (n, k = d - 1) affinely spans it: from some
+    anchor point of it, the unit vectors to the other k must have LAPACK
+    |determinant| at least ``_MIN_SPREAD_DET``.  Fast values, from
+    ``_laplace_minors`` on the (k, n^2) table of unit vectors, lie within
+    ``_spread_slack(k)`` of LAPACK's.  Every subset is anchored at its first
+    point; those still below the margin plus the slack try the other
+    anchors, and those whose best fast value is within the slack of the
+    margin get ``np.linalg.det`` from every anchor."""
 
-    The decision is LAPACK's: the first line of the first subset (by index)
-    whose ``np.linalg.det`` is smallest, if that is below ``_MIN_SPREAD_DET``.
-    A fast value is within ``_spread_slack(k)`` of LAPACK's, so when the
-    smallest fast value exceeds the margin by the slack, every subset passes.
-    Otherwise LAPACK's minimum can only lie among the subsets within twice the
-    slack of the fast minimum; they alone get ``np.linalg.det``, in index
-    order.  Returns the culprit line, or None."""
-
-    redo = np.flatnonzero(np.any(stale[members], axis=0))
-    n = len(coords)
-    diff = coords[None, :, :] - coords[:, None, :]   # diff[i, k] = c_k - c_i
+    n, k = coords.shape
+    diff = coords[None, :, :] - coords[:, None, :]   # diff[i, j] = c_j - c_i
     dist = np.linalg.norm(diff, axis=2)
     np.fill_diagonal(dist, np.inf)
-    unit = (diff / dist[:, :, None]).reshape(n * n, -1)
+    unit = (diff / dist[:, :, None]).reshape(n * n, k)
     table = np.ascontiguousarray(unit.T)
-    step = max(1, _CHUNK_FLOATS // len(members))
-    for start in range(0, redo.size, step):
-        block = redo[start:start + step]
-        sub = np.take(members, block, axis=1)   # contiguous rows, unlike members[:, block]
-        pair = sub[0] * n + sub[1:]   # flat indices of (first, other) point pairs
-        dets[block] = np.abs(_laplace_dets(table, pair))
-    stale[:] = False
-    slack = _spread_slack(len(table))
-    least = float(np.min(dets))
-    if least - slack >= _MIN_SPREAD_DET:
-        return None
-    near = np.flatnonzero(dets <= least + 2 * slack)
-    pair = members[0, near] * n + members[1:, near]
-    exact = np.abs(np.linalg.det(unit[pair.T]))
-    worst = int(np.argmin(exact))
-    if float(exact[worst]) < _MIN_SPREAD_DET:
-        return int(members[0, near[worst]])
-    return None
+    slack = _spread_slack(k)
+
+    def pairs(cols, anchor):   # flat (anchor, other point) indices, one row per other point
+        rows = np.take(sub, cols, axis=1)
+        return rows[anchor] * n + np.delete(rows, anchor, axis=0)
+
+    def fast(cols, anchor):
+        minors = _laplace_minors(np.take(table, r, axis=1) for r in pairs(cols, anchor))
+        return np.abs(minors[(1 << k) - 1])
+
+    best = fast(np.arange(sub.shape[1]), 0)
+    low = np.flatnonzero(best < _MIN_SPREAD_DET + slack)
+    for anchor in range(1, k + 1):
+        if low.size:
+            best[low] = np.maximum(best[low], fast(low, anchor))
+            low = low[best[low] < _MIN_SPREAD_DET + slack]
+    near = low[best[low] >= _MIN_SPREAD_DET - slack]
+    if near.size:
+        best[near] = np.max([np.abs(np.linalg.det(unit[pairs(near, anchor).T]))
+                             for anchor in range(k + 1)], axis=0)
+    return best >= _MIN_SPREAD_DET
+
+
+def _first_failure(crossings: np.ndarray, bases: list[np.ndarray], head: np.ndarray,
+                   start: int) -> int | None:
+    """The first line f that fails (ii), a crossing within ``_MIN_POINT_SEP``
+    of one of a line up to f, or (iii), a d-subset of lines with last line f
+    that fails ``_spread_ok`` in some hyperplane; None if none fails.  In
+    colex order, subset r has last line f for C(f, d) <= r < C(f + 1, d) and
+    its other lines in column r - C(f, d) of ``head``, the colex order of the
+    first md - 1 lines.  Only subsets with last line ``start`` or later are
+    tested, in blocks of about ``_CHUNK_FLOATS`` indices, and each
+    hyperplane stops at the first line known to fail."""
+
+    n_lines, m, d = crossings.shape
+    flat = crossings.reshape(n_lines * m, d)
+    # (ii) on all crossings in space: (iii) sees them in orthonormal in-plane
+    # bases, which keep distances up to rounding, and does not test them again
+    diff = flat[:, None, :] - flat[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(dist, np.inf)
+    close = np.argwhere(dist < _MIN_POINT_SEP)
+    first = int(np.min(np.max(close, axis=1))) // m if close.size else n_lines
+    below = np.array([math.comb(j, d) for j in range(n_lines + 1)])   # rows before line j
+    step = max(1, _CHUNK_FLOATS // d)
+    for k in range(m):
+        coords = crossings[:, k, :] @ bases[k].T
+        for lo in range(int(below[start]), int(below[first]), step):
+            rows = np.arange(lo, min(lo + step, int(below[first])))
+            last = np.searchsorted(below, rows, side="right") - 1
+            sub = np.concatenate([np.take(head, rows - below[last], axis=1), last[None, :]])
+            ok = _spread_ok(coords, sub)
+            if not np.all(ok):
+                first = int(last[np.argmin(ok)])
+                break
+    return first if first < n_lines else None
 
 
 def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
     """Draw m*d random lines and verify the three feasibility conditions:
-    full-rank directions, mutually distinct crossings, and in-plane spread of
-    every d crossings sharing a hyperplane.  Failing lines are resampled."""
+    (i) full-rank directions, (ii) mutually distinct crossings, and (iii)
+    in-plane spread of every d crossings sharing a hyperplane.  After (i),
+    each round redraws the first line that fails (ii) or (iii).  Its one
+    integer of state, p, counts the leading lines whose d-subsets all pass:
+    a round tests the subsets whose last line is p or later, and a redraw of
+    line f sets p to f.  A set that passes with no such redraw is bit for bit
+    the one a check from each subset's first point alone accepts.  Over
+    ``_SPREAD_ENTRIES_CAP`` subset tests per pass raise SizeError."""
 
     hyperplanes = _distinct_hyperplanes(g)
     m = len(hyperplanes)
@@ -254,9 +280,9 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
     if d < 2:
         raise InputError("line sampling needs input dimension >= 2", d=d)
     subsets = math.comb(m * d, d)
-    if (d + m) * subsets > _SPREAD_ENTRIES_CAP:
-        raise SizeError(f"spread check over C(md, d) = {subsets} line subsets needs "
-                        f"{(d + m) * subsets} numbers, above the cap of {_SPREAD_ENTRIES_CAP}",
+    if m * subsets > _SPREAD_ENTRIES_CAP:
+        raise SizeError(f"spread check makes m * C(md, d) = {m * subsets} subset tests "
+                        f"per pass, above the cap of {_SPREAD_ENTRIES_CAP}",
                         subsets=subsets, cap=_SPREAD_ENTRIES_CAP)
 
     rng = np.random.default_rng(seed)
@@ -264,11 +290,8 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
     lines: list[Line] = [None] * n_lines  # type: ignore[list-item]
     params: list[np.ndarray] = [None] * n_lines  # type: ignore[list-item]
     draws = 0
-    # per hyperplane: an in-plane basis, cached subset spreads, redrawn lines
-    members = np.ascontiguousarray(_combinations(n_lines, d).T)  # one column per subset
-    bases = [np.linalg.svd(h.a[None, :])[2][1:] for h in hyperplanes]
-    dets = np.empty((m, members.shape[1]))
-    stale = np.ones((m, n_lines), dtype=bool)
+    bases = [np.linalg.svd(h.a[None, :])[2][1:] for h in hyperplanes]   # in-plane, orthonormal
+    head = _colex(n_lines - 1, d - 1)
 
     def draw(j: int) -> None:
         nonlocal draws
@@ -280,7 +303,6 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
             w = _line_crossings(cand, hyperplanes)
             if w is not None:
                 lines[j], params[j] = cand, w
-                stale[:, j] = True
                 return
         raise ConstructionError(
             "line construction exhausted its retry budget; tolerances or the "
@@ -289,29 +311,18 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
     for j in range(n_lines):
         draw(j)
 
+    p = 0
     for _ in range(_RETRY_BUDGET):
         # (i) directions span the whole space
         if rank(np.stack([ln.v for ln in lines])) != d:
             draw(0)
+            p = 0
             continue
         crossings = np.stack([ln.points_at(w) for ln, w in zip(lines, params)])
-        flat = crossings.reshape(n_lines * m, d)
-        # (ii) crossing points mutually distinct: the only separation test, as (iii)
-        # sees them in orthonormal in-plane bases, which keep distances up to rounding
-        diff = flat[:, None, :] - flat[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        bad = np.unravel_index(int(np.argmin(dist)), dist.shape)
-        if float(dist[bad]) < _MIN_POINT_SEP:
-            draw(bad[0] // m)
-            continue
-        # (iii) any d crossings inside one hyperplane affinely span it
-        culprits = (_spread_culprit(crossings[:, k, :] @ bases[k].T, members,
-                                    stale[k], dets[k]) for k in range(m))
-        offender = next((c for c in culprits if c is not None), None)
-        if offender is None:
+        p = _first_failure(crossings, bases, head, p)
+        if p is None:
             break
-        draw(offender)
+        draw(p)
     else:
         raise ConstructionError(
             "feasibility conditions could not be met within the retry budget",

@@ -1,7 +1,8 @@
-"""Shared generators, the brute-force reducibility, witness-search,
-orientation, exp-sum, plan-collinearity, hyperplane-recovery, seed-screen,
-line-feasibility, rank, equivalence and pairwise grouping/admissibility
-oracles, the frame separating direction and the CLI runner."""
+"""Shared generators, the one-matrix affine fit, the brute-force
+reducibility, witness-search, orientation, exp-sum, plan-collinearity,
+hyperplane-recovery, seed-screen, line-feasibility, rank, equivalence and
+pairwise grouping/admissibility oracles, the frame separating direction and
+the CLI runner."""
 
 from __future__ import annotations
 
@@ -15,13 +16,12 @@ from pathlib import Path
 import numpy as np
 
 import shallowid
-from shallowid import (AdmissibilityError, ConstructionError, DegenerateFitError,
-                       EquivalenceCertificate, ExpSumExpansion, HypothesisError,
-                       InputError, RecoveryError, ReductionWitness, ShallowNet,
-                       GroupedReLU, Hyperplane, Neuron, PairedEntry,
-                       admissibility_violations, affine_fit, canonical_hyperplane,
-                       evaluate_many, group, make_net, rank, relu_sampling,
-                       solve_least_squares)
+from shallowid import (AdmissibilityError, ConstructionError, EquivalenceCertificate,
+                       ExpSumExpansion, HypothesisError, InputError, RecoveryError,
+                       ReductionWitness, ShallowNet, GroupedReLU, Hyperplane, Neuron,
+                       PairedEntry, ToolkitError, admissibility_violations,
+                       canonical_hyperplane, evaluate_many, group, make_net, rank,
+                       relu_sampling, solve_least_squares)
 from shallowid.net_core import _duplicate_ridges, _row_norms
 from shallowid.numerics import affine_fits
 from shallowid.relu_sampling import _point_line_distances
@@ -608,6 +608,36 @@ def oracle_extract_breakpoints(line, params, values, tol=DEFAULT_TOL):
     return breakpoints, pieces, groups
 
 
+class DegenerateFitError(ToolkitError):
+    """Points do not determine a unique hyperplane."""
+
+    code = "degenerate_fit"
+
+
+# The library fits stacks through numerics.affine_fits; this is its
+# one-matrix form, which the recovery oracle fits with.
+def affine_fit(points) -> Hyperplane:
+    """Fit the unique hyperplane containing a set of d-dimensional points.
+
+    The normal is the singular vector of the centered point matrix belonging
+    to its smallest singular value, which treats all points symmetrically.
+    Requires the points to affinely span exactly a (d-1)-flat.
+    """
+
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise InputError("points must form an (n, d) array", shape=list(pts.shape))
+    n, d = pts.shape
+    if n < d:
+        raise InputError(f"need at least {d} points, got {n}")
+    A, B, (r,) = affine_fits(pts[None])
+    if r != d - 1:
+        raise DegenerateFitError(
+            f"points affinely span a flat of dimension {r}, expected {d - 1}",
+            spanned=int(r), expected=d - 1)
+    return Hyperplane(A[0], float(B[0]))
+
+
 # The one-matrix fit that numerics.affine_fits generalised to stacks.
 def oracle_affine_fit(points):
     """The hyperplane through (n, d) points that affinely span a (d-1)-flat,
@@ -835,64 +865,65 @@ def oracle_refit_screen(stacked, seeds, keep_tol):
 
 
 # ---------------------------------------------------------------------------
-# from-scratch line-feasibility oracle
+# line-feasibility oracles
 # ---------------------------------------------------------------------------
 
-# The spread check that relu_sampling.build_feasible_lines replaced: every
-# round re-runs all C(md, d) subsets of every hyperplane up to the first
-# culprit.  Budgets and margins are read from relu_sampling.
-def _oracle_subset_spread_violation(points, normal, combos):
-    """Every d-subset of in-plane points (the rows of ``combos``) must
-    affinely span the hyperplane; returns the index of a point in an
-    offending subset, or None."""
-
-    basis = np.linalg.svd(normal[None, :])[2][1:]  # orthonormal complement
-    coords = points @ basis.T
-    sub = coords[combos]                       # (C, d, d-1)
-    diffs = sub[:, 1:, :] - sub[:, :1, :]      # (C, d-1, d-1)
-    norms = np.linalg.norm(diffs, axis=2, keepdims=True)
-    flat_min = int(np.argmin(norms))
-    if float(norms.flat[flat_min]) < relu_sampling._MIN_POINT_SEP:
-        return int(combos[np.unravel_index(flat_min, norms.shape)[0], 0])
-    dets = np.abs(np.linalg.det(diffs / norms))
-    worst = int(np.argmin(dets))
-    if float(dets[worst]) < relu_sampling._MIN_SPREAD_DET:
-        return int(combos[worst, 0])
-    return None
-
-
-# The cached spread check that relu_sampling._spread_culprit replaced: every
-# recomputed subset's |det| comes from np.linalg.det, one LAPACK call each.
-def oracle_spread_culprit(coords, members, stale, dets, nearest):
+# The line builder that relu_sampling.build_feasible_lines replaced: every
+# hyperplane caches each d-subset's fast |det| from its first point, and each
+# round recomputes the subsets that hold a redrawn line and redraws the
+# culprit of the worst one.  Kept as it was, apart from its subset table,
+# now from itertools, and the record of its redraws.  Budgets and margins are
+# read from relu_sampling.
+def oracle_spread_culprit(coords, members, stale, dets):
     """Every d-subset of one hyperplane's in-plane points (the columns of
-    ``members``) must affinely span it.  ``dets`` and ``nearest`` cache each
-    subset's |normalized determinant| and its first point's distance to the
-    nearest other one; only subsets holding a ``stale`` line are recomputed.
-    Returns the first line of the worst offending subset, or None."""
+    ``members``), which check (ii) has kept apart, must affinely span it: the
+    unit vectors from its first point to the others must have a large
+    |determinant|.  ``dets`` caches each subset's fast |determinant|; only
+    subsets holding a ``stale`` line are recomputed, in blocks of about
+    ``_CHUNK_FLOATS`` indices, by ``_laplace_minors`` on the (k, n^2) table of
+    unit vectors between the n points (k = d - 1).
+
+    The decision is LAPACK's: the first line of the first subset (by index)
+    whose ``np.linalg.det`` is smallest, if that is below ``_MIN_SPREAD_DET``.
+    A fast value is within ``_spread_slack(k)`` of LAPACK's, so when the
+    smallest fast value exceeds the margin by the slack, every subset passes.
+    Otherwise LAPACK's minimum can only lie among the subsets within twice the
+    slack of the fast minimum; they alone get ``np.linalg.det``, in index
+    order.  Returns the culprit line, or None."""
 
     redo = np.flatnonzero(np.any(stale[members], axis=0))
+    n = len(coords)
     diff = coords[None, :, :] - coords[:, None, :]   # diff[i, k] = c_k - c_i
     dist = np.linalg.norm(diff, axis=2)
     np.fill_diagonal(dist, np.inf)
-    sub = np.take(members, redo, axis=1)
-    pair = sub[0] * len(coords) + sub[1:]   # flat indices of (first, other) point pairs
-    nearest[redo] = np.min(dist.ravel()[pair], axis=0)
-    unit = (diff / dist[:, :, None]).reshape(len(coords) ** 2, -1)
-    dets[redo] = np.abs(np.linalg.det(unit[pair.T]))
+    unit = (diff / dist[:, :, None]).reshape(n * n, -1)
+    table = np.ascontiguousarray(unit.T)
+    step = max(1, relu_sampling._CHUNK_FLOATS // len(members))
+    for start in range(0, redo.size, step):
+        block = redo[start:start + step]
+        sub = np.take(members, block, axis=1)   # contiguous rows, unlike members[:, block]
+        pair = sub[0] * n + sub[1:]   # flat indices of (first, other) point pairs
+        minors = relu_sampling._laplace_minors(np.take(table, r, axis=1) for r in pair)
+        dets[block] = np.abs(minors[(1 << len(table)) - 1])
     stale[:] = False
-    low = int(np.argmin(nearest))
-    if float(nearest[low]) < relu_sampling._MIN_POINT_SEP:
-        return int(members[0, low])
-    worst = int(np.argmin(dets))
-    if float(dets[worst]) < relu_sampling._MIN_SPREAD_DET:
-        return int(members[0, worst])
+    slack = relu_sampling._spread_slack(len(table))
+    least = float(np.min(dets))
+    if least - slack >= relu_sampling._MIN_SPREAD_DET:
+        return None
+    near = np.flatnonzero(dets <= least + 2 * slack)
+    pair = members[0, near] * n + members[1:, near]
+    exact = np.abs(np.linalg.det(unit[pair.T]))
+    worst = int(np.argmin(exact))
+    if float(exact[worst]) < relu_sampling._MIN_SPREAD_DET:
+        return int(members[0, near[worst]])
     return None
 
 
-def oracle_build_feasible_lines(g, seed):
+def oracle_build_feasible_lines(g, seed, redraws=None):
     """Draw m*d random lines and verify the three feasibility conditions:
     full-rank directions, mutually distinct crossings, and in-plane spread of
-    every d crossings sharing a hyperplane.  Failing lines are resampled."""
+    every d crossings sharing a hyperplane.  Failing lines are resampled.
+    Each line redrawn at check (ii) or (iii) is appended to ``redraws``."""
 
     hyperplanes = relu_sampling._distinct_hyperplanes(g)
     m = len(hyperplanes)
@@ -901,12 +932,18 @@ def oracle_build_feasible_lines(g, seed):
         raise InputError("need at least one neuron to build lines", m=m)
     if d < 2:
         raise InputError("line sampling needs input dimension >= 2", d=d)
+    redraws = [] if redraws is None else redraws
 
     rng = np.random.default_rng(seed)
     n_lines = m * d
     lines = [None] * n_lines
     params = [None] * n_lines
     draws = 0
+    # per hyperplane: an in-plane basis, cached subset spreads, redrawn lines
+    members = np.array(list(itertools.combinations(range(n_lines), d))).T.copy()
+    bases = [np.linalg.svd(h.a[None, :])[2][1:] for h in hyperplanes]
+    dets = np.empty((m, members.shape[1]))
+    stale = np.ones((m, n_lines), dtype=bool)
 
     def draw(j):
         nonlocal draws
@@ -914,13 +951,12 @@ def oracle_build_feasible_lines(g, seed):
             draws += 1
             if draws > relu_sampling._TOTAL_DRAW_CAP:
                 break
-            u = rng.uniform(-1.0, 1.0, size=d)
-            v = rng.uniform(-1.0, 1.0, size=d)
-            cand = relu_sampling.Line(u, v)
+            cand = relu_sampling.Line(rng.uniform(-1.0, 1.0, size=d),
+                                      rng.uniform(-1.0, 1.0, size=d))
             w = relu_sampling._line_crossings(cand, hyperplanes)
             if w is not None:
-                lines[j] = cand
-                params[j] = w
+                lines[j], params[j] = cand, w
+                stale[:, j] = True
                 return
         raise ConstructionError(
             "line construction exhausted its retry budget; tolerances or the "
@@ -928,7 +964,6 @@ def oracle_build_feasible_lines(g, seed):
 
     for j in range(n_lines):
         draw(j)
-    combos = relu_sampling._combinations(n_lines, d)
 
     for _ in range(relu_sampling._RETRY_BUDGET):
         # (i) directions span the whole space
@@ -943,19 +978,17 @@ def oracle_build_feasible_lines(g, seed):
         np.fill_diagonal(dist, np.inf)
         bad = np.unravel_index(int(np.argmin(dist)), dist.shape)
         if float(dist[bad]) < relu_sampling._MIN_POINT_SEP:
-            draw(bad[0] // m)
+            redraws.append(int(bad[0] // m))
+            draw(redraws[-1])
             continue
         # (iii) any d crossings inside one hyperplane affinely span it
-        offender = None
-        for k, h in enumerate(hyperplanes):
-            culprit = _oracle_subset_spread_violation(crossings[:, k, :], h.a, combos)
-            if culprit is not None:
-                offender = culprit
-                break
-        if offender is not None:
-            draw(offender)
-            continue
-        break
+        culprits = (oracle_spread_culprit(crossings[:, k, :] @ bases[k].T, members,
+                                          stale[k], dets[k]) for k in range(m))
+        offender = next((c for c in culprits if c is not None), None)
+        if offender is None:
+            break
+        redraws.append(offender)
+        draw(offender)
     else:
         raise ConstructionError(
             "feasibility conditions could not be met within the retry budget",
@@ -963,6 +996,36 @@ def oracle_build_feasible_lines(g, seed):
 
     return relu_sampling.FeasibleLineSet(
         tuple(lines), tuple(tuple(np.sort(w).tolist()) for w in params))
+
+
+# A from-scratch check of the rule build_feasible_lines decides by, with
+# itertools subsets and one LAPACK determinant per subset and anchor.
+def oracle_first_failing_line(crossings, hyperplanes):
+    """The first line (of crossings: (lines, m, d)) with a crossing within
+    _MIN_POINT_SEP of a crossing of a line up to it, or that is the last line
+    of a d-subset whose crossings in some hyperplane give |det| below
+    _MIN_SPREAD_DET from every anchor; None when no line fails."""
+
+    n_lines, m, d = crossings.shape
+    flat = crossings.reshape(n_lines * m, d)
+    i, j = np.triu_indices(len(flat), 1)
+    dist = np.linalg.norm(flat[None, :, :] - flat[:, None, :], axis=2)[i, j]
+    failing = [n_lines] + (j[dist < relu_sampling._MIN_POINT_SEP] // m).tolist()
+    combos = np.array(list(itertools.combinations(range(n_lines), d)))
+    for k, h in enumerate(hyperplanes):
+        coords = crossings[:, k, :] @ np.linalg.svd(h.a[None, :])[2][1:].T
+        diff = coords[None, :, :] - coords[:, None, :]
+        dist = np.linalg.norm(diff, axis=2)
+        np.fill_diagonal(dist, np.inf)
+        unit = diff / dist[:, :, None]
+        best = np.zeros(len(combos))
+        for a in range(d):
+            others = np.delete(combos, a, axis=1)
+            rows = unit[combos[:, a][:, None], others]   # (subsets, d - 1, d - 1)
+            best = np.maximum(best, np.abs(np.linalg.det(rows)))
+        failing += combos[best < relu_sampling._MIN_SPREAD_DET, -1].tolist()
+    first = min(failing)
+    return first if first < n_lines else None
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shallowid import (DegenerateFitError, InputError, SizeError, ToleranceConfig,
-                       affine_fit, numerics, rank, solve_least_squares)
+from shallowid import InputError, SizeError, ToleranceConfig, numerics, rank, solve_least_squares
 from shallowid.numerics import SUBSET_CAP, _screen_subset_sums, affine_fits, subset_sums
 from shallowid.tolerances import RANK_TOL
 
-from helpers import oracle_affine_fit, rank_by_elimination
+from helpers import DegenerateFitError, affine_fit, oracle_affine_fit, rank_by_elimination
 
 
 def test_rank_identity():

@@ -21,10 +21,10 @@ from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
                                      samples_to_json_obj)
 
 from helpers import (oracle_build_feasible_lines, oracle_collinear_candidates,
-                     oracle_collinearity_ok, oracle_extract_breakpoints, oracle_orientation,
-                     oracle_plane_fits, oracle_recover_hyperplanes, oracle_refit_screen,
-                     oracle_seed_fit_recovery, oracle_seed_survivors, oracle_spread_culprit,
-                     random_irreducible_relu)
+                     oracle_collinearity_ok, oracle_extract_breakpoints, oracle_first_failing_line,
+                     oracle_orientation, oracle_plane_fits, oracle_recover_hyperplanes,
+                     oracle_refit_screen, oracle_seed_fit_recovery, oracle_seed_survivors,
+                     oracle_spread_culprit, random_irreducible_relu)
 
 
 def cross_net():
@@ -61,10 +61,13 @@ def exhaustive_collinear_triples_ok(points, lines, tol=1e-8):
 
 
 def test_combinations_are_itertools_rows():
+    """``_colex`` columns are the itertools rows, sorted by their last
+    element, then by the one before it, and so on."""
+
     for n in range(1, 13):
         for r in range(1, n + 1):
-            combos = relu_sampling._combinations(n, r)
-            assert combos.tolist() == [list(c) for c in itertools.combinations(range(n), r)]
+            rows = [list(c) for c in itertools.combinations(range(n), r)]
+            assert relu_sampling._colex(n, r).T.tolist() == sorted(rows, key=lambda c: c[::-1])
 
 
 def line_bits(ls):
@@ -80,19 +83,42 @@ def line_set_outcome(build, g, seed):
         return err.message, err.details
 
 
-def spread_checks(g, seed):
-    """(lines marked stale, culprit) of every spread check the line builder
-    makes, and the line set it returns."""
+def builder_rounds(g, seed):
+    """Per round of the line builder after check (i): the crossings, the
+    first line whose subsets it tests (p), the lowest last line of a subset
+    handed to the spread test (None: none), and the first failing line it
+    names.  Also returns the line set, or the error's message and details."""
 
-    calls = []
-    real = relu_sampling._spread_culprit
+    rounds = []
+    real_first, real_ok = relu_sampling._first_failure, relu_sampling._spread_ok
 
-    def spy(coords, members, stale, dets):
-        calls.append((int(np.sum(stale)), real(coords, members, stale, dets)))
-        return calls[-1][1]
+    def first_spy(crossings, bases, head, start):
+        rounds.append([crossings.copy(), start, None, None])
+        rounds[-1][3] = real_first(crossings, bases, head, start)
+        return rounds[-1][3]
 
-    with mock.patch.object(relu_sampling, "_spread_culprit", spy):
-        return calls, build_feasible_lines(g, seed)
+    def ok_spy(coords, sub):
+        lowest = int(np.min(sub[-1]))
+        rounds[-1][2] = lowest if rounds[-1][2] is None else min(rounds[-1][2], lowest)
+        return real_ok(coords, sub)
+
+    with mock.patch.multiple(relu_sampling, _first_failure=first_spy, _spread_ok=ok_spy):
+        outcome = line_set_outcome(build_feasible_lines, g, seed)
+    return rounds, outcome
+
+
+def from_scratch_failures(g, seed):
+    """Builds lines and asserts that every round names the first failing line
+    of ``oracle_first_failing_line``, which checks every crossing pair and,
+    from every anchor, every d-subset with LAPACK.  So the lines below p pass
+    as the builder assumes, and an accepted set passes the whole check.
+    Returns the crossings and the line named of every round."""
+
+    hyperplanes = relu_sampling._distinct_hyperplanes(g)
+    rounds, _ = builder_rounds(g, seed)
+    for crossings, _, _, named in rounds:
+        assert named == oracle_first_failing_line(crossings, hyperplanes)
+    return [(crossings, named) for crossings, *_, named in rounds]
 
 
 # every (d, m) with d 2-6, m 1-7 whose C(md, d) subsets the from-scratch
@@ -101,72 +127,111 @@ LINE_SHAPES = [(d, m) for d in range(2, 7) for m in range(1, 8) if comb(m * d, d
 
 
 @pytest.mark.parametrize("d, m", LINE_SHAPES)
-def test_feasible_lines_are_bit_identical_to_the_from_scratch_check(d, m):
-    for seed in range(3):
-        g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
-        assert (line_set_outcome(build_feasible_lines, g, seed)
-                == line_set_outcome(oracle_build_feasible_lines, g, seed))
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_feasible_lines_are_bit_identical_to_the_from_scratch_check(d, m, seed):
+    """Where the build this one replaced (``oracle_build_feasible_lines``,
+    which checks every subset from its first point) accepts with no redraw at
+    check (ii) or (iii), the lines are bit-identical to its lines.  Where it
+    redraws, the lines pass the from-scratch check."""
+
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    redraws = []
+    expected = line_set_outcome(functools.partial(oracle_build_feasible_lines,
+                                                  redraws=redraws), g, seed)
+    ls = build_feasible_lines(g, seed)
+    if not redraws:
+        assert line_bits(ls) == expected
+    hyperplanes = relu_sampling._distinct_hyperplanes(g)
+    assert oracle_first_failing_line(hyperplane_crossings(hyperplanes, ls), hyperplanes) is None
+
+
+def hyperplane_crossings(hyperplanes, ls):
+    """(lines, m, d) crossings of a line set, in hyperplane order."""
+
+    return np.stack([ln.points_at(relu_sampling._line_crossings(ln, hyperplanes))
+                     for ln in ls.lines])
 
 
 @pytest.mark.parametrize("d, m, seed", [(5, 4, 1), (4, 6, 0), (6, 3, 0)])
 def test_feasible_lines_recheck_only_the_subsets_of_a_redrawn_line(d, m, seed):
+    """The first round tests from the first subset, whose last line is d - 1;
+    after a redraw of line f the next round tests only the subsets whose last
+    line is f or later."""
+
     g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
-    calls, ls = spread_checks(g, seed)
-    assert calls[0][0] == m * d                            # first pass: every line
-    redraws = [k for k, (_, culprit) in enumerate(calls) if culprit is not None]
-    assert len(redraws) >= 2
-    # after a spread redraw the next check recomputes only the redrawn line's subsets
-    assert any(calls[k + 1][0] == 1 for k in redraws)
-    assert line_bits(ls) == line_set_outcome(oracle_build_feasible_lines, g, seed)
+    with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", 3e-5):
+        rounds, _ = builder_rounds(g, seed)
+    assert rounds[0][1:3] == [0, d - 1]
+    assert sum(named is not None for *_, named in rounds) >= 2
+    for (_, _, _, named), (_, start, lowest, _) in zip(rounds, rounds[1:]):
+        assert start == named
+        assert lowest is None or lowest >= start
+
+
+def test_feasible_lines_recheck_every_subset_after_a_redraw_at_check_i():
+    """A redraw of line 0 at check (i) sets p to 0: the second round sees
+    directions of rank d - 1, and the round after it tests every subset."""
+
+    g = group(random_irreducible_relu(np.random.default_rng(0), 6, 4))
+    ranks = []
+
+    def rank_spy(*args):
+        ranks.append(numerics.rank(*args))
+        return ranks[-1] - (len(ranks) == 2)
+
+    with mock.patch.multiple(relu_sampling, rank=rank_spy, _MIN_SPREAD_DET=3e-5):
+        rounds, _ = builder_rounds(g, 0)
+    assert ranks[:2] == [4, 4] and rounds[0][3] is not None
+    assert rounds[1][1:3] == [0, 3]
 
 
 STRICT_SPREAD_CASES = [(3, 3, 1, 1e-2), (3, 5, 2, 3e-3), (4, 3, 3, 3e-3), (5, 2, 4, 3e-3)]
 
 
+def anchor_0_accepts(coords, sub):
+    """The columns of ``sub`` that the replaced check, from each subset's
+    first point, accepts on its own."""
+
+    return [c for c in range(sub.shape[1])
+            if oracle_spread_culprit(coords, sub[:, [c]], np.ones(len(coords), dtype=bool),
+                                     np.empty(1)) is None]
+
+
 @pytest.mark.parametrize("d, m, seed, spread", STRICT_SPREAD_CASES)
 def test_feasible_lines_match_the_oracle_under_a_strict_spread_margin(d, m, seed, spread):
-    """A spread margin that many subsets miss, so lines are redrawn often and
-    each hyperplane's cache is updated many times."""
+    """A spread margin that many subsets miss, so lines are redrawn: the
+    spread test rejects no subset that the replaced check accepts."""
 
     g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
-    with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", spread):
-        calls, ls = spread_checks(g, seed)
-        assert sum(culprit is not None for _, culprit in calls) >= 10
-        assert line_bits(ls) == line_set_outcome(oracle_build_feasible_lines, g, seed)
+    real = relu_sampling._spread_ok
+    rejected = []
 
+    def spy(coords, sub):
+        ok = real(coords, sub)
+        rejected.append(np.flatnonzero(~ok).size)
+        assert not anchor_0_accepts(coords, sub[:, ~ok])
+        return ok
 
-def separation_redraws(g, seed):
-    """Rounds of the line builder that redrew a line at check (ii): their
-    directions had full rank, but no spread check followed.  Also returns the
-    line set."""
-
-    rounds = []   # per round: [full rank, spread checks made]
-    real_rank, real_spread = relu_sampling.rank, relu_sampling._spread_culprit
-
-    def rank_spy(*args):
-        full = real_rank(*args)
-        rounds.append([full == g.d, 0])
-        return full
-
-    def spread_spy(*args):
-        rounds[-1][1] += 1
-        return real_spread(*args)
-
-    with mock.patch.multiple(relu_sampling, rank=rank_spy, _spread_culprit=spread_spy):
-        ls = build_feasible_lines(g, seed)
-    return sum(full and not checks for full, checks in rounds), ls
+    with mock.patch.multiple(relu_sampling, _MIN_SPREAD_DET=spread, _spread_ok=spy):
+        build_feasible_lines(g, seed)
+    assert sum(n > 0 for n in rejected) >= 2
 
 
 @pytest.mark.parametrize("d, m, seed", [(2, 4, 0), (3, 5, 2)])
 def test_feasible_lines_match_the_oracle_under_a_strict_separation_margin(d, m, seed):
-    """Check (ii) alone decides crossing separation; the oracle also tests
-    it in every hyperplane's plane.  A margin of 0.1 redraws lines at (ii)."""
+    """Check (ii) alone decides crossing separation, and the line it names
+    is the from-scratch oracle's.  A margin of 0.1 redraws lines at (ii)."""
 
     g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
     with mock.patch.object(relu_sampling, "_MIN_POINT_SEP", 0.1):
-        redraws, ls = separation_redraws(g, seed)
-        assert redraws >= 5
-        assert line_bits(ls) == line_set_outcome(oracle_build_feasible_lines, g, seed)
+        rounds = from_scratch_failures(g, seed)
+    separations = 0
+    for crossings, _ in rounds:
+        flat = crossings.reshape(-1, d)
+        i, j = np.triu_indices(len(flat), 1)
+        separations += float(np.min(np.linalg.norm(flat[i] - flat[j], axis=1))) < 0.1
+    assert separations >= 5 and rounds[-1][1] is None
 
 
 @pytest.mark.parametrize("budget, spread, draw_cap, message", [
@@ -186,13 +251,14 @@ def test_feasible_lines_fail_as_the_oracle(budget, spread, draw_cap, message):
 
 
 def test_feasible_lines_refuse_a_spread_check_above_the_cap_before_allocating():
-    """d=8, m=8 has C(64, 8) subsets of 16 numbers each, 566 GB: a size
-    error before any table is built.  d=5, m=12 and every round trip of the
-    tests and of CI stay below the cap."""
+    """d=8, m=8 would make 8 C(64, 8) subset tests per pass: a size error
+    before any line is drawn.  d=5, m=12 and every round trip of the tests
+    and of CI stay below the cap."""
 
     cap = relu_sampling._SPREAD_ENTRIES_CAP
-    for d, m in [(5, 12), (2, 8), (4, 8), (5, 4), (5, 5), (5, 6), (6, 3), (3, 5), (4, 6)]:
-        assert (d + m) * comb(m * d, d) <= cap
+    for d, m in [(5, 12), (2, 8), (4, 8), (5, 4), (5, 5), (5, 6), (5, 7), (5, 8), (6, 3),
+                 (3, 5), (4, 6)]:
+        assert m * comb(m * d, d) <= cap
     g = group(random_irreducible_relu(np.random.default_rng(8), 8, 8))
     tracemalloc.start()
     try:
@@ -205,63 +271,41 @@ def test_feasible_lines_refuse_a_spread_check_above_the_cap_before_allocating():
     assert peak < 1 << 20
 
 
-def spread_checks_against_the_oracle(g, seed):
-    """Builds lines with every spread check also made by oracle_spread_culprit,
-    on copies of the same coords and stale mask and on the oracle's own
-    caches (one per hyperplane), which also hold its separation test.  Each
-    call must name the same culprit and keep every |det| within the slack of
-    LAPACK's.  Returns the culprits."""
-
-    real = relu_sampling._spread_culprit
-    caches = {}
-    culprits = []
-
-    def both(coords, members, stale, dets):
-        own_dets, own_nearest = caches.setdefault(dets.ctypes.data, np.empty((2, dets.size)))
-        expected = oracle_spread_culprit(coords.copy(), members, stale.copy(), own_dets,
-                                         own_nearest)
-        culprits.append(real(coords, members, stale, dets))
-        assert culprits[-1] == expected
-        assert np.max(np.abs(dets - own_dets)) <= relu_sampling._spread_slack(coords.shape[1])
-        return culprits[-1]
-
-    with mock.patch.object(relu_sampling, "_spread_culprit", both):
-        line_set_outcome(build_feasible_lines, g, seed)
-    return culprits
-
-
 @pytest.mark.parametrize("d, m", LINE_SHAPES)
 def test_spread_check_names_the_lapack_oracles_culprit(d, m):
     for seed in range(3):
         g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
-        assert spread_checks_against_the_oracle(g, seed)
+        assert from_scratch_failures(g, seed)[-1][1] is None
 
 
 @pytest.mark.parametrize("d, m, seed, spread", STRICT_SPREAD_CASES)
 def test_spread_check_names_the_lapack_oracles_culprit_under_a_strict_margin(d, m, seed, spread):
     g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
     with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", spread):
-        culprits = spread_checks_against_the_oracle(g, seed)
-    assert sum(c is not None for c in culprits) >= 10
+        rounds = from_scratch_failures(g, seed)
+    assert sum(named is not None for _, named in rounds) >= 2
 
 
 @pytest.mark.parametrize("chunk", [1, 40, 1000])
 @pytest.mark.parametrize("d, m, seed", [(3, 5, 2), (5, 2, 4)])
 def test_spread_check_in_blocks_names_the_lapack_oracles_culprit(monkeypatch, chunk, d, m, seed):
     """Blocks of one subset, of a few that leave a partial last block, and of
-    a few hundred."""
+    a few hundred, under a margin that redraws lines; the lines are those of
+    one block."""
 
-    monkeypatch.setattr(relu_sampling, "_CHUNK_FLOATS", chunk)
     g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
-    assert spread_checks_against_the_oracle(g, seed)
+    monkeypatch.setattr(relu_sampling, "_MIN_SPREAD_DET", 3e-3)
+    whole = line_set_outcome(build_feasible_lines, g, seed)
+    monkeypatch.setattr(relu_sampling, "_CHUNK_FLOATS", chunk)
+    assert sum(named is not None for _, named in from_scratch_failures(g, seed)) >= 2
+    assert line_set_outcome(build_feasible_lines, g, seed) == whole
 
 
 def stacked_dets(matrices):
-    """``_laplace_dets`` of a (C, k, k) stack, through a (k, C*k) table."""
+    """The full ``_laplace_minors`` of a (C, k, k) stack."""
 
-    count, k, _ = matrices.shape
-    table = np.ascontiguousarray(matrices.reshape(count * k, k).T)
-    return relu_sampling._laplace_dets(table, np.arange(count)[None, :] * k + np.arange(k)[:, None])
+    k = matrices.shape[1]
+    return relu_sampling._laplace_minors(matrices.transpose(1, 2, 0))[(1 << k) - 1]
 
 
 def unit_rows(rows):
@@ -285,103 +329,119 @@ def test_laplace_dets_are_within_the_slack_of_lapack(k, seed, delta):
     assert np.all(np.abs(diff) <= relu_sampling._spread_slack(k))
 
 
-def passing_spread_checks(d, m, seed):
-    """Coords and members of a seeded build's spread checks that passed."""
+def lapack_spreads(coords, sub):
+    """LAPACK's |det| of each subset (the columns of ``sub``) from its best
+    anchor, on the unit vectors ``_spread_ok`` forms."""
 
-    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
-    real = relu_sampling._spread_culprit
-    passed = []
-
-    def spy(coords, members, stale, dets):
-        culprit = real(coords, members, stale, dets)
-        if culprit is None:
-            passed.append((coords.copy(), members))
-        return culprit
-
-    with mock.patch.object(relu_sampling, "_spread_culprit", spy):
-        build_feasible_lines(g, seed)
-    return passed
-
-
-def fresh_spread_culprits(check, coords, members):
-    """The culprit of a first check; the oracle also takes a separation cache."""
-
-    caches = np.empty((1 + (check is oracle_spread_culprit), members.shape[1]))
-    return check(coords, members, np.ones(len(coords), dtype=bool), *caches)
+    n, k = coords.shape
+    diff = coords[None, :, :] - coords[:, None, :]
+    dist = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(dist, np.inf)
+    unit = diff / dist[:, :, None]
+    return np.max([np.abs(np.linalg.det(unit[sub[a][:, None], np.delete(sub, a, axis=0).T]))
+                   for a in range(k + 1)], axis=0)
 
 
 @pytest.mark.parametrize("d, m, seed", [(2, 3, 0), (3, 3, 1), (4, 3, 0), (5, 2, 4), (6, 2, 0)])
 def test_spread_check_at_a_margin_on_the_worst_lapack_determinant(d, m, seed):
-    """A margin of exactly the worst subset's LAPACK |det| passes it, one ulp
-    more names its first line, one ulp less passes: the fast values sit
-    within the slack of the margin, so every decision is LAPACK's."""
+    """On an accepted line set's crossings in one hyperplane, a margin of
+    exactly the worst subset's best LAPACK |det| passes every subset, one ulp
+    more fails the subsets of that |det| alone (at d=2, every pair: |det| is
+    1), one ulp less passes: the fast values sit within the slack of the
+    margin, so every decision is LAPACK's."""
 
-    coords, members = passing_spread_checks(d, m, seed)[-1]
-    diff = (coords[members[1:]] - coords[members[0]]).transpose(1, 0, 2)   # (C, d-1, d-1)
-    exact = np.abs(np.linalg.det(diff / np.linalg.norm(diff, axis=2, keepdims=True)))
+    g, ls = seeded_line_set(d, m, seed)
+    hyperplanes = relu_sampling._distinct_hyperplanes(g)
+    coords = (hyperplane_crossings(hyperplanes, ls)[:, 0, :]
+              @ np.linalg.svd(hyperplanes[0].a[None, :])[2][1:].T)
+    sub = relu_sampling._colex(len(coords), d)
+    exact = lapack_spreads(coords, sub)
     worst = int(np.argmin(exact))
     outcomes = []
     for margin in (np.nextafter(exact[worst], 0.0), exact[worst],
                    np.nextafter(exact[worst], np.inf)):
         with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", float(margin)):
-            outcomes.append(fresh_spread_culprits(relu_sampling._spread_culprit, coords, members))
-            assert outcomes[-1] == fresh_spread_culprits(oracle_spread_culprit, coords, members)
-    assert outcomes == [None, None, int(members[0, worst])]
+            outcomes.append(np.flatnonzero(~relu_sampling._spread_ok(coords, sub)).tolist())
+    assert outcomes == [[], [], np.flatnonzero(exact == exact[worst]).tolist()]
 
 
 def mirrored_triples(order=(0, 1, 2, 3, 4, 5), shrink=1.0):
     """Six in-plane points, listed in ``order``: a near-collinear triple and
     its mirror image across x = 0, whose third point is ``shrink`` times as
-    far off the line.  Returns the coords, the 3-subsets, the indices of the
-    two triples' subsets, and LAPACK's |det| of every subset."""
+    far off the line.  Returns the coords, the columns of the two triples
+    and the best LAPACK |det| of each."""
 
     def triple(eps):
         return np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0 + eps]])
 
     coords = np.concatenate([triple(1e-7), triple(1e-7 * shrink) * [-1.0, 1.0]])[list(order)]
-    members = np.ascontiguousarray(relu_sampling._combinations(6, 3).T)
     at = np.argsort(order)
-    first, mirrored = (int(np.flatnonzero(np.all(members == np.sort(at[idx])[:, None], axis=0))[0])
-                       for idx in ([0, 1, 2], [3, 4, 5]))
-    dets = np.empty(members.shape[1])
-    oracle_spread_culprit(coords, members, np.ones(6, dtype=bool), dets, np.empty_like(dets))
-    return coords, members, first, mirrored, dets
+    sub = np.stack([np.sort(at[:3]), np.sort(at[3:])], axis=1)
+    return coords, sub, lapack_spreads(coords, sub)
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2, 3, 4, 5), (0, 3, 1, 4, 2, 5)])
 def test_spread_check_names_the_first_of_two_equal_determinants(order):
-    """The triple and its mirror image have equal |det| below the margin; the
-    first subset in index order is the culprit."""
+    """The triple and its mirror image have equal |det| below the margin
+    from every anchor, and they are the only failing subsets of the six
+    points: the line named is the last line of the triple that comes first
+    in colex order."""
 
-    coords, members, first, mirrored, dets = mirrored_triples(order)
-    assert dets[first] == dets[mirrored] == np.min(dets) < relu_sampling._MIN_SPREAD_DET
-    assert np.sum(dets == dets[first]) == 2
-    expected = fresh_spread_culprits(oracle_spread_culprit, coords, members)
-    assert expected == members[0, min(first, mirrored)]
-    assert fresh_spread_culprits(relu_sampling._spread_culprit, coords, members) == expected
+    coords, sub, exact = mirrored_triples(order)
+    assert exact[0] == exact[1] < relu_sampling._MIN_SPREAD_DET
+    every = relu_sampling._colex(6, 3)
+    assert np.sum(~relu_sampling._spread_ok(coords, every)) == 2
+    crossings = np.concatenate([coords, np.zeros((6, 1))], axis=1)[:, None, :]
+    named = relu_sampling._first_failure(crossings, [np.eye(3)[:2]], relu_sampling._colex(5, 2), 0)
+    assert named == min(sub[-1])
 
 
 def test_spread_check_decides_by_lapack_where_fast_values_swap_a_near_tie(monkeypatch):
-    """The mirror image's |det| is smaller by about 4e-16.  Fast values
-    moved by 0.7 slack in opposite directions, which stay within the slack
-    of LAPACK's, rank the first triple lower; the culprit is the mirror
-    image's first line all the same."""
+    """The mirror image's |det| is smaller by about 4e-16, and the margin
+    lies between the two.  Fast values moved by 0.7 slack in opposite
+    directions, which stay within the slack of LAPACK's, rank the first
+    triple lower; LAPACK passes it and fails its mirror image all the same."""
 
-    coords, members, first, mirrored, dets = mirrored_triples(shrink=1 - 2e-8)
+    coords, sub, exact = mirrored_triples(shrink=1 - 2e-8)
     slack = relu_sampling._spread_slack(2)
-    assert dets[mirrored] < dets[first] < dets[mirrored] + slack / 4
-    assert np.sum(dets < 1e-6) == 2
-    shift = np.zeros_like(dets)
-    shift[[first, mirrored]] = -0.7 * slack, 0.7 * slack
-    fast = relu_sampling._laplace_dets
-    monkeypatch.setattr(relu_sampling, "_laplace_dets",
-                        lambda table, rows: np.abs(fast(table, rows)) + shift)
-    cached = np.empty_like(dets)
-    culprit = relu_sampling._spread_culprit(coords, members, np.ones(6, dtype=bool), cached)
-    assert int(np.argmin(cached)) == first
-    assert np.max(np.abs(cached - dets)) <= slack
-    assert culprit == members[0, mirrored] == fresh_spread_culprits(oracle_spread_culprit,
-                                                                    coords, members)
+    assert exact[1] < exact[0] < exact[1] + slack / 4
+    monkeypatch.setattr(relu_sampling, "_MIN_SPREAD_DET", float(np.mean(exact)))
+    real = relu_sampling._laplace_minors
+    fast = []
+
+    def shifted(rows):
+        minors = real(rows)
+        minors[3] = np.abs(minors[3]) + [-0.7 * slack, 0.7 * slack]
+        fast.append(minors[3])
+        return minors
+
+    monkeypatch.setattr(relu_sampling, "_laplace_minors", shifted)
+    assert relu_sampling._spread_ok(coords, sub).tolist() == [True, False]
+    best = np.max(fast, axis=0)
+    assert best[0] < best[1] and np.max(np.abs(best - exact)) <= slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(3, 6), n=st.integers(0, 4), far=st.floats(20.0, 1000.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_spread_check_accepts_what_the_first_point_check_accepts(d, n, far, seed):
+    """In-plane points around the origin, the first of them planted ``far``
+    away: every subset that the replaced check from the subset's first
+    point accepts is accepted.  At d >= 5 and a distance R of 600 or more,
+    that check rejects every subset holding the far point: its unit vectors
+    to the others differ by at most 4 / R (the cube's diagonal over R), so
+    their |det| is at most (4 / R)^(d-2) < 1e-6.  Another anchor accepts
+    some of those subsets."""
+
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(-1.0, 1.0, size=(d + n, d - 1))
+    coords[0] = far * unit_rows(rng.normal(size=d - 1))
+    sub = relu_sampling._colex(d + n, d)
+    ok = relu_sampling._spread_ok(coords, sub)
+    accepted = anchor_0_accepts(coords, sub)
+    assert np.all(ok[accepted])
+    if d >= 5 and far >= 600.0:
+        assert not np.any(sub[0, accepted] == 0) and np.any(ok[sub[0] == 0])
 
 
 def test_feasible_lines_cardinality_and_crossings():
