@@ -9,6 +9,7 @@ the hyperplanes; a final least-squares solve pins scales and constant.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -373,28 +374,41 @@ def _collinearity_ok(points: np.ndarray, lines: tuple[Line, ...],
     line.  A sort over directions proposes a superset of the failing pairs
     and `_third_point_near` re-checks only those, with the arithmetic of the
     full check, so the decision is the same in O(n^2 log n) time, not O(n^3).
-    The filter takes the anchors in blocks of about _BLOCK_ENTRIES (anchor,
-    point) entries, so it holds O(block) floats beside the (n, n) exemptions.
+    Anchor a sees only the points k > a, so the sort holds the n (n - 1) / 2
+    entries (a, k) of the upper triangle, which the filter takes in row
+    ranges of about _BLOCK_ENTRIES entries: it holds O(block) floats beside
+    the (n, n) exemptions.  For two directions from a, to x and to y, that
+    lie in one's window it proposes the non-exempt pairs among (a, x), (a, y)
+    and (x, y).
 
     Superset: 16 (d+2) eps R^2 (R = 1 + max |p|) bounds the rounding error of
-    the Gram identity to first order, so a third point it counts lies truly
-    within tau/2 = sqrt(ctol^2 + 16 (d+2) eps R^2) of the pair's line.  From
-    the anchor, its unit direction u (at distance rho) and the partner's then
-    differ, up to sign, by a chord of at most sqrt(2) (tau/2) / rho; each
-    direction is paired with all non-exempt others within a chord of
-    2 tau / rho.  Directions are folded onto <g, u> >= 0, with a flipped copy
+    the Gram identity to first order, so a third point r it counts for a
+    pair (i, k), i < k, lies truly within tau/2 = sqrt(ctol^2 + 16 (d+2) eps
+    R^2) of the pair's line.  The lowest point of the triple anchors the
+    other two.  If r > i, the anchor is i, and its directions to r (at
+    distance rho) and to k differ, up to sign, by a chord of at most sqrt(2)
+    (tau/2) / rho.  If r < i, the anchor is r, within tau/2 of the line
+    through p_i and p_k, so each of its directions to them makes an angle of
+    at most asin(tau / (2 rho)) with that line: they differ, up to sign, by
+    a chord of at most sqrt(2) tau / rho_min, rho_min the nearer distance.
+    Each direction is paired with all others within a chord of 2 tau / rho,
+    its window.  Directions are folded onto <g, u> >= 0, with a flipped copy
     of each one within its own window of the fold, and sorted by <h, u> plus
     4 per anchor of the block, so that anchors never share a window.  Fold
-    and key are the points' projections onto g and h, differenced and divided
-    by rho: with the offset they round by at most (4d + 8) eps R / rho +
-    4 _BLOCK_ENTRIES eps, and the expanded pairs' unit vectors by (d + 3) eps.
-    The window leaves a slack of (2 - sqrt(2)/2) tau / rho >= 10 sqrt((d+2)
-    eps) R / rho, 10^4 times any of these, so it still holds a copy of the
-    partner.  Only non-exempt entries are sorted, and one searches only when
-    its sorted neighbour on some side lies in its window: a window holding a
-    non-exempt entry holds the adjacent one on that side.  Exempt entries
-    always search.  A window reaches 1 only for two points within 2 tau;
-    then every non-exempt pair is re-checked.
+    and key are the points' projections onto g and h, differenced and
+    divided by rho: with the offset they round by at most (4d + 8) eps R /
+    rho + 4 _BLOCK_ENTRIES eps, and the expanded pairs' unit vectors by
+    (d + 3) eps.  The window leaves a slack of (2 - sqrt(2)) tau / rho >=
+    4 sqrt((d+2) eps) R / rho, over 10^3 times any of these, so the window
+    of the direction to r (r > i), or of the nearer direction (r < i), still
+    holds a copy of the other direction.  Every entry is sorted, and one
+    searches when its sorted neighbour on some side lies in its window: a
+    window holding an entry holds the adjacent one on that side.  An exempt
+    entry of an anchor on at most one plan line searches only the non-exempt
+    entries, always: of a failing triple, its partner is non-exempt, or both
+    points lie on the anchor's one line and so the pair they make is exempt.
+    A window reaches 1 only for two points within 2 tau; then every
+    non-exempt pair is re-checked.
     """
 
     n, d = points.shape
@@ -403,76 +417,97 @@ def _collinearity_ok(points: np.ndarray, lines: tuple[Line, ...],
     member = np.stack([_point_line_distances(points, ln) <= ctol for ln in lines],
                       axis=1).astype(float)
     candidate = member @ member.T == 0.0          # pairs sharing no plan line
+    lone = np.sum(member, axis=1) <= 1.0          # points on at most one plan line
     radius = 1.0 + float(np.max(np.linalg.norm(points, axis=1)))
     tau = 2.0 * np.sqrt(ctol * ctol + 16 * (d + 2) * np.finfo(float).eps * radius ** 2)
     g, h = np.sqrt(np.arange(2.0, d + 2.0)), np.cos(np.arange(d))  # fixed, generic
     h -= (h @ g) / (g @ g) * g
     g, h = g / np.linalg.norm(g), h / np.linalg.norm(h)
     along = np.stack([points @ g, points @ h])
-    found = []
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for first in range(0, n, rows):
-        hits = _window_hits(points, np.arange(first, min(first + rows, n)), candidate,
-                            along, tau)
+    size = np.arange(n - 1, -1, -1)               # entries (a, k > a) of anchor a
+    ends = np.cumsum(size)
+    found, first = [np.zeros(0, dtype=np.intp)], 0
+    while first < n - 1:
+        last = max(first + 1, int(np.searchsorted(ends, ends[first] - size[first]
+                                                  + _BLOCK_ENTRIES, side="right")))
+        hits = _window_hits(points, np.arange(first, last), candidate, lone, along, tau)
         if hits is None:
             check_i, check_k = np.nonzero(np.triu(candidate, 1))
             break
         found.append(hits)
+        first = last
     else:
         flat = np.sort(np.concatenate(found))   # not np.unique, which imports numpy.ma
         check_i, check_k = np.divmod(flat[np.diff(flat, prepend=-1) > 0], n)
-        upper = check_i < check_k
-        check_i, check_k = check_i[upper], check_k[upper]
     return not _third_point_near(points, check_i, check_k, ctol)
 
 
 def _window_hits(points: np.ndarray, anchors: np.ndarray, candidate: np.ndarray,
-                 along: np.ndarray, tau: float) -> np.ndarray | None:
-    """The filter of `_collinearity_ok` for one block of consecutive anchors:
-    flat indices a * n + k of the non-exempt pairs (a, k) whose direction
-    from a lies, up to sign, in the window of another direction from a; None
-    when two points lie within 2 tau.  ``along`` holds the points'
-    projections onto g and h."""
+                 lone: np.ndarray, along: np.ndarray, tau: float) -> np.ndarray | None:
+    """The filter of `_collinearity_ok` on the entries (a, k > a) of the
+    consecutive anchors ``anchors``, in row order: flat indices i * n + k
+    (i < k) of the non-exempt pairs among (a, x), (a, y) and (x, y) for every
+    anchor a and points x, y > a whose directions from a lie, up to sign, in
+    the window of the direction to x; None when two points lie within
+    2 tau.  ``lone`` marks the points on at most one plan line, ``along``
+    holds the points' projections onto g and h."""
 
-    n, first = points.shape[0], int(anchors[0])
-    rho, step = np.zeros((2, anchors.size, n))   # |p_k - p_a| at [a - first, k]
+    n = points.shape[0]
+    size = n - 1 - anchors
+    base = np.repeat(anchors, size)                # entry e is the pair (base[e], other[e])
+    other = np.arange(base.size) + np.repeat(anchors + 1 - (np.cumsum(size) - size), size)
+
+    def step(x):   # x[other] - x[base], by 1-D gathers
+        return x[other] - np.repeat(x[anchors], size)
+
+    rho = np.zeros(base.size)
     for x in points.T:
-        np.subtract(x[None, :], x[anchors, None], out=step)
-        step *= step
-        rho += step
+        rho += np.square(step(x))
     np.sqrt(rho, out=rho)
-    rho[anchors - first, anchors] = np.inf   # zero direction, empty window
-    if float(np.min(rho)) <= 2.0 * tau:
+    if float(np.min(rho, initial=np.inf)) <= 2.0 * tau:
         return None
     width = 2.0 * tau / rho
-    fold = (along[0][None, :] - along[0][anchors, None]) / rho
-    sign = np.where(fold < 0.0, -1.0, 1.0)
-    key = sign * (along[1][None, :] - along[1][anchors, None]) / rho
+    fold = step(along[0]) / rho
+    flip = fold < 0.0
+    key = step(along[1]) / rho
+    np.negative(key, out=key, where=flip)
+    offset = 4.0 * (base - anchors[0])                       # anchors stay apart
     seam = np.flatnonzero(np.abs(fold) < width)
-    origin = np.concatenate([np.arange(rho.size), seam])   # flat (a - first, point)
-    sign = np.concatenate([sign.ravel(), -sign.ravel()[seam]])
-    key = np.concatenate([(key + 4.0 * np.arange(anchors.size)[:, None]).ravel(),
-                          4.0 * (seam // n) - key.ravel()[seam]])   # anchors stay apart
-    width = width.ravel()[origin]
-    free = candidate[anchors].ravel()[origin]   # entries that may be proposed
-    entry = np.flatnonzero(free)
-    entry = entry[np.argsort(key[entry])]
-    free_key, free_width = key[entry], width[entry]
-    below, above = free_key - free_width, free_key + free_width
-    active = np.zeros(entry.size, dtype=bool)
-    active[1:] = free_key[:-1] >= below[1:]
-    active[:-1] |= free_key[1:] <= above[:-1]
-    src = np.concatenate([entry[active], np.flatnonzero(~free)])
-    lo = np.searchsorted(free_key, key[src] - width[src])
-    count = np.searchsorted(free_key, key[src] + width[src], side="right") - lo
-    src = np.repeat(src, count)
-    dst = entry[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(src.size)]
-    ends = np.stack([src[dst != src], dst[dst != src]])
+    origin = np.concatenate([np.arange(base.size), seam])   # the entry of each key
+    flip = np.concatenate([flip, ~flip[seam]])
+    key = np.concatenate([key + offset, offset[seam] - key[seam]])
+    width = np.concatenate([width, width[seam]])
+    free = candidate.ravel()[base * n + other]               # non-exempt entries
+    free = np.concatenate([free, free[seam]])
+    order = np.argsort(key)
+    sorted_key, sorted_width = key[order], width[order]
+    active = np.zeros(order.size, dtype=bool)   # a sorted neighbour lies in the window
+    active[1:] = sorted_key[:-1] >= sorted_key[1:] - sorted_width[1:]
+    active[:-1] |= sorted_key[1:] <= sorted_key[:-1] + sorted_width[:-1]
+    searching = order[active]
+    searching = searching[free[searching] | ~lone[base[origin[searching]]]]
+    narrow = np.flatnonzero(~free)
+    narrow = narrow[lone[base[origin[narrow]]]]   # exempt entries of one-line anchors
+    free_sorted = free[order]
+
+    def window(src, targets, target_key):   # (src, dst) pairs, dst in src's window
+        lo = np.searchsorted(target_key, key[src] - width[src])
+        count = np.searchsorted(target_key, key[src] + width[src], side="right") - lo
+        src = np.repeat(src, count)
+        return src, targets[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(src.size)]
+
+    ends = np.concatenate([window(searching, order, sorted_key),
+                           window(narrow, order[free_sorted], sorted_key[free_sorted])], axis=1)
+    ends = ends[:, ends[0] != ends[1]]
     pair = origin[ends]
-    unit = ((points[pair % n] - points[first + pair // n])
-            / rho.ravel()[pair][..., None] * sign[ends][..., None])
+    unit = ((points[other[pair]] - points[base[pair]]) / rho[pair][..., None]
+            * np.where(flip[ends], -1.0, 1.0)[..., None])
     near = np.linalg.norm(unit[0] - unit[1], axis=1) <= width[ends[0]]
-    return first * n + pair[1, near]
+    a, x, y = base[pair[0, near]], other[pair[0, near]], other[pair[1, near]]
+    i = np.concatenate([a, a, np.minimum(x, y)])
+    k = np.concatenate([x, y, np.maximum(x, y)])
+    keep = candidate[i, k]
+    return i[keep] * n + k[keep]
 
 
 def build_sample_plan(g: GroupedReLU, ls: FeasibleLineSet, seed: int,
@@ -486,29 +521,28 @@ def build_sample_plan(g: GroupedReLU, ls: FeasibleLineSet, seed: int,
         raise InputError("line set does not match the network",
                          lines=len(ls.lines), expected=m * g.d)
 
+    w = np.asarray(ls.crossing_params)                           # (lines, m)
+    lo, span = w[:, :-1], np.diff(w, axis=1)
+    # jitter half-widths of a line's samples: the unbounded first and last
+    # pieces at offsets 2 and 1 beyond their crossing, each bounded piece at
+    # 1/3 and 2/3 of its span
+    half = np.array([0.25, 0.25] + [0.1] * (2 * m - 2) + [0.25, 0.25])
+    u = np.stack([ln.u for ln in ls.lines])[:, None, :]
+    v = np.stack([ln.v for ln in ls.lines])[:, None, :]
     rng = np.random.default_rng(seed)
     for _ in range(_RETRY_BUDGET):
-        all_params: list[tuple[float, ...]] = []
-        blocks = []
-        for j, line in enumerate(ls.lines):
-            w = np.asarray(ls.crossing_params[j])
-            ts = []
-            # unbounded first piece: offsets 2 and 1 below the first crossing
-            ts.append(w[0] - 2.0 + rng.uniform(-0.25, 0.25))
-            ts.append(w[0] - 1.0 + rng.uniform(-0.25, 0.25))
-            for k in range(m - 1):
-                lo, hi = w[k], w[k + 1]
-                span = hi - lo
-                ts.append(lo + span / 3.0 + rng.uniform(-0.1, 0.1) * span)
-                ts.append(lo + 2.0 * span / 3.0 + rng.uniform(-0.1, 0.1) * span)
-            ts.append(w[-1] + 1.0 + rng.uniform(-0.25, 0.25))
-            ts.append(w[-1] + 2.0 + rng.uniform(-0.25, 0.25))
-            ts = sorted(ts)
-            all_params.append(tuple(float(t) for t in ts))
-            blocks.append(line.points_at(ts))
-        points = np.concatenate(blocks, axis=0)
+        # one call, in row order: the stream of drawing sample by sample, line by line
+        jitter = rng.uniform(-half, half, size=w.shape[:1] + half.shape)
+        inner = jitter[:, 2:-2].reshape(len(w), m - 1, 2) * span[..., None]
+        params = np.concatenate([
+            w[:, :1] - 2.0 + jitter[:, :1], w[:, :1] - 1.0 + jitter[:, 1:2],
+            np.stack([lo + span / 3.0 + inner[..., 0], lo + 2.0 * span / 3.0 + inner[..., 1]],
+                     axis=2).reshape(len(w), -1),
+            w[:, -1:] + 1.0 + jitter[:, -2:-1], w[:, -1:] + 2.0 + jitter[:, -1:]], axis=1)
+        params.sort(axis=1)
+        points = (u + params[..., None] * v).reshape(-1, g.d)
         if _collinearity_ok(points, ls.lines, tol):
-            return SamplePlan(ls.lines, tuple(all_params), points)
+            return SamplePlan(ls.lines, tuple(map(tuple, params.tolist())), points)
     raise ConstructionError("could not avoid accidental collinear triples",
                             retries=_RETRY_BUDGET)
 
@@ -749,9 +783,10 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
     fit insensitive to how well spread the seeds happened to be.  Seed tuples
     go in chunks through the miss-bound screen ``_seed_survivors``, then one
     batched exact test ``_exact_fits`` on its survivors.  Accepted refits are
-    taken in itertools order and a refit matching one already found is
-    skipped, so the result is the one of testing every tuple on its own.  It
-    is sorted on a grid of step match_tol, so rounding cannot reorder it.
+    taken in itertools order and a refit matching one already found within
+    keep_tol, the scale at which the exact test accepts it, is skipped, so
+    the result is the one of testing every tuple on its own.  It is sorted on
+    a grid of step match_tol, so rounding cannot reorder it.
     """
 
     groups = [np.asarray(grp, dtype=float) for grp in crossings_by_line]
@@ -770,6 +805,7 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
         raise InputError("crossing points must be finite")
 
     keep_tol = tol.match_tol * (1.0 + float(np.max(np.abs(stacked))))
+    same = dataclasses.replace(tol, match_tol=keep_tol)   # the exact test's own scale
     found: list[Hyperplane] = []
     fits = 0
     tuples = m ** d
@@ -789,7 +825,7 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
             A, B, accepted = _exact_fits(stacked, rough[:, :, kept], keep_tol)
             for k in accepted:
                 refit = Hyperplane(A[k], float(B[k]))
-                if any(refit.matches(h, tol) for h in found):
+                if any(refit.matches(h, same) for h in found):
                     continue
                 found.append(refit)
                 if len(found) == m:

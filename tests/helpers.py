@@ -6,6 +6,7 @@ the CLI runner."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -476,8 +477,8 @@ def oracle_exp_sum_expansion(a, b, s, s0, tol=DEFAULT_TOL):
 
 # The O(n^3) check that relu_sampling._collinearity_ok replaced: every
 # non-exempt pair is tested against all n points.
-def oracle_collinearity_ok(points, lines, tol=DEFAULT_TOL) -> bool:
-    """Condition: every collinear point triple lies on one of the plan lines.
+def oracle_flagged_pairs(points, lines, tol=DEFAULT_TOL) -> set[tuple[int, int]]:
+    """The non-exempt pairs (i < k) that have a third point near their line.
 
     Pairs living together on a plan line are exempt (their triples sit on
     that line); every other pair must have no third point near its spanned
@@ -495,6 +496,7 @@ def oracle_collinearity_ok(points, lines, tol=DEFAULT_TOL) -> bool:
     shared = np.any(member[idx_i] & member[idx_k], axis=1)
     check_i, check_k = idx_i[~shared], idx_k[~shared]
     sq_norms = np.einsum("nd,nd->n", points, points)
+    flagged = set()
     for start in range(0, check_i.size, 8192):
         ii = check_i[start:start + 8192]
         kk = check_k[start:start + 8192]
@@ -507,9 +509,15 @@ def oracle_collinearity_ok(points, lines, tol=DEFAULT_TOL) -> bool:
         along = points @ unit.T - np.einsum("bd,bd->b", anchors, unit)[None, :]
         perp2 = np.maximum(dist2 - along * along, 0.0)
         close = perp2 <= ctol * ctol
-        if np.any(np.sum(close, axis=0) >= 3):
-            return False
-    return True
+        hit = np.sum(close, axis=0) >= 3
+        flagged.update(zip(ii[hit].tolist(), kk[hit].tolist()))
+    return flagged
+
+
+def oracle_collinearity_ok(points, lines, tol=DEFAULT_TOL) -> bool:
+    """Condition: every collinear point triple lies on one of the plan lines."""
+
+    return not oracle_flagged_pairs(points, lines, tol)
 
 
 # The sorted-direction filter that relu_sampling._collinearity_ok used before
@@ -559,6 +567,124 @@ def oracle_collinear_candidates(points, lines, tol=DEFAULT_TOL):
         candidate &= hit.reshape(n, n)
     check_i, check_k = np.nonzero(np.triu(candidate, 1))
     return check_i, check_k, ctol
+
+
+# The filter that relu_sampling._collinearity_ok used before each anchor saw
+# only the points after it: every anchor sees all n points, a block is
+# _BLOCK_ENTRIES // n whole rows of the (n, n) table (read at call time),
+# only non-exempt entries are sorted, and exempt ones always search them.
+def oracle_two_sided_collinearity_ok(points, lines, tol=DEFAULT_TOL) -> bool:
+    n, d = points.shape
+    scale = 1.0 + float(np.max(np.abs(points)))
+    ctol = tol.match_tol * scale
+    member = np.stack([_point_line_distances(points, ln) <= ctol for ln in lines],
+                      axis=1).astype(float)
+    candidate = member @ member.T == 0.0          # pairs sharing no plan line
+    radius = 1.0 + float(np.max(np.linalg.norm(points, axis=1)))
+    tau = 2.0 * np.sqrt(ctol * ctol + 16 * (d + 2) * np.finfo(float).eps * radius ** 2)
+    g, h = np.sqrt(np.arange(2.0, d + 2.0)), np.cos(np.arange(d))  # fixed, generic
+    h -= (h @ g) / (g @ g) * g
+    g, h = g / np.linalg.norm(g), h / np.linalg.norm(h)
+    along = np.stack([points @ g, points @ h])
+    found = []
+    rows = max(1, relu_sampling._BLOCK_ENTRIES // n)
+    for first in range(0, n, rows):
+        hits = _two_sided_window_hits(points, np.arange(first, min(first + rows, n)),
+                                      candidate, along, tau)
+        if hits is None:
+            check_i, check_k = np.nonzero(np.triu(candidate, 1))
+            break
+        found.append(hits)
+    else:
+        flat = np.sort(np.concatenate(found))
+        check_i, check_k = np.divmod(flat[np.diff(flat, prepend=-1) > 0], n)
+        upper = check_i < check_k
+        check_i, check_k = check_i[upper], check_k[upper]
+    return not relu_sampling._third_point_near(points, check_i, check_k, ctol)
+
+
+def _two_sided_window_hits(points, anchors, candidate, along, tau):
+    """One block of `oracle_two_sided_collinearity_ok`: flat indices a * n + k
+    of the non-exempt pairs (a, k) whose direction from a lies, up to sign,
+    in the window of another direction from a; None when two points lie
+    within 2 tau."""
+
+    n, first = points.shape[0], int(anchors[0])
+    rho, step = np.zeros((2, anchors.size, n))   # |p_k - p_a| at [a - first, k]
+    for x in points.T:
+        np.subtract(x[None, :], x[anchors, None], out=step)
+        step *= step
+        rho += step
+    np.sqrt(rho, out=rho)
+    rho[anchors - first, anchors] = np.inf   # zero direction, empty window
+    if float(np.min(rho)) <= 2.0 * tau:
+        return None
+    width = 2.0 * tau / rho
+    fold = (along[0][None, :] - along[0][anchors, None]) / rho
+    sign = np.where(fold < 0.0, -1.0, 1.0)
+    key = sign * (along[1][None, :] - along[1][anchors, None]) / rho
+    seam = np.flatnonzero(np.abs(fold) < width)
+    origin = np.concatenate([np.arange(rho.size), seam])   # flat (a - first, point)
+    sign = np.concatenate([sign.ravel(), -sign.ravel()[seam]])
+    key = np.concatenate([(key + 4.0 * np.arange(anchors.size)[:, None]).ravel(),
+                          4.0 * (seam // n) - key.ravel()[seam]])   # anchors stay apart
+    width = width.ravel()[origin]
+    free = candidate[anchors].ravel()[origin]   # entries that may be proposed
+    entry = np.flatnonzero(free)
+    entry = entry[np.argsort(key[entry])]
+    free_key, free_width = key[entry], width[entry]
+    below, above = free_key - free_width, free_key + free_width
+    active = np.zeros(entry.size, dtype=bool)
+    active[1:] = free_key[:-1] >= below[1:]
+    active[:-1] |= free_key[1:] <= above[:-1]
+    src = np.concatenate([entry[active], np.flatnonzero(~free)])
+    lo = np.searchsorted(free_key, key[src] - width[src])
+    count = np.searchsorted(free_key, key[src] + width[src], side="right") - lo
+    src = np.repeat(src, count)
+    dst = entry[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(src.size)]
+    ends = np.stack([src[dst != src], dst[dst != src]])
+    pair = origin[ends]
+    unit = ((points[pair % n] - points[first + pair // n])
+            / rho.ravel()[pair][..., None] * sign[ends][..., None])
+    near = np.linalg.norm(unit[0] - unit[1], axis=1) <= width[ends[0]]
+    return first * n + pair[1, near]
+
+
+# The plan builder before it drew a plan's jitter in one call: one
+# rng.uniform call per sample, line by line.  Each draw is judged by
+# relu_sampling._collinearity_ok, read at call time.
+def oracle_build_sample_plan(g, ls, seed, tol=DEFAULT_TOL):
+    hyperplanes = relu_sampling._distinct_hyperplanes(g)
+    m = len(hyperplanes)
+    if len(ls.lines) != m * g.d:
+        raise InputError("line set does not match the network",
+                         lines=len(ls.lines), expected=m * g.d)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(relu_sampling._RETRY_BUDGET):
+        all_params = []
+        blocks = []
+        for j, line in enumerate(ls.lines):
+            w = np.asarray(ls.crossing_params[j])
+            ts = []
+            # unbounded first piece: offsets 2 and 1 below the first crossing
+            ts.append(w[0] - 2.0 + rng.uniform(-0.25, 0.25))
+            ts.append(w[0] - 1.0 + rng.uniform(-0.25, 0.25))
+            for k in range(m - 1):
+                lo, hi = w[k], w[k + 1]
+                span = hi - lo
+                ts.append(lo + span / 3.0 + rng.uniform(-0.1, 0.1) * span)
+                ts.append(lo + 2.0 * span / 3.0 + rng.uniform(-0.1, 0.1) * span)
+            ts.append(w[-1] + 1.0 + rng.uniform(-0.25, 0.25))
+            ts.append(w[-1] + 2.0 + rng.uniform(-0.25, 0.25))
+            ts = sorted(ts)
+            all_params.append(tuple(float(t) for t in ts))
+            blocks.append(line.points_at(ts))
+        points = np.concatenate(blocks, axis=0)
+        if relu_sampling._collinearity_ok(points, ls.lines, tol):
+            return relu_sampling.SamplePlan(ls.lines, tuple(all_params), points)
+    raise ConstructionError("could not avoid accidental collinear triples",
+                            retries=relu_sampling._RETRY_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +817,7 @@ def oracle_recover_hyperplanes(crossings_by_line, tol=DEFAULT_TOL):
 
     scale = 1.0 + max(float(np.max(np.abs(grp))) for grp in groups)
     keep_tol = tol.match_tol * scale
+    same = dataclasses.replace(tol, match_tol=keep_tol)   # a copy of a found plane
     found = []
     fits = 0
     for line_combo in itertools.combinations(range(n_lines), d):
@@ -718,7 +845,7 @@ def oracle_recover_hyperplanes(crossings_by_line, tol=DEFAULT_TOL):
                     break
             if not ok:
                 continue
-            if any(refit.matches(h, tol) for h in found):
+            if any(refit.matches(h, same) for h in found):
                 continue
             found.append(refit)
             if len(found) == m:
@@ -754,6 +881,7 @@ def oracle_seed_fit_recovery(crossings_by_line, tol=DEFAULT_TOL, rank_tol=RANK_T
     stacked = np.stack([np.asarray(grp, dtype=float) for grp in crossings_by_line])
     n_lines, m, d = stacked.shape
     keep_tol = tol.match_tol * (1.0 + float(np.max(np.abs(stacked))))
+    same = dataclasses.replace(tol, match_tol=keep_tol)   # a copy of a found plane
     choices = np.array(list(itertools.product(range(m), repeat=d)))
     found = []
     fits = 0
@@ -774,7 +902,7 @@ def oracle_seed_fit_recovery(crossings_by_line, tol=DEFAULT_TOL, rank_tol=RANK_T
             accepted = (_oracle_spans(matched, rank_tol) == d - 1) & np.all(hits == 1, axis=1)
             for k in np.flatnonzero(accepted):
                 refit = Hyperplane(A[k], float(B[k]))
-                if any(refit.matches(h, tol) for h in found):
+                if any(refit.matches(h, same) for h in found):
                     continue
                 found.append(refit)
                 if len(found) == m:
