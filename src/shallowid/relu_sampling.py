@@ -10,6 +10,7 @@ the hyperplanes; a final least-squares solve pins scales and constant.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ _TOTAL_DRAW_CAP = 50_000
 _CANDIDATE_BUDGET = 200_000    # seed tuples fitted by recover_hyperplanes
 _CHUNK_FLOATS = 2 ** 18        # largest batched temporary in recover_hyperplanes
 _BLOCK_ENTRIES = 2 ** 14       # (anchor, point) pairs per block of the collinearity filter
+_SPREAD_BLOCK = 2 ** 13        # (hyperplane, subset) entries per block of the spread check
 # subset tests of one spread pass, m * C(md, d): above d=5, m=12 (65,538,144)
 _SPREAD_ENTRIES_CAP = 2 ** 27
 
@@ -91,19 +93,18 @@ def _distinct_hyperplanes(g: GroupedReLU) -> list[Hyperplane]:
     return [Hyperplane(u, b) for u, b in zip(U, beta.tolist())]
 
 
-def _line_crossings(line: Line, hyperplanes: list[Hyperplane]) -> np.ndarray | None:
-    """Crossing parameters of one line with every hyperplane, or None when the
-    line fails the transversality / separation margins."""
+def _line_crossings(line: Line, A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """Crossing parameters of one line with every hyperplane (rows of the
+    stacked normals A and offsets B), or None when the line fails the
+    transversality / separation margins."""
 
     vnorm = float(np.linalg.norm(line.v))
     if vnorm < _MIN_DIRECTION_NORM:
         return None
-    params = np.empty(len(hyperplanes))
-    for k, h in enumerate(hyperplanes):
-        denom = float(h.a @ line.v)
-        if abs(denom) < _MIN_TRANSVERSALITY * vnorm:
-            return None
-        params[k] = -(float(h.a @ line.u) + h.b) / denom
+    denom = np.vecdot(A, line.v)
+    if np.any(np.abs(denom) < _MIN_TRANSVERSALITY * vnorm):
+        return None
+    params = -(np.vecdot(A, line.u) + B) / denom
     gaps = np.diff(np.sort(params))
     if gaps.size and float(np.min(gaps)) < _MIN_PARAM_GAP:
         return None
@@ -111,16 +112,25 @@ def _line_crossings(line: Line, hyperplanes: list[Hyperplane]) -> np.ndarray | N
 
 
 def _colex(n: int, r: int) -> np.ndarray:
-    """All r-subsets of range(n) as the columns of an (r, C(n, r)) array in
-    colex order: by last element j, and before j the (r-1)-subsets of range(j),
-    which are the first C(j, r-1) columns of that order."""
+    """All r-subsets of range(n) as the columns of a C-contiguous (r, C(n, r))
+    array in colex order: by last element j, and before j the (r-1)-subsets
+    of range(j), which are the first C(j, r-1) columns of that order.  (On a
+    column-major array, ``np.take`` along axis 1 copies the whole array.)"""
 
     cols = np.zeros((0, 1), dtype=np.intp)   # the empty subset
     for k in range(r):
         count = np.array([math.comb(j, k) for j in range(k, n)])
         prefix = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         cols = np.vstack([cols[:, prefix], np.repeat(np.arange(k, n), count)])
-    return cols
+    return np.ascontiguousarray(cols)
+
+
+@functools.cache
+def _masks_by_size(k: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """For r = 0..k, every mask of r of k bits with its set bits."""
+
+    return tuple(tuple((s, tuple(j for j in range(k) if s >> j & 1)) for s in range(1 << k)
+                       if bin(s).count("1") == r) for r in range(k + 1))
 
 
 def _laplace_minors(rows) -> dict[int, np.ndarray]:
@@ -139,12 +149,10 @@ def _laplace_minors(rows) -> dict[int, np.ndarray]:
     rows = iter(rows)
     minors = {1 << j: entry for j, entry in enumerate(next(rows))}
     k = len(minors)
-    by_size = [[s for s in range(1 << k) if bin(s).count("1") == r] for r in range(k + 1)]
     term = np.empty_like(minors[1])
     for i, entries in enumerate(rows, 1):   # entries: (k, C), row i of every matrix
         grown = {}
-        for mask in by_size[i + 1]:
-            bits = [j for j in range(k) if mask >> j & 1]
+        for mask, bits in _masks_by_size(k)[i + 1]:
             acc = entries[bits[0]] * minors[mask ^ 1 << bits[0]]
             for t, j in enumerate(bits[1:], 1):
                 np.multiply(entries[j], minors[mask ^ 1 << j], out=term)
@@ -187,78 +195,113 @@ def _spread_slack(k: int) -> float:
                     + (k + 1) * (2 * np.log(2) * k * (k - 1) + np.exp(-1)) + 2)
 
 
-def _spread_ok(coords: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """Whether each d-subset (a column of ``sub``) of one hyperplane's
-    in-plane points ``coords`` (n, k = d - 1) affinely spans it: from some
-    anchor point of it, the unit vectors to the other k must have LAPACK
-    |determinant| at least ``_MIN_SPREAD_DET``.  Fast values, from
-    ``_laplace_minors`` on the (k, n^2) table of unit vectors, lie within
-    ``_spread_slack(k)`` of LAPACK's.  Every subset is anchored at its first
-    point; those still below the margin plus the slack try the other
-    anchors, and those whose best fast value is within the slack of the
-    margin get ``np.linalg.det`` from every anchor."""
+def _unit_vectors(coords: np.ndarray) -> np.ndarray:
+    """The (k, m, n, n) table of unit vectors between the in-plane points
+    ``coords`` (m, n, k) of m hyperplanes: entry [:, h, i, j] is the unit
+    vector from point i to point j of hyperplane h, and 0 for i = j."""
 
-    n, k = coords.shape
-    diff = coords[None, :, :] - coords[:, None, :]   # diff[i, j] = c_j - c_i
-    dist = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dist, np.inf)
-    unit = (diff / dist[:, :, None]).reshape(n * n, k)
-    table = np.ascontiguousarray(unit.T)
+    m, n, k = coords.shape
+    diff = coords[:, None, :, :] - coords[:, :, None, :]   # diff[h, i, j] = c_hj - c_hi
+    dist = np.linalg.norm(diff, axis=3)
+    dist[:, range(n), range(n)] = np.inf
+    return np.ascontiguousarray(np.moveaxis(diff / dist[..., None], 3, 0))
+
+
+def _spread_ok(table: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """(m, C): whether each d-subset (a column of ``sub``) of each of m
+    hyperplanes' n in-plane points affinely spans that hyperplane, given the
+    points' ``_unit_vectors`` ``table`` (k = d - 1, m, n, n): from some
+    anchor point of the subset, the unit vectors to the other k must have
+    LAPACK |determinant| at least ``_MIN_SPREAD_DET``.  The m C (hyperplane,
+    subset) entries go through one pass: hyperplane h's pair indices are
+    offset by h n^2 into the flat table.  Fast values, from
+    ``_laplace_minors``, lie within ``_spread_slack(k)`` of LAPACK's.  Every
+    entry is anchored at its subset's first point; those still below the
+    margin plus the slack try the other anchors, and those whose best fast
+    value is within the slack of the margin get ``np.linalg.det`` from every
+    anchor.  Each entry's minors are elementwise and LAPACK takes one matrix
+    at a time, so an entry's decision does not depend on the others."""
+
+    k, m, n, _ = table.shape
+    flat = table.reshape(k, m * n * n)
+    count = sub.shape[1]
     slack = _spread_slack(k)
 
-    def pairs(cols, anchor):   # flat (anchor, other point) indices, one row per other point
-        rows = np.take(sub, cols, axis=1)
-        return rows[anchor] * n + np.delete(rows, anchor, axis=0)
+    def pairs(h, c, anchor):   # flat (anchor, other point) indices, one row per other point
+        rows = np.take(sub, c, axis=1)
+        other = np.delete(rows, anchor, axis=0)[:, None]
+        return (h * (n * n) + rows[anchor] * n + other).reshape(k, -1)
 
-    def fast(cols, anchor):
-        minors = _laplace_minors(np.take(table, r, axis=1) for r in pairs(cols, anchor))
+    def fast(h, c, anchor):
+        minors = _laplace_minors(np.take(flat, r, axis=1) for r in pairs(h, c, anchor))
         return np.abs(minors[(1 << k) - 1])
 
-    best = fast(np.arange(sub.shape[1]), 0)
+    best = fast(np.arange(m)[:, None], np.arange(count), 0)   # entry h * count + c
     low = np.flatnonzero(best < _MIN_SPREAD_DET + slack)
     for anchor in range(1, k + 1):
         if low.size:
-            best[low] = np.maximum(best[low], fast(low, anchor))
+            best[low] = np.maximum(best[low], fast(*np.divmod(low, count), anchor))
             low = low[best[low] < _MIN_SPREAD_DET + slack]
     near = low[best[low] >= _MIN_SPREAD_DET - slack]
     if near.size:
-        best[near] = np.max([np.abs(np.linalg.det(unit[pairs(near, anchor).T]))
-                             for anchor in range(k + 1)], axis=0)
-    return best >= _MIN_SPREAD_DET
+        best[near] = np.max([np.abs(np.linalg.det(flat.T[pairs(*np.divmod(near, count), a).T]))
+                             for a in range(k + 1)], axis=0)
+    return (best >= _MIN_SPREAD_DET).reshape(m, count)
 
 
 def _first_failure(crossings: np.ndarray, bases: list[np.ndarray], head: np.ndarray,
                    start: int) -> int | None:
     """The first line f that fails (ii), a crossing within ``_MIN_POINT_SEP``
     of one of a line up to f, or (iii), a d-subset of lines with last line f
-    that fails ``_spread_ok`` in some hyperplane; None if none fails.  In
-    colex order, subset r has last line f for C(f, d) <= r < C(f + 1, d) and
-    its other lines in column r - C(f, d) of ``head``, the colex order of the
-    first md - 1 lines.  Only subsets with last line ``start`` or later are
-    tested, in blocks of about ``_CHUNK_FLOATS`` indices, and each
-    hyperplane stops at the first line known to fail."""
+    that fails ``_spread_ok`` in some hyperplane; None if none fails.
+
+    (ii): the m^2 d crossings are sorted by coordinate 0, and a pair gets
+    the exact test, the ``np.linalg.norm`` of its difference below
+    ``_MIN_POINT_SEP``, when its computed gap fl(x_j - x_i) in that
+    coordinate is below ``_MIN_POINT_SEP`` (1 + 1e-9).  Rounding is
+    monotone, so along the sorted order the gap does not decrease, and
+    raising the offset j - i until no gap is below finds every such pair.
+    No close pair is left out: the computed sum of squares is at least
+    fl(fl(x_j - x_i)^2), so with u = 2^-53 the computed norm is at least
+    |fl(x_j - x_i)| (1 - u)^(3/2) >= |fl(x_j - x_i)| (1 - 2u), which is at
+    least ``_MIN_POINT_SEP`` for every pair left out.
+
+    (iii): in colex order, subset r has last line f for C(f, d) <= r <
+    C(f + 1, d) and its other lines in column r - C(f, d) of ``head``, the
+    colex order of the first md - 1 lines.  Only subsets with last line
+    ``start`` or later, and before the first line that fails (ii), are
+    tested, in blocks of about ``_SPREAD_BLOCK`` (hyperplane, subset)
+    entries: one subset table per block, all m hyperplanes in one
+    ``_spread_ok`` pass.  The first block with a failing entry names the
+    smallest last line among its failing entries; every subset of a smaller
+    last line has passed in every hyperplane."""
 
     n_lines, m, d = crossings.shape
     flat = crossings.reshape(n_lines * m, d)
     # (ii) on all crossings in space: (iii) sees them in orthonormal in-plane
     # bases, which keep distances up to rounding, and does not test them again
-    diff = flat[:, None, :] - flat[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dist, np.inf)
-    close = np.argwhere(dist < _MIN_POINT_SEP)
-    first = int(np.min(np.max(close, axis=1))) // m if close.size else n_lines
+    order = np.argsort(flat[:, 0])
+    x = flat[order, 0]
+    reach = _MIN_POINT_SEP * (1.0 + 1e-9)
+    live, gap, near = np.arange(x.size - 1), 1, []
+    while live.size:
+        live = live[x[live + gap] - x[live] < reach]
+        near.append(np.stack([live, live + gap]))
+        gap += 1
+        live = live[live + gap < x.size]
+    a, b = order[np.concatenate(near, axis=1)]
+    close = np.linalg.norm(flat[a] - flat[b], axis=1) < _MIN_POINT_SEP
+    first = int(np.min(np.maximum(a, b)[close])) // m if np.any(close) else n_lines
     below = np.array([math.comb(j, d) for j in range(n_lines + 1)])   # rows before line j
-    step = max(1, _CHUNK_FLOATS // d)
-    for k in range(m):
-        coords = crossings[:, k, :] @ bases[k].T
-        for lo in range(int(below[start]), int(below[first]), step):
-            rows = np.arange(lo, min(lo + step, int(below[first])))
-            last = np.searchsorted(below, rows, side="right") - 1
-            sub = np.concatenate([np.take(head, rows - below[last], axis=1), last[None, :]])
-            ok = _spread_ok(coords, sub)
-            if not np.all(ok):
-                first = int(last[np.argmin(ok)])
-                break
+    table = _unit_vectors(np.stack([crossings[:, k, :] @ bases[k].T for k in range(m)]))
+    step = max(1, _SPREAD_BLOCK // m)
+    for lo in range(int(below[start]), int(below[first]), step):
+        rows = np.arange(lo, min(lo + step, int(below[first])))
+        last = np.searchsorted(below, rows, side="right") - 1
+        sub = np.concatenate([np.take(head, rows - below[last], axis=1), last[None, :]])
+        failed = ~np.all(_spread_ok(table, sub), axis=0)
+        if np.any(failed):
+            return int(last[np.argmax(failed)])
     return first if first < n_lines else None
 
 
@@ -292,6 +335,8 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
     params: list[np.ndarray] = [None] * n_lines  # type: ignore[list-item]
     draws = 0
     bases = [np.linalg.svd(h.a[None, :])[2][1:] for h in hyperplanes]   # in-plane, orthonormal
+    A = np.stack([h.a for h in hyperplanes])
+    B = np.array([h.b for h in hyperplanes])
     head = _colex(n_lines - 1, d - 1)
 
     def draw(j: int) -> None:
@@ -301,7 +346,7 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
             if draws > _TOTAL_DRAW_CAP:
                 break
             cand = Line(rng.uniform(-1.0, 1.0, size=d), rng.uniform(-1.0, 1.0, size=d))
-            w = _line_crossings(cand, hyperplanes)
+            w = _line_crossings(cand, A, B)
             if w is not None:
                 lines[j], params[j] = cand, w
                 return
@@ -332,12 +377,14 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
     return FeasibleLineSet(tuple(lines), tuple(tuple(np.sort(w).tolist()) for w in params))
 
 
-def _point_line_distances(points: np.ndarray, line: Line) -> np.ndarray:
-    v = line.v / np.linalg.norm(line.v)
-    rel = points - line.u[None, :]
-    along = rel @ v
-    perp = rel - along[:, None] * v[None, :]
-    return np.linalg.norm(perp, axis=1)
+def _line_distances(points: np.ndarray, lines: tuple[Line, ...]) -> np.ndarray:
+    """(n, lines) distances of every point from every line, by one batched
+    matmul over the (lines, n, d) offsets from the lines' base points."""
+
+    v = np.stack([ln.v / np.linalg.norm(ln.v) for ln in lines])
+    rel = points[None, :, :] - np.stack([ln.u for ln in lines])[:, None, :]
+    perp = rel - np.matmul(rel, v[:, :, None]) * v[:, None, :]
+    return np.linalg.norm(perp, axis=2).T
 
 
 def _third_point_near(points: np.ndarray, check_i: np.ndarray, check_k: np.ndarray,
@@ -414,8 +461,7 @@ def _collinearity_ok(points: np.ndarray, lines: tuple[Line, ...],
     n, d = points.shape
     scale = 1.0 + float(np.max(np.abs(points)))
     ctol = tol.match_tol * scale
-    member = np.stack([_point_line_distances(points, ln) <= ctol for ln in lines],
-                      axis=1).astype(float)
+    member = (_line_distances(points, lines) <= ctol).astype(float)
     candidate = member @ member.T == 0.0          # pairs sharing no plan line
     lone = np.sum(member, axis=1) <= 1.0          # points on at most one plan line
     radius = 1.0 + float(np.max(np.linalg.norm(points, axis=1)))

@@ -25,7 +25,6 @@ from shallowid import (AdmissibilityError, ConstructionError, EquivalenceCertifi
                        relu_sampling, solve_least_squares)
 from shallowid.net_core import _duplicate_ridges, _row_norms
 from shallowid.numerics import affine_fits
-from shallowid.relu_sampling import _point_line_distances
 from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
                                       _direction_of)
 from shallowid.tolerances import DEFAULT_TOL, RANK_TOL, ZERO_TOL
@@ -474,6 +473,16 @@ def oracle_exp_sum_expansion(a, b, s, s0, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 # brute-force plan collinearity oracle
 # ---------------------------------------------------------------------------
+
+# The distances of points from one line that relu_sampling._line_distances
+# replaced with one batched matmul over every line.
+def _point_line_distances(points, line):
+    v = line.v / np.linalg.norm(line.v)
+    rel = points - line.u[None, :]
+    along = rel @ v
+    perp = rel - along[:, None] * v[None, :]
+    return np.linalg.norm(perp, axis=1)
+
 
 # The O(n^3) check that relu_sampling._collinearity_ok replaced: every
 # non-exempt pair is tested against all n points.
@@ -996,6 +1005,100 @@ def oracle_refit_screen(stacked, seeds, keep_tol):
 # line-feasibility oracles
 # ---------------------------------------------------------------------------
 
+# The crossings of one line that relu_sampling._line_crossings replaced:
+# one dot product per hyperplane.
+def oracle_line_crossings(line, hyperplanes):
+    """Crossing parameters of one line with every hyperplane, or None when the
+    line fails the transversality / separation margins."""
+
+    vnorm = float(np.linalg.norm(line.v))
+    if vnorm < relu_sampling._MIN_DIRECTION_NORM:
+        return None
+    params = np.empty(len(hyperplanes))
+    for k, h in enumerate(hyperplanes):
+        denom = float(h.a @ line.v)
+        if abs(denom) < relu_sampling._MIN_TRANSVERSALITY * vnorm:
+            return None
+        params[k] = -(float(h.a @ line.u) + h.b) / denom
+    gaps = np.diff(np.sort(params))
+    if gaps.size and float(np.min(gaps)) < relu_sampling._MIN_PARAM_GAP:
+        return None
+    return params
+
+
+# The round check that relu_sampling._first_failure and _spread_ok replaced:
+# an all-pairs distance table for (ii), and for (iii) one _spread_ok call
+# per hyperplane and block, each building its own subset table and unit
+# vectors.  Margins and _CHUNK_FLOATS are read from relu_sampling.
+def oracle_spread_ok(coords, sub):
+    """Whether each d-subset (a column of ``sub``) of one hyperplane's
+    in-plane points ``coords`` (n, k = d - 1) affinely spans it: from some
+    anchor point of it, the unit vectors to the other k must have LAPACK
+    |determinant| at least ``_MIN_SPREAD_DET``, decided from fast values
+    within ``_spread_slack(k)`` of LAPACK's."""
+
+    n, k = coords.shape
+    diff = coords[None, :, :] - coords[:, None, :]   # diff[i, j] = c_j - c_i
+    dist = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(dist, np.inf)
+    unit = (diff / dist[:, :, None]).reshape(n * n, k)
+    table = np.ascontiguousarray(unit.T)
+    slack = relu_sampling._spread_slack(k)
+    margin = relu_sampling._MIN_SPREAD_DET
+
+    def pairs(cols, anchor):   # flat (anchor, other point) indices, one row per other point
+        rows = np.take(sub, cols, axis=1)
+        return rows[anchor] * n + np.delete(rows, anchor, axis=0)
+
+    def fast(cols, anchor):
+        minors = relu_sampling._laplace_minors(np.take(table, r, axis=1)
+                                               for r in pairs(cols, anchor))
+        return np.abs(minors[(1 << k) - 1])
+
+    best = fast(np.arange(sub.shape[1]), 0)
+    low = np.flatnonzero(best < margin + slack)
+    for anchor in range(1, k + 1):
+        if low.size:
+            best[low] = np.maximum(best[low], fast(low, anchor))
+            low = low[best[low] < margin + slack]
+    near = low[best[low] >= margin - slack]
+    if near.size:
+        best[near] = np.max([np.abs(np.linalg.det(unit[pairs(near, anchor).T]))
+                             for anchor in range(k + 1)], axis=0)
+    return best >= margin
+
+
+def oracle_first_failure(crossings, bases, head, start):
+    """The first line f that fails (ii), a crossing within ``_MIN_POINT_SEP``
+    of one of a line up to f, or (iii), a d-subset of lines with last line f
+    that fails ``oracle_spread_ok`` in some hyperplane; None if none fails.
+    Only subsets with last line ``start`` or later are tested, in colex
+    order (``head`` holds the colex order of the first md - 1 lines), in
+    blocks of about ``_CHUNK_FLOATS`` indices, and each hyperplane stops at
+    the first line known to fail."""
+
+    n_lines, m, d = crossings.shape
+    flat = crossings.reshape(n_lines * m, d)
+    diff = flat[:, None, :] - flat[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(dist, np.inf)
+    close = np.argwhere(dist < relu_sampling._MIN_POINT_SEP)
+    first = int(np.min(np.max(close, axis=1))) // m if close.size else n_lines
+    below = np.array([comb(j, d) for j in range(n_lines + 1)])   # rows before line j
+    step = max(1, relu_sampling._CHUNK_FLOATS // d)
+    for k in range(m):
+        coords = crossings[:, k, :] @ bases[k].T
+        for lo in range(int(below[start]), int(below[first]), step):
+            rows = np.arange(lo, min(lo + step, int(below[first])))
+            last = np.searchsorted(below, rows, side="right") - 1
+            sub = np.concatenate([np.take(head, rows - below[last], axis=1), last[None, :]])
+            ok = oracle_spread_ok(coords, sub)
+            if not np.all(ok):
+                first = int(last[np.argmin(ok)])
+                break
+    return first if first < n_lines else None
+
+
 # The line builder that relu_sampling.build_feasible_lines replaced: every
 # hyperplane caches each d-subset's fast |det| from its first point, and each
 # round recomputes the subsets that hold a redrawn line and redraws the
@@ -1081,7 +1184,7 @@ def oracle_build_feasible_lines(g, seed, redraws=None):
                 break
             cand = relu_sampling.Line(rng.uniform(-1.0, 1.0, size=d),
                                       rng.uniform(-1.0, 1.0, size=d))
-            w = relu_sampling._line_crossings(cand, hyperplanes)
+            w = oracle_line_crossings(cand, hyperplanes)
             if w is not None:
                 lines[j], params[j] = cand, w
                 stale[:, j] = True

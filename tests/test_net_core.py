@@ -12,6 +12,7 @@ from shallowid.net_core import (_duplicate_ridges, _row_norms, admissibility_vio
                                 canonical_hyperplane, grouped_from_entries)
 from shallowid.tolerances import DEFAULT_TOL
 
+from conftest import examples
 from helpers import (equivalent_analytic_variant, oracle_admissibility_violations,
                      oracle_canonical_hyperplane, oracle_duplicate_ridges, oracle_group,
                      oracle_grouped_from_entries, oracle_test_equivalent,
@@ -172,7 +173,7 @@ def test_canonical_hyperplane_idempotent_and_sign_stable():
         assert abs(flipped.b - h.b) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(lam=st.floats(min_value=1e-3, max_value=1e3),
        seed=st.integers(min_value=0, max_value=2**16))
 def test_relu_positive_homogeneity(lam, seed):
@@ -226,7 +227,7 @@ def test_deserialize_rejects_nonfinite():
         deserialize('{"activation":"relu","d":1,"neurons":[{"a":[NaN],"b":0,"s":1}],"c":0}')
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(neurons=st.lists(st.tuples(
     st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=3, max_size=3),
     st.floats(min_value=-1e6, max_value=1e6),
@@ -303,7 +304,7 @@ _planted = dict(seed=st.integers(min_value=0, max_value=2**32 - 1),
                 unit=st.booleans(), gaps=st.lists(st.sampled_from(GAPS), min_size=1, max_size=3))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(shape=st.tuples(st.integers(0, 30), st.integers(1, 12)),
        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
        seed=st.integers(min_value=0, max_value=2**32 - 1), strided=st.booleans())
@@ -313,7 +314,7 @@ def test_row_norms_are_the_per_row_norms_bit_for_bit(shape, scale, seed, strided
     assert _row_norms(A).tobytes() == np.array([np.linalg.norm(r) for r in A]).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(signs=st.sampled_from([(1,), (1.0, -1.0)]), **_planted)
 def test_duplicate_ridges_match_the_pairwise_loop(signs, seed, m, d, unit, gaps):
     rng = np.random.default_rng(seed)
@@ -328,7 +329,7 @@ def test_duplicate_ridges_match_the_pairwise_loop(signs, seed, m, d, unit, gaps)
     assert pairs == oracle
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(kind=st.sampled_from(["relu", "relu", "sigmoid", "tanh"]), **_planted)
 def test_admissibility_and_group_match_the_pairwise_loops(kind, seed, m, d, unit, gaps):
     rng = np.random.default_rng(seed)
@@ -351,7 +352,7 @@ def test_admissibility_and_group_match_the_pairwise_loops(kind, seed, m, d, unit
     assert violations == oracle_admissibility_violations(net)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(**_planted)
 def test_grouped_from_entries_matches_the_bucket_loop(seed, m, d, unit, gaps):
     # raw terms: scales of any size, coincident slots that merge, and a zero
@@ -492,7 +493,7 @@ def _bits(cert):
             cert.K, cert.constant_shift.hex())
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        kind_variant=st.sampled_from(
            [("relu", v) for v in ("copy", "perturbed", "uncancelled", "unrelated")]

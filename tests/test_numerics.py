@@ -10,6 +10,7 @@ from shallowid import InputError, SizeError, ToleranceConfig, numerics, rank, so
 from shallowid.numerics import SUBSET_CAP, _screen_subset_sums, affine_fits, subset_sums
 from shallowid.tolerances import RANK_TOL
 
+from conftest import examples
 from helpers import DegenerateFitError, affine_fit, oracle_affine_fit, rank_by_elimination
 
 
@@ -92,7 +93,7 @@ def test_affine_fit_residual_scales_with_points():
         assert np.max(np.abs(pts @ fit.a + fit.b)) <= 1e-9 * scale
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(d=st.integers(1, 5), extra=st.integers(0, 6), k=st.integers(1, 5),
        seed=st.integers(0, 10**6), gap=st.sampled_from([None, 0.0, 1e-9]),
        flat=st.booleans())
@@ -178,7 +179,7 @@ def test_subset_sums_cap_raises_before_allocating():
     assert peak < 1 << 20  # the 2^21 x 4 result alone would take 64 MiB
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(n=st.integers(0, 10), d=st.integers(1, 4), chunk=st.integers(1, numerics._CHUNK_ENTRIES),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_screen_subset_sums_hands_keep_the_bits_of_the_full_fold(n, d, chunk, seed):

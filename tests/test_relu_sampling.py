@@ -16,13 +16,14 @@ from shallowid import (ConstructionError, InputError, Line, LabeledSamples, Pars
                        net_core, numerics, reconstruct, recover_hyperplanes,
                        relu_sampling, sample_values)
 from shallowid.numerics import affine_fits
-from shallowid.relu_sampling import (_point_line_distances, plan_from_json_obj,
-                                     plan_to_json_obj, samples_from_json_obj,
-                                     samples_to_json_obj)
+from shallowid.relu_sampling import (plan_from_json_obj, plan_to_json_obj,
+                                     samples_from_json_obj, samples_to_json_obj)
 
-from helpers import (oracle_build_feasible_lines, oracle_build_sample_plan,
-                     oracle_collinear_candidates, oracle_collinearity_ok,
-                     oracle_extract_breakpoints, oracle_first_failing_line, oracle_flagged_pairs,
+from conftest import examples
+from helpers import (_point_line_distances, oracle_build_feasible_lines,
+                     oracle_build_sample_plan, oracle_collinear_candidates,
+                     oracle_collinearity_ok, oracle_extract_breakpoints, oracle_first_failing_line,
+                     oracle_first_failure, oracle_flagged_pairs, oracle_line_crossings,
                      oracle_orientation, oracle_plane_fits, oracle_recover_hyperplanes,
                      oracle_refit_screen, oracle_seed_fit_recovery, oracle_seed_survivors,
                      oracle_spread_culprit, oracle_two_sided_collinearity_ok,
@@ -99,10 +100,10 @@ def builder_rounds(g, seed):
         rounds[-1][3] = real_first(crossings, bases, head, start)
         return rounds[-1][3]
 
-    def ok_spy(coords, sub):
+    def ok_spy(table, sub):
         lowest = int(np.min(sub[-1]))
         rounds[-1][2] = lowest if rounds[-1][2] is None else min(rounds[-1][2], lowest)
-        return real_ok(coords, sub)
+        return real_ok(table, sub)
 
     with mock.patch.multiple(relu_sampling, _first_failure=first_spy, _spread_ok=ok_spy):
         outcome = line_set_outcome(build_feasible_lines, g, seed)
@@ -129,7 +130,7 @@ LINE_SHAPES = [(d, m) for d in range(2, 7) for m in range(1, 8) if comb(m * d, d
 
 
 @pytest.mark.parametrize("d, m", LINE_SHAPES)
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=examples(5), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_feasible_lines_are_bit_identical_to_the_from_scratch_check(d, m, seed):
     """Where the build this one replaced (``oracle_build_feasible_lines``,
@@ -151,8 +152,8 @@ def test_feasible_lines_are_bit_identical_to_the_from_scratch_check(d, m, seed):
 def hyperplane_crossings(hyperplanes, ls):
     """(lines, m, d) crossings of a line set, in hyperplane order."""
 
-    return np.stack([ln.points_at(relu_sampling._line_crossings(ln, hyperplanes))
-                     for ln in ls.lines])
+    A, B = np.stack([h.a for h in hyperplanes]), np.array([h.b for h in hyperplanes])
+    return np.stack([ln.points_at(relu_sampling._line_crossings(ln, A, B)) for ln in ls.lines])
 
 
 @pytest.mark.parametrize("d, m, seed", [(5, 4, 1), (4, 6, 0), (6, 3, 0)])
@@ -191,6 +192,12 @@ def test_feasible_lines_recheck_every_subset_after_a_redraw_at_check_i():
 STRICT_SPREAD_CASES = [(3, 3, 1, 1e-2), (3, 5, 2, 3e-3), (4, 3, 3, 3e-3), (5, 2, 4, 3e-3)]
 
 
+def spread_ok(coords, sub):
+    """``_spread_ok`` on one hyperplane's in-plane points ``coords``."""
+
+    return relu_sampling._spread_ok(relu_sampling._unit_vectors(coords[None]), sub)[0]
+
+
 def anchor_0_accepts(coords, sub):
     """The columns of ``sub`` that the replaced check, from each subset's
     first point, accepts on its own."""
@@ -202,20 +209,27 @@ def anchor_0_accepts(coords, sub):
 
 @pytest.mark.parametrize("d, m, seed, spread", STRICT_SPREAD_CASES)
 def test_feasible_lines_match_the_oracle_under_a_strict_spread_margin(d, m, seed, spread):
-    """A spread margin that many subsets miss, so lines are redrawn: the
-    spread test rejects no subset that the replaced check accepts."""
+    """A spread margin that many subsets miss, so lines are redrawn: in no
+    hyperplane does the spread test reject a subset that the replaced check
+    accepts."""
 
     g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
-    real = relu_sampling._spread_ok
-    rejected = []
+    real, real_unit = relu_sampling._spread_ok, relu_sampling._unit_vectors
+    planes, rejected = [], []
 
-    def spy(coords, sub):
-        ok = real(coords, sub)
+    def unit_spy(coords):
+        planes.append(coords)
+        return real_unit(coords)
+
+    def spy(table, sub):
+        ok = real(table, sub)
         rejected.append(np.flatnonzero(~ok).size)
-        assert not anchor_0_accepts(coords, sub[:, ~ok])
+        for coords, passed in zip(planes[-1], ok):
+            assert not anchor_0_accepts(coords, sub[:, ~passed])
         return ok
 
-    with mock.patch.multiple(relu_sampling, _MIN_SPREAD_DET=spread, _spread_ok=spy):
+    with mock.patch.multiple(relu_sampling, _MIN_SPREAD_DET=spread, _spread_ok=spy,
+                             _unit_vectors=unit_spy):
         build_feasible_lines(g, seed)
     assert sum(n > 0 for n in rejected) >= 2
 
@@ -288,17 +302,18 @@ def test_spread_check_names_the_lapack_oracles_culprit_under_a_strict_margin(d, 
     assert sum(named is not None for _, named in rounds) >= 2
 
 
-@pytest.mark.parametrize("chunk", [1, 40, 1000])
+@pytest.mark.parametrize("block", [1, 40, 1000])
 @pytest.mark.parametrize("d, m, seed", [(3, 5, 2), (5, 2, 4)])
-def test_spread_check_in_blocks_names_the_lapack_oracles_culprit(monkeypatch, chunk, d, m, seed):
-    """Blocks of one subset, of a few that leave a partial last block, and of
-    a few hundred, under a margin that redraws lines; the lines are those of
-    one block."""
+def test_spread_check_in_blocks_names_the_lapack_oracles_culprit(monkeypatch, block, d, m, seed):
+    """Blocks of one subset (in every hyperplane), of a few that leave a
+    partial last block, and of a few hundred, under a margin that redraws
+    lines; the lines are those of one block."""
 
     g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
     monkeypatch.setattr(relu_sampling, "_MIN_SPREAD_DET", 3e-3)
+    monkeypatch.setattr(relu_sampling, "_SPREAD_BLOCK", 10 ** 9)
     whole = line_set_outcome(build_feasible_lines, g, seed)
-    monkeypatch.setattr(relu_sampling, "_CHUNK_FLOATS", chunk)
+    monkeypatch.setattr(relu_sampling, "_SPREAD_BLOCK", block)
     assert sum(named is not None for _, named in from_scratch_failures(g, seed)) >= 2
     assert line_set_outcome(build_feasible_lines, g, seed) == whole
 
@@ -314,7 +329,7 @@ def unit_rows(rows):
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        delta=st.sampled_from([0.0] + [10.0 ** -e for e in range(3, 16)]))
 def test_laplace_dets_are_within_the_slack_of_lapack(k, seed, delta):
@@ -346,25 +361,27 @@ def lapack_spreads(coords, sub):
 
 @pytest.mark.parametrize("d, m, seed", [(2, 3, 0), (3, 3, 1), (4, 3, 0), (5, 2, 4), (6, 2, 0)])
 def test_spread_check_at_a_margin_on_the_worst_lapack_determinant(d, m, seed):
-    """On an accepted line set's crossings in one hyperplane, a margin of
-    exactly the worst subset's best LAPACK |det| passes every subset, one ulp
-    more fails the subsets of that |det| alone (at d=2, every pair: |det| is
-    1), one ulp less passes: the fast values sit within the slack of the
-    margin, so every decision is LAPACK's."""
+    """On an accepted line set's crossings in all its hyperplanes at once, a
+    margin of exactly the worst (hyperplane, subset) entry's best LAPACK
+    |det| passes every entry, one ulp more fails the entries of that |det|
+    alone (at d=2, every pair of every hyperplane: |det| is 1), one ulp less
+    passes: the fast values sit within the slack of the margin, so every
+    decision is LAPACK's."""
 
     g, ls = seeded_line_set(d, m, seed)
     hyperplanes = relu_sampling._distinct_hyperplanes(g)
-    coords = (hyperplane_crossings(hyperplanes, ls)[:, 0, :]
-              @ np.linalg.svd(hyperplanes[0].a[None, :])[2][1:].T)
-    sub = relu_sampling._colex(len(coords), d)
-    exact = lapack_spreads(coords, sub)
-    worst = int(np.argmin(exact))
+    crossings = hyperplane_crossings(hyperplanes, ls)
+    coords = np.stack([crossings[:, k, :] @ np.linalg.svd(h.a[None, :])[2][1:].T
+                       for k, h in enumerate(hyperplanes)])
+    sub = relu_sampling._colex(len(crossings), d)
+    exact = np.stack([lapack_spreads(c, sub) for c in coords]).ravel()
+    worst = float(np.min(exact))
+    table = relu_sampling._unit_vectors(coords)
     outcomes = []
-    for margin in (np.nextafter(exact[worst], 0.0), exact[worst],
-                   np.nextafter(exact[worst], np.inf)):
+    for margin in (np.nextafter(worst, 0.0), worst, np.nextafter(worst, np.inf)):
         with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", float(margin)):
-            outcomes.append(np.flatnonzero(~relu_sampling._spread_ok(coords, sub)).tolist())
-    assert outcomes == [[], [], np.flatnonzero(exact == exact[worst]).tolist()]
+            outcomes.append(np.flatnonzero(~relu_sampling._spread_ok(table, sub)).tolist())
+    assert outcomes == [[], [], np.flatnonzero(exact == worst).tolist()]
 
 
 def mirrored_triples(order=(0, 1, 2, 3, 4, 5), shrink=1.0):
@@ -392,7 +409,7 @@ def test_spread_check_names_the_first_of_two_equal_determinants(order):
     coords, sub, exact = mirrored_triples(order)
     assert exact[0] == exact[1] < relu_sampling._MIN_SPREAD_DET
     every = relu_sampling._colex(6, 3)
-    assert np.sum(~relu_sampling._spread_ok(coords, every)) == 2
+    assert np.sum(~spread_ok(coords, every)) == 2
     crossings = np.concatenate([coords, np.zeros((6, 1))], axis=1)[:, None, :]
     named = relu_sampling._first_failure(crossings, [np.eye(3)[:2]], relu_sampling._colex(5, 2), 0)
     assert named == min(sub[-1])
@@ -418,12 +435,12 @@ def test_spread_check_decides_by_lapack_where_fast_values_swap_a_near_tie(monkey
         return minors
 
     monkeypatch.setattr(relu_sampling, "_laplace_minors", shifted)
-    assert relu_sampling._spread_ok(coords, sub).tolist() == [True, False]
+    assert spread_ok(coords, sub).tolist() == [True, False]
     best = np.max(fast, axis=0)
     assert best[0] < best[1] and np.max(np.abs(best - exact)) <= slack
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(d=st.integers(3, 6), n=st.integers(0, 4), far=st.floats(20.0, 1000.0),
        seed=st.integers(0, 2**32 - 1))
 def test_spread_check_accepts_what_the_first_point_check_accepts(d, n, far, seed):
@@ -439,11 +456,158 @@ def test_spread_check_accepts_what_the_first_point_check_accepts(d, n, far, seed
     coords = rng.uniform(-1.0, 1.0, size=(d + n, d - 1))
     coords[0] = far * unit_rows(rng.normal(size=d - 1))
     sub = relu_sampling._colex(d + n, d)
-    ok = relu_sampling._spread_ok(coords, sub)
+    ok = spread_ok(coords, sub)
     accepted = anchor_0_accepts(coords, sub)
     assert np.all(ok[accepted])
     if d >= 5 and far >= 600.0:
         assert not np.any(sub[0, accepted] == 0) and np.any(ok[sub[0] == 0])
+
+
+def round_inputs(rng, m, d):
+    """Random inputs of one round of the line check: (md, m, d) crossings,
+    each on its own hyperplane, the hyperplanes' orthonormal in-plane bases
+    and the colex table of the first md - 1 lines."""
+
+    normals = unit_rows(rng.normal(size=(m, d)))
+    crossings = rng.uniform(-2.0, 2.0, size=(m * d, m, d))
+    crossings -= ((np.einsum("lkd,kd->lk", crossings, normals) + rng.uniform(-1.0, 1.0, m))
+                  [..., None] * normals)
+    bases = [np.linalg.svd(a[None, :])[2][1:] for a in normals]
+    return crossings, bases, relu_sampling._colex(m * d - 1, d - 1)
+
+
+def plant_flat(rng, crossings, bases, k, last):
+    """Moves the crossings in hyperplane k of d lines, the last of them
+    ``last``, onto one random (d - 2)-flat of that hyperplane: that subset
+    fails (iii) in hyperplane k, and its d - 1-subsets stay spread."""
+
+    d = crossings.shape[2]
+    lines = np.append(rng.choice(last, d - 1, replace=False), last)
+    directions = rng.normal(size=(d - 2, d - 1)) @ bases[k]
+    crossings[lines, k] = crossings[lines[0], k] + rng.normal(size=(d, d - 2)) @ directions
+
+
+def plant_pair(rng, crossings, gap, i, j):
+    """Moves a crossing (j, h') to ``gap`` from a crossing (i, h), i < j, in
+    one coordinate c, with coordinate c of (i, h) set to 0 so that the
+    difference is exact; returns j."""
+
+    _, m, d = crossings.shape
+    h, c = rng.integers(m), rng.integers(d)
+    crossings[i, h, c] = 0.0
+    crossings[j, rng.integers(m)] = crossings[i, h] + gap * np.eye(d)[c]
+    return int(j)
+
+
+ROUND_PLANTS = ["at_sep", "below_sep", "tie", "reversed", "last_hyperplane", "later_in_0"]
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(shape=st.sampled_from([(2, 1), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3), (5, 2)]),
+       seed=st.integers(0, 2**32 - 1), start=st.integers(0, 19),
+       block=st.sampled_from([1, 5, relu_sampling._SPREAD_BLOCK]),
+       spread=st.sampled_from([relu_sampling._MIN_SPREAD_DET, 1e-2]),
+       plants=st.sets(st.sampled_from(ROUND_PLANTS)))
+@example(shape=(3, 2), seed=0, start=0, block=1, spread=1e-6, plants={"at_sep"})
+@example(shape=(3, 2), seed=0, start=0, block=1, spread=1e-6, plants={"below_sep"})
+@example(shape=(4, 3), seed=1, start=0, block=8192, spread=1e-6, plants={"tie"})
+@example(shape=(4, 3), seed=2, start=0, block=8192, spread=1e-6, plants={"reversed"})
+@example(shape=(3, 4), seed=3, start=0, block=8192, spread=1e-6, plants={"last_hyperplane"})
+@example(shape=(4, 3), seed=4, start=0, block=8192, spread=1e-6, plants={"later_in_0"})
+@example(shape=(5, 2), seed=5, start=3, block=1, spread=1e-6, plants={"later_in_0"})
+def test_round_check_names_the_line_of_the_per_hyperplane_check(shape, seed, start, block,
+                                                                spread, plants):
+    """One round of the line check names the line that the check it replaced
+    (``oracle_first_failure``: an all-pairs table for (ii), one spread pass
+    per hyperplane for (iii)) names, on random crossings and on planted
+    cases: a pair at exactly ``_MIN_POINT_SEP`` (not close) and one ulp
+    below it (close), pairs that tie in coordinate 0 but lie far apart,
+    close pairs whose coordinate-0 order is the reverse of their index
+    order, a spread failure in the last hyperplane alone, and one in
+    hyperplane 0 at a later line than one in hyperplane m - 1; in blocks of
+    one subset, of a few, and of the default size, under the default and a
+    strict spread margin.  A plant alone bites: the line named is at most
+    the planted line."""
+
+    d, m = shape
+    rng = np.random.default_rng(seed)
+    crossings, bases, head = round_inputs(rng, m, d)
+    n_lines = m * d
+    start %= n_lines
+    sep = relu_sampling._MIN_POINT_SEP
+    bound = n_lines
+    if "tie" in plants:
+        flat = crossings.reshape(-1, d)
+        a, b = rng.choice(len(flat), (2, len(flat) // 2))
+        flat[b, 0] = flat[a, 0]
+    # two pairs of lines, disjoint when there are four lines: a plant that
+    # zeroed coordinate c of the other's moved crossing could make it equal
+    # to that plant's fixed one
+    pairs = np.sort(rng.permutation(n_lines)[:4].reshape(-1, 2), axis=1)
+    if "at_sep" in plants:
+        plant_pair(rng, crossings, sep, *pairs[0])
+    if "below_sep" in plants:
+        bound = min(bound, plant_pair(rng, crossings, np.nextafter(sep, 0.0), *pairs[-1]))
+    if "reversed" in plants:
+        for i, j in np.sort(rng.choice(n_lines, (min(3, n_lines // 2), 2), replace=False)):
+            step = unit_rows(rng.normal(size=d)) * sep / 2.0
+            step[0] = -abs(step[0])
+            crossings[j, rng.integers(m)] = crossings[i, rng.integers(m)] + step
+            bound = min(bound, int(j))
+    if d >= 3:
+        lasts = np.sort(rng.choice(np.arange(d - 1, n_lines), 2, replace=False))
+        if "last_hyperplane" in plants:
+            plant_flat(rng, crossings, bases, m - 1, lasts[0])
+            bound = min(bound, max(int(lasts[0]), n_lines * (lasts[0] < start)))
+        if "later_in_0" in plants and m >= 2:
+            plant_flat(rng, crossings, bases, m - 1, lasts[0])
+            plant_flat(rng, crossings, bases, 0, lasts[1])
+            bound = min(bound, max(int(lasts[0]), n_lines * (lasts[0] < start)))
+    with mock.patch.multiple(relu_sampling, _SPREAD_BLOCK=block, _MIN_SPREAD_DET=spread):
+        named = relu_sampling._first_failure(crossings, bases, head, start)
+        assert named == oracle_first_failure(crossings, bases, head, start)
+    if len(plants) == 1:   # several plants may move each other's crossings
+        assert (n_lines if named is None else named) <= bound
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(shape=st.sampled_from([(2, 2), (2, 5), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)]),
+       seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1e-6, 3e-3, 2e-2]),
+       sep=st.sampled_from([1e-3, 0.05]))
+def test_feasible_lines_are_bit_identical_to_the_per_hyperplane_check(shape, seed, spread, sep):
+    """With the round check and the crossings it replaced
+    (``oracle_first_failure``, ``oracle_line_crossings``), the builder makes
+    the same lines bit for bit, or raises the same error after the same
+    draws, under margins that redraw lines at (ii) and (iii) and a retry
+    budget of 40 rounds that strict margins exhaust."""
+
+    d, m = shape
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+
+    def parent_crossings(line, A, B):
+        return oracle_line_crossings(line, [net_core.Hyperplane(a, b) for a, b in zip(A, B)])
+
+    with mock.patch.multiple(relu_sampling, _RETRY_BUDGET=40, _MIN_SPREAD_DET=spread,
+                             _MIN_POINT_SEP=sep):
+        outcome = line_set_outcome(build_feasible_lines, g, seed)
+        with mock.patch.multiple(relu_sampling, _first_failure=oracle_first_failure,
+                                 _line_crossings=parent_crossings):
+            assert line_set_outcome(build_feasible_lines, g, seed) == outcome
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(d=st.integers(1, 9), lines=st.integers(1, 12), n=st.integers(1, 40),
+       scale=st.floats(1e-3, 1e4), seed=st.integers(0, 2**32 - 1))
+def test_line_distances_are_the_per_line_distances(d, lines, n, scale, seed):
+    """The batched point-to-line distances of the plan's membership table
+    are bit for bit those of one line at a time."""
+
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d)) * scale
+    plan_lines = tuple(Line(rng.uniform(-1.0, 1.0, d) * scale, rng.uniform(-1.0, 1.0, d))
+                       for _ in range(lines))
+    expected = np.stack([_point_line_distances(points, ln) for ln in plan_lines], axis=1)
+    assert relu_sampling._line_distances(points, plan_lines).tobytes() == expected.tobytes()
 
 
 def test_feasible_lines_cardinality_and_crossings():
@@ -699,7 +863,7 @@ def test_reconstruct_caps_the_orientation_search_before_recovery(monkeypatch):
         reconstruct(sample_values(cross_net(), plan))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(d=st.sampled_from([2, 3]), pair=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
        t=st.floats(0.2, 0.8), factor=st.sampled_from([0.5, 2.0]),
        normal=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
@@ -735,7 +899,7 @@ def assert_proposes_every_flagged_pair(points, lines, tol=WIDE_TOL):
     return flagged
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(d=st.sampled_from([2, 3]), pair=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
        t=st.one_of(st.floats(-1.5, -0.2), st.floats(0.2, 0.8), st.floats(1.2, 2.5)),
        factor=st.sampled_from([0.5, 2.0]),
@@ -782,7 +946,7 @@ def anchored_triple(d, center, e, normal, near, delta):
     return plan, a, x, y, ctol
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(d=st.sampled_from([2, 3]), lines_through_a=st.sampled_from([1, 2]),
        near=st.floats(0.1, 1.0), delta=st.sampled_from([0.5, 0.9, 2.0]),
        center=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
@@ -830,7 +994,7 @@ def test_collinearity_check_finds_a_pair_past_an_exempt_entrys_window():
     assert flagged == {(1, 2)}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(d=st.sampled_from([2, 3]), index=st.integers(0, 10**6),
        factor=st.sampled_from([0.0, 0.5, 1.0, 1000.0]),
        shift=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
@@ -1080,7 +1244,7 @@ def planted_line(draw, steps):
     return t, values, kinds
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.integers(1, 9).flatmap(lambda steps: st.lists(planted_line(steps),
                                                         min_size=1, max_size=4)))
 def test_extract_breakpoints_merges_as_the_per_piece_polyfit_loop(batch):
@@ -1279,7 +1443,7 @@ def assert_recovers_as_the_oracle(crossings, tol=si.DEFAULT_TOL):
     return expected
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(shape=st.sampled_from([(d, m) for d in range(2, 6) for m in range(2, 7) if d * m <= 24]),
        seed=st.integers(0, 10**6), budget=st.floats(0.0, 1.2))
 def test_recover_hyperplanes_is_bit_identical_to_the_per_candidate_loop(shape, seed, budget):
@@ -1436,7 +1600,7 @@ def assert_recovers_as_the_seed_fit(crossings):
     return expected
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(shape=st.sampled_from([(d, m) for d in range(2, 6) for m in range(2, 8) if d * m <= 24]),
        seed=st.integers(0, 10**6))
 @example(shape=(2, 7), seed=3083)
@@ -1474,7 +1638,7 @@ def test_seed_survivors_drop_an_old_survivor_only_off_its_own_seeds():
     assert assert_screen_keeps_the_oracles_survivors(noisy, NOISY_TOL) == 1
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(shape=st.sampled_from([(d, m) for d in range(2, 6) for m in range(2, 8) if d * m <= 24]),
        seed=st.integers(0, 10**6), gap=st.sampled_from([0.0, 1e-9]))
 def test_seed_survivors_refit_ill_conditioned_tuples(shape, seed, gap):
@@ -1551,7 +1715,7 @@ def assert_screen_keeps_every_accepted_tuple(crossings, tol=si.DEFAULT_TOL):
         assert set(accepted.tolist()) <= set(survivors.tolist())
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(shape=st.sampled_from([(d, m) for d in range(1, 7) for m in range(2, 8)
                               if d * m <= 24 and m ** d <= 1024]),
        seed=st.integers(0, 10**6))

@@ -9,6 +9,7 @@ from shallowid import (HypothesisError, InvariantError, admissibility_violations
                        reduce_once)
 from shallowid.net_core import certificate_to_json_obj
 
+from conftest import examples
 from helpers import (cancelling_pairs_instance, clause_i_instance,
                      clause_ii_instance, clause_k1_ge_3_instance, dense_grid,
                      oracle_reducible, oracle_test_reducible,
@@ -146,7 +147,7 @@ def test_reduce_fully_never_increases_and_preserves_values():
         assert dev <= 1e-9
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_reduce_fully_gives_an_irreducible_equivalent_net(seed):
     net = random_structured_relu(np.random.default_rng(seed))

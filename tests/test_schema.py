@@ -20,6 +20,8 @@ from shallowid.analytic_id import analytic_plan_from_json_obj, analytic_plan_to_
 from shallowid.relu_sampling import (plan_from_json_obj, plan_to_json_obj,
                                      samples_from_json_obj, samples_to_json_obj)
 
+from conftest import examples
+
 # 1e999 parses to inf; 10**400 is an int that no float can hold
 BAD_VALUES = [True, False, None, "0.5", {}, float("nan"), float("inf"),
               float("-inf"), 1e999, 10 ** 400]
@@ -112,7 +114,7 @@ def error_location(err: ParseError) -> str:
 
 
 @pytest.mark.parametrize("name", ["net", "plan", "samples", "analytic"])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(data=st.data())
 def test_one_bad_field_is_a_parse_error(name, data):
     obj, parse, root, pinned = formats()[name]
@@ -133,7 +135,7 @@ def run_main(*argv):
     return code, json.loads(out.getvalue())["error"] if out.getvalue() else None
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(data=st.data())
 def test_adversary_points_file_with_one_bad_field_exits_3(data):
     with tempfile.TemporaryDirectory() as tmp:
