@@ -19,7 +19,7 @@ import numpy as np
 from . import schema
 from .errors import InputError, ParseError, SizeError
 from .net_core import ShallowNet, _duplicate_ridges, evaluate_many, make_net, test_equivalent
-from .numerics import subset_sums
+from .numerics import _row_blocks, subset_sums
 from .tolerances import DEFAULT_TOL, ZERO_TOL, ToleranceConfig
 
 _DEFAULT_PLAN_CAP = 1_000_000
@@ -128,7 +128,10 @@ def verify_identification(n1: ShallowNet, n2: ShallowNet, plan: AnalyticSamplePl
     """Compare two networks on the plan and against the equivalence decision.
     The plan gap is relative to the first network's largest value there.
     Agreement on the plan without equivalence is reported as a
-    numerical-saturation warning, never as a certificate."""
+    numerical-saturation warning, never as a certificate.  Both networks are
+    evaluated on one block of plan points at a time (numerics._row_blocks),
+    so the extra memory is one block whatever the plan's size, and the two
+    maxima are those of one evaluation over the whole plan."""
 
     _require_analytic(n1)
     _require_analytic(n2)
@@ -139,9 +142,13 @@ def verify_identification(n1: ShallowNet, n2: ShallowNet, plan: AnalyticSamplePl
     if n1.d != plan.d:
         raise InputError("plan was built for a different dimension",
                          plan_d=plan.d, d1=n1.d, d2=n2.d)
-    f1 = evaluate_many(n1, plan.points)
-    max_gap = float(np.max(np.abs(f1 - evaluate_many(n2, plan.points))))
-    equal_on_plan = max_gap <= tol.residual_tol * (1.0 + float(np.max(np.abs(f1))))
+    gaps, scales = [], []
+    for rows in _row_blocks(plan.size, max(plan.d, plan.m)):
+        f1 = evaluate_many(n1, plan.points[rows])
+        gaps.append(np.max(np.abs(f1 - evaluate_many(n2, plan.points[rows]))))
+        scales.append(np.max(np.abs(f1)))
+    max_gap = float(np.max(gaps))   # np.max, not max: a NaN in any block propagates
+    equal_on_plan = max_gap <= tol.residual_tol * (1.0 + float(np.max(scales)))
     warning = None
     if equal_on_plan and not equivalent:
         warning = ("networks agree on the plan but their canonical forms "
@@ -171,10 +178,15 @@ class ExpSumExpansion:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         alphas = np.asarray(self.exponents)
         coeffs = np.asarray(self.coefficients)
-        terms = np.multiply.outer(xs, alphas)    # one (len(xs), 2^n) buffer throughout
-        np.negative(terms, out=terms)
-        np.exp(terms, out=terms)
-        return terms @ coeffs
+        out = np.empty(xs.shape)
+        # one (block rows, 2^n) buffer per block of x values, reused in place
+        for rows in _row_blocks(len(xs), alphas.size * xs[:1].size):
+            terms = np.multiply.outer(xs[rows], alphas)
+            np.negative(terms, out=terms)
+            np.exp(terms, out=terms)
+            out[rows] = terms @ coeffs
+            del terms   # so that the next block's buffer replaces this one
+        return out
 
 
 def cleared_form_value(a, b, s, s0: float, x) -> np.ndarray:
@@ -214,15 +226,21 @@ def exp_sum_expansion(a, b, s, s0: float,
         raise InputError("ridge pairs must be distinct and non-opposite", pair=pairs[0])
 
     order = np.argsort(alphas, kind="stable")
-    raw = zip(alphas[order].tolist(), terms[order].tolist())
-    exponents: list[float] = []
-    coefficients: list[float] = []
-    for alpha, coeff in raw:
-        if exponents and alpha - exponents[-1] <= tol.match_tol:
-            coefficients[-1] += coeff
-        else:
-            exponents.append(alpha)
-            coefficients.append(coeff)
+    alphas, terms = alphas[order], terms[order]
+    exponents, coefficients = alphas.tolist(), terms.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        apart = bool(np.all(np.diff(alphas) > tol.match_tol))
+    # the loop's first merge is at the first gap <= match_tol, so when every
+    # gap is above it the sorted lists are already the result (a NaN gap keeps the loop)
+    if not apart:
+        raw = zip(exponents, coefficients)
+        exponents, coefficients = [], []
+        for alpha, coeff in raw:
+            if exponents and alpha - exponents[-1] <= tol.match_tol:
+                coefficients[-1] += coeff
+            else:
+                exponents.append(alpha)
+                coefficients.append(coeff)
     # a list of 2^n floats is slow to convert: read the coefficients only if terms merged
     merged = coefficients if len(coefficients) < alphas.size else []
     if not (np.isfinite(alphas).all() and np.isfinite(terms).all() and np.isfinite(merged).all()):

@@ -1,4 +1,5 @@
-"""Small dense linear-algebra plumbing: rank, affine fits, least squares, subset sums."""
+"""Small dense linear-algebra plumbing: rank, affine fits, least squares,
+subset sums and the row blocks that bound large evaluations."""
 
 from __future__ import annotations
 
@@ -9,7 +10,25 @@ from .net_core import _canonical_rows, _row_norms
 from .tolerances import RANK_TOL, ZERO_TOL
 
 SUBSET_CAP = 20
-_CHUNK_ENTRIES = 1 << 18  # subset sums screened at once, to bound memory
+_CHUNK_ENTRIES = 1 << 18  # numbers screened or evaluated at once, to bound memory
+
+
+def _row_blocks(rows: int, row_entries: int) -> list[slice]:
+    """Consecutive slices that cover range(rows) in order, each of at most
+    _CHUNK_ENTRIES numbers at ``row_entries`` numbers a row, but never under
+    8 rows.  Rows that fit in one block are one slice.  Otherwise every block
+    but the last has a multiple of 8 rows, and a last block of one row joins
+    the block before it: a matrix product may round a row differently in
+    another block shape, and these two rules keep each row's bits (checked
+    with one BLAS thread)."""
+
+    if rows * row_entries <= _CHUNK_ENTRIES:
+        return [slice(0, rows)]
+    step = max(8, _CHUNK_ENTRIES // row_entries // 8 * 8)
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [rows])]
 
 
 def _as_matrix(matrix) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Shared generators, the one-matrix affine fit, the brute-force
-reducibility, witness-search, orientation, exp-sum, plan-collinearity,
+reducibility, witness-search, orientation, exp-sum (expansion and one-call
+evaluation), one-call plan check, plan-collinearity,
 hyperplane-recovery, seed-screen, line-feasibility, rank, equivalence and
 pairwise grouping/admissibility oracles, the frame separating direction and
-the CLI runner."""
+the CLI and single-BLAS-thread runners."""
 
 from __future__ import annotations
 
@@ -47,6 +48,22 @@ def run_cli(*args, cwd=None):
         p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "shallowid", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_single_threaded(source):
+    """Run ``source`` in a child Python with one BLAS thread, where the
+    package and this directory import, and return its stdout.  Matrix
+    products can round differently at another thread count, so bit-for-bit
+    comparisons against a one-call oracle run here."""
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, str(Path(__file__).resolve().parent),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def random_irreducible_relu(rng, m, d, sep=5e-2):
@@ -468,6 +485,30 @@ def oracle_exp_sum_expansion(a, b, s, s0, tol=DEFAULT_TOL):
             exponents.append(alpha)
             coefficients.append(coeff)
     return ExpSumExpansion(tuple(exponents), tuple(coefficients))
+
+
+# The one-call evaluation that ExpSumExpansion.evaluate replaced with row
+# blocks: one (len(xs), 2^n) buffer for every x value at once.
+def oracle_exp_sum_evaluate(expansion, x):
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    terms = np.multiply.outer(xs, np.asarray(expansion.exponents))
+    np.negative(terms, out=terms)
+    np.exp(terms, out=terms)
+    return terms @ np.asarray(expansion.coefficients)
+
+
+# The one-call plan check that verify_identification replaced with row
+# blocks: both nets evaluated on every plan point at once (input checks left out).
+def oracle_verify_identification(n1, n2, plan, tol=DEFAULT_TOL):
+    equivalent = shallowid.test_equivalent(n1, n2, tol) is not None
+    f1 = evaluate_many(n1, plan.points)
+    max_gap = float(np.max(np.abs(f1 - evaluate_many(n2, plan.points))))
+    equal_on_plan = max_gap <= tol.residual_tol * (1.0 + float(np.max(np.abs(f1))))
+    warning = None
+    if equal_on_plan and not equivalent:
+        warning = ("networks agree on the plan but their canonical forms "
+                   "differ; float saturation can hide a genuine gap")
+    return shallowid.IdentificationReport(max_gap, equal_on_plan, equivalent, warning)
 
 
 # ---------------------------------------------------------------------------

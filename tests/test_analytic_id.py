@@ -1,18 +1,24 @@
+import ast
+import dataclasses
 import itertools
+import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import shallowid as si
-from shallowid import (InputError, admissibility_violations, build_analytic_plan,
+from shallowid import (InputError, admissibility_violations, analytic_id, build_analytic_plan,
                        cleared_form_value, evaluate_many, exp_sum_expansion,
-                       make_net, sigmoid_form, vandermonde_frame,
+                       make_net, numerics, sigmoid_form, vandermonde_frame,
                        verify_identification)
-from shallowid.tolerances import DEFAULT_TOL
+from shallowid.tolerances import DEFAULT_TOL, ToleranceConfig
 
-from helpers import (equivalent_analytic_variant, oracle_exp_sum_expansion,
-                     random_analytic_net, separating_direction)
+from helpers import (equivalent_analytic_variant, oracle_exp_sum_evaluate,
+                     oracle_exp_sum_expansion, oracle_verify_identification,
+                     random_analytic_net, run_single_threaded, separating_direction)
 
 
 def test_admissible_simple_sigmoid():
@@ -317,6 +323,26 @@ def test_exp_sum_merges_exponents_within_match_tol_as_the_mask_loop():
     assert len(expansion.exponents) < 16
 
 
+_DYADIC_TOL = ToleranceConfig(match_tol=2.0 ** -20)
+
+
+@pytest.mark.parametrize("tol, gap, merged", [
+    (DEFAULT_TOL, 1e-8, True),
+    (DEFAULT_TOL, np.nextafter(1e-8, 1.0), False),
+    # every subset sum of these directions is exact, so all four gaps of
+    # a[0] merge, or none does; 2^-53 is one ulp of the exponents in [0.5, 1)
+    (_DYADIC_TOL, 2.0 ** -20, True),
+    (_DYADIC_TOL, 2.0 ** -20 + 2.0 ** -53, False),
+])
+def test_exp_sum_merges_a_gap_of_exactly_match_tol_as_the_mask_loop(tol, gap, merged):
+    args = ([gap, 0.5, 0.25], [0.1, 0.2, 0.3], [1.0, -0.5, 2.0], 0.3)
+    expansion = exp_sum_expansion(*args, tol=tol)
+    assert expansion == oracle_exp_sum_expansion(*args, tol=tol)
+    assert (expansion.exponents[1] == gap) != merged
+    if tol is _DYADIC_TOL:
+        assert len(expansion.exponents) == (4 if merged else 8)
+
+
 def test_exp_sum_nonzero_scale_gives_nonzero_coefficient():
     rng = np.random.default_rng(18)
     for _ in range(30):
@@ -364,3 +390,134 @@ def test_exp_sum_size_cap():
     with pytest.raises(si.SizeError):
         exp_sum_expansion(np.arange(1, n + 1, dtype=float), np.zeros(n),
                           np.ones(n), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the analytic path in row blocks
+# ---------------------------------------------------------------------------
+
+_ORACLE_ENTRIES = 1 << 24  # the one-call oracle's (len(xs), 2^n) buffer, 128 MiB at most
+
+
+def evaluate_block_mismatches():
+    """(n, merged, x count) cases, n = 9..16, whose ExpSumExpansion.evaluate
+    differs in any bit from the one-call oracle, and the number of cases
+    evaluated in more than one block.  Cases whose oracle buffer would pass
+    _ORACLE_ENTRIES are left out: 1,000 x values at n = 15 and 16, 257 at 16.
+    A merged expansion has two equal directions."""
+
+    rng = np.random.default_rng(40)
+    mismatches, blocked = [], 0
+    for n, merged in itertools.product(range(9, 17), (False, True)):
+        a = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        if merged:  # 3 * 2^(n-2) exponents: a block's row count is then no power of 2
+            a[1] = a[0]
+        expansion = exp_sum_expansion(a, rng.uniform(-1.0, 1.0, n), rng.uniform(-2.0, 2.0, n),
+                                      rng.uniform(-1.0, 1.0))
+        for count in (1, 7, 8, 9, 33, 101, 257, 1000):
+            if count << n > _ORACLE_ENTRIES:
+                continue
+            xs = np.linspace(-1.0, 1.0, count)
+            blocked += len(numerics._row_blocks(count, len(expansion.exponents))) > 1
+            expected = oracle_exp_sum_evaluate(expansion, xs)
+            if expansion.evaluate(xs).tobytes() != expected.tobytes():
+                mismatches.append((n, merged, count))
+    return mismatches, blocked
+
+
+def verify_block_mismatches():
+    """(m, d, kind, budget) cases of verify_identification, m and d in 1..4,
+    whose report differs from the one-call oracle's, or whose values on the
+    plan, read block by block, differ in any bit from one evaluation of
+    each net over the whole plan; and the number of cases run in more than
+    one block.  Budgets below the default patch numerics._CHUNK_ENTRIES."""
+
+    rng = np.random.default_rng(41)
+    mismatches, blocked = [], 0
+    for m, d, kind in itertools.product(range(1, 5), range(1, 5), ("sigmoid", "tanh")):
+        net = random_analytic_net(rng, m, d, kind)
+        other = (equivalent_analytic_variant(rng, net) if rng.random() < 0.5
+                 else random_analytic_net(rng, m, d, kind))
+        plan = build_analytic_plan(m, d)
+        whole = [evaluate_many(n, plan.points).tobytes() for n in (net, other)]
+        for budget in (1 << 6, 1 << 9, 1 << 12, numerics._CHUNK_ENTRIES):
+            blocks = ([], [])
+
+            def spy(n, points):
+                values = evaluate_many(n, points)
+                blocks[n is other].append(values)
+                return values
+
+            with mock.patch.object(numerics, "_CHUNK_ENTRIES", budget), \
+                    mock.patch.object(analytic_id, "evaluate_many", spy):
+                report = verify_identification(net, other, plan)
+            blocked += len(blocks[0]) > 1
+            if (report != oracle_verify_identification(net, other, plan)
+                    or [np.concatenate(b).tobytes() for b in blocks] != whole):
+                mismatches.append((m, d, kind, budget))
+    return mismatches, blocked
+
+
+def test_evaluate_in_row_blocks_keeps_the_one_call_bits():
+    out = run_single_threaded("import test_analytic_id as t; print(t.evaluate_block_mismatches())")
+    mismatches, blocked = ast.literal_eval(out)
+    assert mismatches == []
+    assert blocked == 38   # the other cases are one block: the one call itself
+
+
+def test_verify_identification_in_row_blocks_keeps_the_one_call_bits():
+    out = run_single_threaded("import test_analytic_id as t; print(t.verify_block_mismatches())")
+    mismatches, blocked = ast.literal_eval(out)
+    assert mismatches == []
+    assert blocked == 62   # the cases whose plan takes more than one block of the budget
+
+
+def test_verify_identification_keeps_a_nan_of_any_block():
+    rng = np.random.default_rng(42)
+    net = random_analytic_net(rng, 2, 2, "sigmoid")
+    plan = build_analytic_plan(2, 2)
+    for row in (0, plan.size - 1):   # in the first and in the last of many blocks
+        points = plan.points.copy()
+        points[row, 0] = np.nan
+        bad = dataclasses.replace(plan, points=points)
+        with mock.patch.object(numerics, "_CHUNK_ENTRIES", 1 << 6):
+            report = verify_identification(net, net, bad)
+        assert math.isnan(report.max_gap) and not report.equal_on_plan
+        assert math.isnan(oracle_verify_identification(net, net, bad).max_gap)
+
+
+def test_evaluate_of_a_16_neuron_expansion_stays_small():
+    """expsum's identity check: 101 x values times 2^16 exponents would be one
+    53 MB buffer in one call."""
+
+    rng = np.random.default_rng(43)
+    a = rng.uniform(0.3, 2.0, 16) * rng.choice([-1.0, 1.0], 16)
+    expansion = exp_sum_expansion(a, rng.uniform(-1.0, 1.0, 16), rng.uniform(-2.0, 2.0, 16), 0.3)
+    xs = np.linspace(-1.0, 1.0, 101)
+    tracemalloc.start()
+    try:
+        values = expansion.evaluate(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (101,) and np.all(np.isfinite(values))
+    assert peak < 8 << 20
+
+
+def test_verify_identification_of_a_195584_point_plan_stays_small():
+    """d=2, m=5: one evaluation over the whole plan peaks at about 24 MiB of
+    hidden-layer values; the plan itself is built before tracing starts."""
+
+    rng = np.random.default_rng(44)
+    net = random_analytic_net(rng, 5, 2, "tanh")
+    other = equivalent_analytic_variant(rng, net)
+    plan = build_analytic_plan(5, 2)
+    assert plan.size == 195_584
+    tracemalloc.start()
+    try:
+        report = verify_identification(net, other, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.equal_on_plan and report.equivalent
+    assert peak < 12 << 20

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shallowid import InputError, SizeError, ToleranceConfig, numerics, rank, solve_least_squares
-from shallowid.numerics import SUBSET_CAP, _screen_subset_sums, affine_fits, subset_sums
+from shallowid.numerics import (SUBSET_CAP, _row_blocks, _screen_subset_sums, affine_fits,
+                                subset_sums)
 from shallowid.tolerances import RANK_TOL
 
 from conftest import examples
@@ -219,3 +220,25 @@ def test_screen_subset_sums_of_the_orientation_search_stays_small():
         tracemalloc.stop()
     assert masks.tolist() == [1 << 2 | 1 << 7 | 1 << 19]
     assert peak < 16 << 20
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(rows=st.integers(0, 3000), row_entries=st.integers(0, 5000),
+       chunk=st.integers(1, 1 << 12))
+def test_row_blocks_cover_the_rows_in_blocks_of_8_and_no_lone_last_row(rows, row_entries, chunk):
+    with mock.patch.object(numerics, "_CHUNK_ENTRIES", chunk):
+        blocks = _row_blocks(rows, row_entries)
+    assert all(b.step is None for b in blocks)
+    assert np.concatenate([np.arange(rows)[b] for b in blocks]).tolist() == list(range(rows))
+    sizes = [b.stop - b.start for b in blocks]
+    if rows * row_entries <= chunk:
+        assert sizes == [rows]
+    # no block holds a row past the budget, unless it has at most 9 rows
+    assert all(size <= 9 or (size - 1) * row_entries <= chunk for size in sizes)
+    if len(sizes) > 1:
+        step = sizes[0]
+        assert all(size == step for size in sizes[:-1])
+        # the largest multiple of 8 rows within the budget, or 8 rows
+        assert step % 8 == 0 and (step == 8 or step * row_entries <= chunk)
+        assert (step + 8) * row_entries > chunk
+        assert 1 < sizes[-1] <= step + 1
