@@ -93,22 +93,24 @@ def _distinct_hyperplanes(g: GroupedReLU) -> list[Hyperplane]:
     return [Hyperplane(u, b) for u, b in zip(U, beta.tolist())]
 
 
-def _line_crossings(line: Line, A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
-    """Crossing parameters of one line with every hyperplane (rows of the
-    stacked normals A and offsets B), or None when the line fails the
-    transversality / separation margins."""
+def _candidate_crossings(cands: np.ndarray, A: np.ndarray, B: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the candidate lines ``cands`` ((b, 2, d): rows u, v) pass the
+    transversality / separation margins against every hyperplane (rows of the
+    stacked normals A and offsets B), and the (b, m) crossing parameters of
+    those that do (the rows of the others are 0).  Each candidate gets the
+    bits of a test of it alone: sqrt(v . v) is ``np.linalg.norm(v)``, and
+    ``np.vecdot`` forms one dot product at a time."""
 
-    vnorm = float(np.linalg.norm(line.v))
-    if vnorm < _MIN_DIRECTION_NORM:
-        return None
-    denom = np.vecdot(A, line.v)
-    if np.any(np.abs(denom) < _MIN_TRANSVERSALITY * vnorm):
-        return None
-    params = -(np.vecdot(A, line.u) + B) / denom
-    gaps = np.diff(np.sort(params))
-    if gaps.size and float(np.min(gaps)) < _MIN_PARAM_GAP:
-        return None
-    return params
+    U, V = cands[:, 0], cands[:, 1]
+    vnorm = np.sqrt(np.vecdot(V, V))
+    denom = np.vecdot(V[:, None, :], A)
+    ok = (vnorm >= _MIN_DIRECTION_NORM) & np.all(
+        np.abs(denom) >= _MIN_TRANSVERSALITY * vnorm[:, None], axis=1)
+    params = np.zeros(denom.shape)
+    params[ok] = -(np.vecdot(U[ok, None, :], A) + B) / denom[ok]
+    ok[ok] = np.all(np.diff(np.sort(params[ok]), axis=1) >= _MIN_PARAM_GAP, axis=1)
+    return ok, params
 
 
 def _colex(n: int, r: int) -> np.ndarray:
@@ -126,50 +128,66 @@ def _colex(n: int, r: int) -> np.ndarray:
 
 
 @functools.cache
-def _masks_by_size(k: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """For r = 0..k, every mask of r of k bits with its set bits."""
+def _expansion_steps(k: int) -> tuple[tuple[tuple[int, ...], np.ndarray, np.ndarray], ...]:
+    """For r = 1..k: the masks of r of k bits in increasing order, and two
+    (r, C(k, r)) index arrays.  Entry (t, i) of the first is the t-th set
+    bit j of mask i; of the second, the place of mask i without bit j among
+    the masks of r - 1 bits."""
 
-    return tuple(tuple((s, tuple(j for j in range(k) if s >> j & 1)) for s in range(1 << k)
-                       if bin(s).count("1") == r) for r in range(k + 1))
+    levels = [[s for s in range(1 << k) if bin(s).count("1") == r] for r in range(k + 1)]
+    steps = []
+    for r in range(1, k + 1):
+        index = {s: i for i, s in enumerate(levels[r - 1])}
+        bits = [[j for j in range(k) if s >> j & 1] for s in levels[r]]
+        cols = np.array(bits).T
+        place = np.array([[index[s ^ 1 << j] for j in b] for s, b in zip(levels[r], bits)]).T
+        cols.setflags(write=False)
+        place.setflags(write=False)
+        steps.append((tuple(levels[r]), cols, place))
+    return tuple(steps)
 
 
-def _laplace_minors(rows) -> dict[int, np.ndarray]:
+def _alternating_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] - terms[1] + terms[2] - ..., summed in that order into terms[0]."""
+
+    acc = terms[0]
+    for t in range(1, len(terms)):
+        if t % 2:
+            acc -= terms[t]
+        else:
+            acc += terms[t]
+    return acc
+
+
+def _laplace_minors(rows: np.ndarray) -> dict[int, np.ndarray]:
     """Minors of C matrices of r rows and k columns on every r-subset of their
-    columns: ``rows`` yields r (k, C) arrays, and entry (j, c) of the i-th is
-    entry (i, j) of matrix c.  Returns, for each mask of r set bits (bit j for
+    columns: ``rows`` is an (r, k, C) array whose entry (i, j, c) is entry
+    (i, j) of matrix c.  Returns, for each mask of r set bits (bit j for
     column j), the (C,) minors on the columns of its set bits, all up to one
-    sign that depends on r alone.
+    sign that depends on r alone; for r = 0, the empty minor 1.
 
-    Laplace expansion along the rows: after row i, ``minors[mask]`` holds, for
-    every c, the minor of rows 0..i on the columns of ``mask``, and row i+1
-    expands each larger minor along its last row with alternating signs.
-    For a square matrix that is k * 2^(k-1) multiply-adds on contiguous (C,)
-    arrays."""
+    Laplace expansion along the rows: after row i, the minors hold, for
+    every c, the minor of rows 0..i on the columns of each mask, and row i+1
+    expands each larger minor along its last row with alternating signs,
+    all minors of one size at once.  For a square matrix that is
+    k * 2^(k-1) multiply-adds on (C,) arrays."""
 
-    rows = iter(rows)
-    minors = {1 << j: entry for j, entry in enumerate(next(rows))}
-    k = len(minors)
-    term = np.empty_like(minors[1])
-    for i, entries in enumerate(rows, 1):   # entries: (k, C), row i of every matrix
-        grown = {}
-        for mask, bits in _masks_by_size(k)[i + 1]:
-            acc = entries[bits[0]] * minors[mask ^ 1 << bits[0]]
-            for t, j in enumerate(bits[1:], 1):
-                np.multiply(entries[j], minors[mask ^ 1 << j], out=term)
-                if t % 2:
-                    acc -= term
-                else:
-                    acc += term
-            grown[mask] = acc
-        minors = grown
-    return minors
+    r, k, count = rows.shape
+    if r == 0:
+        return {0: np.ones(count)}
+    steps = _expansion_steps(k)
+    masks, minors = steps[0][0], rows[0]   # the minors of one row are its entries
+    for (masks, cols, place), entries in zip(steps[1:], rows[1:]):
+        minors = _alternating_sum(entries[cols] * minors[place])
+    return dict(zip(masks, minors))
 
 
+@functools.cache
 def _spread_slack(k: int) -> float:
     """A bound on |fast - LAPACK| for the |det| of a k x k matrix A whose rows
     are unit vectors (2-norm 1 up to rounding, so |a_ij| <= 1), where fast is
-    the full minor of ``_laplace_minors`` and LAPACK is ``np.linalg.det``, and
-    u = 2^-53.
+    the full minor of ``_laplace_minors`` on A's rows in any order, LAPACK is
+    ``np.linalg.det``, and u = 2^-53.
 
     * Laplace: each minor of r rows adds one product and r - 1 sums to the
       minors below it, so every monomial of the expansion carries at most
@@ -207,6 +225,33 @@ def _unit_vectors(coords: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(diff / dist[..., None], 3, 0))
 
 
+def _last_point_spreads(table: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """(m C,): the fast |det| of each (hyperplane, subset) entry of
+    ``_spread_ok`` from its subset's last point (row k of ``sub``): its rows
+    are the unit vectors to the points of rows k - 1, ..., 0 in that order,
+    and the expansion ends along the row to row 0.  The first k - 1 rows
+    depend on the subset's rows 1..k alone, so a node, a run of columns that
+    agree there with the column before, gets their ``_laplace_minors`` once;
+    each entry then expands along its last row: k gathers and k
+    multiply-adds.  The values are those of ``_laplace_minors`` on the k rows,
+    so they lie within ``_spread_slack(k)`` of LAPACK's."""
+
+    k, m, n, _ = table.shape
+    flat = table.reshape(k, m * n * n)
+    count = sub.shape[1]
+    edge = np.ones(count + 1, dtype=bool)   # where a node starts, and the end
+    np.any(sub[1:, 1:] != sub[1:, :-1], axis=0, out=edge[1:-1])
+    start = np.flatnonzero(edge)
+    plane = np.arange(0, m * n * n, n * n)[:, None]   # hyperplane h's block of the flat table
+    anchor = sub[k] * n   # the last point's row of each block
+    node = anchor[start[:-1]] + sub[k - 1:0:-1, start[:-1]]
+    middle = np.take(flat, plane + node[:, None], axis=1)   # (k, k - 1, m, nodes)
+    minors = _laplace_minors(middle.reshape(k, k - 1, m * (start.size - 1)).swapaxes(0, 1))
+    shared = np.stack([minors[(1 << k) - 1 ^ 1 << j] for j in range(k)]).reshape(k, m, -1)
+    last = np.take(flat, plane + (anchor + sub[0]), axis=1)
+    return np.abs(_alternating_sum(last * np.repeat(shared, np.diff(start), axis=2))).ravel()
+
+
 def _spread_ok(table: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """(m, C): whether each d-subset (a column of ``sub``) of each of m
     hyperplanes' n in-plane points affinely spans that hyperplane, given the
@@ -214,13 +259,19 @@ def _spread_ok(table: np.ndarray, sub: np.ndarray) -> np.ndarray:
     anchor point of the subset, the unit vectors to the other k must have
     LAPACK |determinant| at least ``_MIN_SPREAD_DET``.  The m C (hyperplane,
     subset) entries go through one pass: hyperplane h's pair indices are
-    offset by h n^2 into the flat table.  Fast values, from
-    ``_laplace_minors``, lie within ``_spread_slack(k)`` of LAPACK's.  Every
-    entry is anchored at its subset's first point; those still below the
-    margin plus the slack try the other anchors, and those whose best fast
-    value is within the slack of the margin get ``np.linalg.det`` from every
-    anchor.  Each entry's minors are elementwise and LAPACK takes one matrix
-    at a time, so an entry's decision does not depend on the others."""
+    offset by h n^2 into the flat table.
+
+    Every fast value, from any anchor and in any row order, lies within
+    ``_spread_slack(k)`` of that anchor's LAPACK |det|.  So a fast value of
+    at least the margin plus the slack passes an entry as LAPACK would, one
+    below the margin minus the slack fails that anchor, and an entry whose
+    best fast value is within the slack of the margin is decided by LAPACK
+    from every anchor: the decision does not depend on which anchors are
+    tried, or in which order.  Every entry is anchored at its subset's last
+    point (``_last_point_spreads``); those still below the margin plus the
+    slack try anchors 0..k-1.  Each entry's minors are elementwise and LAPACK
+    takes one matrix at a time, so an entry's decision does not depend on
+    the others."""
 
     k, m, n, _ = table.shape
     flat = table.reshape(k, m * n * n)
@@ -232,15 +283,12 @@ def _spread_ok(table: np.ndarray, sub: np.ndarray) -> np.ndarray:
         other = np.delete(rows, anchor, axis=0)[:, None]
         return (h * (n * n) + rows[anchor] * n + other).reshape(k, -1)
 
-    def fast(h, c, anchor):
-        minors = _laplace_minors(np.take(flat, r, axis=1) for r in pairs(h, c, anchor))
-        return np.abs(minors[(1 << k) - 1])
-
-    best = fast(np.arange(m)[:, None], np.arange(count), 0)   # entry h * count + c
+    best = _last_point_spreads(table, sub)   # entry h * count + c
     low = np.flatnonzero(best < _MIN_SPREAD_DET + slack)
-    for anchor in range(1, k + 1):
+    for anchor in range(k):
         if low.size:
-            best[low] = np.maximum(best[low], fast(*np.divmod(low, count), anchor))
+            rows = np.take(flat, pairs(*np.divmod(low, count), anchor), axis=1).swapaxes(0, 1)
+            best[low] = np.maximum(best[low], np.abs(_laplace_minors(rows)[(1 << k) - 1]))
             low = low[best[low] < _MIN_SPREAD_DET + slack]
     near = low[best[low] >= _MIN_SPREAD_DET - slack]
     if near.size:
@@ -249,7 +297,7 @@ def _spread_ok(table: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return (best >= _MIN_SPREAD_DET).reshape(m, count)
 
 
-def _first_failure(crossings: np.ndarray, bases: list[np.ndarray], head: np.ndarray,
+def _first_failure(crossings: np.ndarray, bases: np.ndarray, head: np.ndarray,
                    start: int) -> int | None:
     """The first line f that fails (ii), a crossing within ``_MIN_POINT_SEP``
     of one of a line up to f, or (iii), a d-subset of lines with last line f
@@ -314,7 +362,16 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
     a round tests the subsets whose last line is p or later, and a redraw of
     line f sets p to f.  A set that passes with no such redraw is bit for bit
     the one a check from each subset's first point alone accepts.  Over
-    ``_SPREAD_ENTRIES_CAP`` subset tests per pass raise SizeError."""
+    ``_SPREAD_ENTRIES_CAP`` subset tests per pass raise SizeError.
+
+    Candidate lines are drawn in batches from one random stream: to fill k
+    empty lines, one ``rng.uniform(-1, 1, size=(k, 2, d))`` draws k
+    candidates (u, then v), tested at once by ``_candidate_crossings``, and
+    each that passes fills the next empty line.  Filling k lines takes at
+    least k candidates, so the stream, the lines and the count of draws are
+    those of drawing one candidate at a time; a line that rejects
+    ``_RETRY_BUDGET`` candidates in a row, or a draw past
+    ``_TOTAL_DRAW_CAP``, raises ConstructionError."""
 
     hyperplanes = _distinct_hyperplanes(g)
     m = len(hyperplanes)
@@ -331,50 +388,50 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
 
     rng = np.random.default_rng(seed)
     n_lines = m * d
-    lines: list[Line] = [None] * n_lines  # type: ignore[list-item]
-    params: list[np.ndarray] = [None] * n_lines  # type: ignore[list-item]
+    ends = np.empty((n_lines, 2, d))   # u, v of each line
+    params = np.empty((n_lines, m))
     draws = 0
-    bases = [np.linalg.svd(h.a[None, :])[2][1:] for h in hyperplanes]   # in-plane, orthonormal
     A = np.stack([h.a for h in hyperplanes])
     B = np.array([h.b for h in hyperplanes])
+    bases = np.linalg.svd(A[:, None, :])[2][:, 1:]   # in-plane, orthonormal
     head = _colex(n_lines - 1, d - 1)
 
-    def draw(j: int) -> None:
+    def fill(slots: list[int]) -> None:   # draws the lines ``slots``, in order
         nonlocal draws
-        for _ in range(_RETRY_BUDGET):
-            draws += 1
-            if draws > _TOTAL_DRAW_CAP:
-                break
-            cand = Line(rng.uniform(-1.0, 1.0, size=d), rng.uniform(-1.0, 1.0, size=d))
-            w = _line_crossings(cand, A, B)
-            if w is not None:
-                lines[j], params[j] = cand, w
-                return
-        raise ConstructionError(
-            "line construction exhausted its retry budget; tolerances or the "
-            "network geometry are pathological", draws=draws)
+        tries = 0   # candidates rejected for slots[0]
+        while slots:
+            cands = rng.uniform(-1.0, 1.0, size=(len(slots), 2, d))
+            for cand, passed, w in zip(cands, *_candidate_crossings(cands, A, B)):
+                draws += 1
+                tries = 0 if passed else tries + 1
+                if draws > _TOTAL_DRAW_CAP or tries == _RETRY_BUDGET:
+                    raise ConstructionError(
+                        "line construction exhausted its retry budget; tolerances or the "
+                        "network geometry are pathological", draws=draws)
+                if passed:
+                    ends[slots[0]], params[slots[0]] = cand, w
+                    slots = slots[1:]
 
-    for j in range(n_lines):
-        draw(j)
-
+    fill(list(range(n_lines)))
     p = 0
     for _ in range(_RETRY_BUDGET):
         # (i) directions span the whole space
-        if rank(np.stack([ln.v for ln in lines])) != d:
-            draw(0)
+        if rank(ends[:, 1]) != d:
+            fill([0])
             p = 0
             continue
-        crossings = np.stack([ln.points_at(w) for ln, w in zip(lines, params)])
+        crossings = ends[:, None, 0] + params[:, :, None] * ends[:, None, 1]   # Line.points_at
         p = _first_failure(crossings, bases, head, p)
         if p is None:
             break
-        draw(p)
+        fill([p])
     else:
         raise ConstructionError(
             "feasibility conditions could not be met within the retry budget",
             draws=draws)
 
-    return FeasibleLineSet(tuple(lines), tuple(tuple(np.sort(w).tolist()) for w in params))
+    return FeasibleLineSet(tuple(Line(u, v) for u, v in ends),
+                           tuple(map(tuple, np.sort(params).tolist())))
 
 
 def _line_distances(points: np.ndarray, lines: tuple[Line, ...]) -> np.ndarray:

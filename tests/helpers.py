@@ -1067,6 +1067,93 @@ def oracle_line_crossings(line, hyperplanes):
     return params
 
 
+# The Laplace minors that relu_sampling._laplace_minors replaced: one array
+# per mask, expanded term by term.
+def oracle_laplace_minors(rows):
+    """For r >= 1 rows (each a (k, C) array), the minors of the C matrices
+    on every r-subset of their k columns, keyed by column mask."""
+
+    rows = iter(rows)
+    minors = {1 << j: entry for j, entry in enumerate(next(rows))}
+    k = len(minors)
+    for i, entries in enumerate(rows, 1):
+        grown = {}
+        for mask in range(1 << k):
+            bits = [j for j in range(k) if mask >> j & 1]
+            if len(bits) != i + 1:
+                continue
+            acc = entries[bits[0]] * minors[mask ^ 1 << bits[0]]
+            for t, j in enumerate(bits[1:], 1):
+                term = entries[j] * minors[mask ^ 1 << j]
+                if t % 2:
+                    acc -= term
+                else:
+                    acc += term
+            grown[mask] = acc
+        minors = grown
+    return minors
+
+
+# The crossings of one candidate line that relu_sampling._candidate_crossings
+# replaced: one candidate per call, against the stacked normals.
+def oracle_stacked_line_crossings(line, A, B):
+    """Crossing parameters of one line with every hyperplane (rows of the
+    stacked normals A and offsets B), or None when the line fails the
+    transversality / separation margins."""
+
+    vnorm = float(np.linalg.norm(line.v))
+    if vnorm < relu_sampling._MIN_DIRECTION_NORM:
+        return None
+    denom = np.vecdot(A, line.v)
+    if np.any(np.abs(denom) < relu_sampling._MIN_TRANSVERSALITY * vnorm):
+        return None
+    params = -(np.vecdot(A, line.u) + B) / denom
+    gaps = np.diff(np.sort(params))
+    if gaps.size and float(np.min(gaps)) < relu_sampling._MIN_PARAM_GAP:
+        return None
+    return params
+
+
+# The spread pass that relu_sampling._spread_ok replaced: every entry is
+# first anchored at its subset's first point, with a full Laplace expansion
+# per entry.  Margins are read from relu_sampling.
+def oracle_first_point_spread_ok(table, sub):
+    """(m, C): whether each d-subset (a column of ``sub``) of each of m
+    hyperplanes' in-plane points affinely spans that hyperplane, given the
+    points' ``_unit_vectors`` ``table`` (k = d - 1, m, n, n).  Every entry is
+    anchored at its subset's first point; those still below the margin plus
+    ``_spread_slack(k)`` try the other anchors, and those whose best fast
+    value is within the slack of the margin get ``np.linalg.det`` from every
+    anchor."""
+
+    k, m, n, _ = table.shape
+    flat = table.reshape(k, m * n * n)
+    count = sub.shape[1]
+    slack = relu_sampling._spread_slack(k)
+    margin = relu_sampling._MIN_SPREAD_DET
+
+    def pairs(h, c, anchor):   # flat (anchor, other point) indices, one row per other point
+        rows = np.take(sub, c, axis=1)
+        other = np.delete(rows, anchor, axis=0)[:, None]
+        return (h * (n * n) + rows[anchor] * n + other).reshape(k, -1)
+
+    def fast(h, c, anchor):
+        rows = np.take(flat, pairs(h, c, anchor), axis=1).swapaxes(0, 1)
+        return np.abs(relu_sampling._laplace_minors(rows)[(1 << k) - 1])
+
+    best = fast(np.arange(m)[:, None], np.arange(count), 0)   # entry h * count + c
+    low = np.flatnonzero(best < margin + slack)
+    for anchor in range(1, k + 1):
+        if low.size:
+            best[low] = np.maximum(best[low], fast(*np.divmod(low, count), anchor))
+            low = low[best[low] < margin + slack]
+    near = low[best[low] >= margin - slack]
+    if near.size:
+        best[near] = np.max([np.abs(np.linalg.det(flat.T[pairs(*np.divmod(near, count), a).T]))
+                             for a in range(k + 1)], axis=0)
+    return (best >= margin).reshape(m, count)
+
+
 # The round check that relu_sampling._first_failure and _spread_ok replaced:
 # an all-pairs distance table for (ii), and for (iii) one _spread_ok call
 # per hyperplane and block, each building its own subset table and unit
@@ -1092,8 +1179,8 @@ def oracle_spread_ok(coords, sub):
         return rows[anchor] * n + np.delete(rows, anchor, axis=0)
 
     def fast(cols, anchor):
-        minors = relu_sampling._laplace_minors(np.take(table, r, axis=1)
-                                               for r in pairs(cols, anchor))
+        minors = relu_sampling._laplace_minors(
+            np.take(table, pairs(cols, anchor), axis=1).swapaxes(0, 1))
         return np.abs(minors[(1 << k) - 1])
 
     best = fast(np.arange(sub.shape[1]), 0)
@@ -1175,7 +1262,7 @@ def oracle_spread_culprit(coords, members, stale, dets):
         block = redo[start:start + step]
         sub = np.take(members, block, axis=1)   # contiguous rows, unlike members[:, block]
         pair = sub[0] * n + sub[1:]   # flat indices of (first, other) point pairs
-        minors = relu_sampling._laplace_minors(np.take(table, r, axis=1) for r in pair)
+        minors = relu_sampling._laplace_minors(np.take(table, pair, axis=1).swapaxes(0, 1))
         dets[block] = np.abs(minors[(1 << len(table)) - 1])
     stale[:] = False
     slack = relu_sampling._spread_slack(len(table))

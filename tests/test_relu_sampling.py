@@ -23,11 +23,12 @@ from conftest import examples
 from helpers import (_point_line_distances, oracle_build_feasible_lines,
                      oracle_build_sample_plan, oracle_collinear_candidates,
                      oracle_collinearity_ok, oracle_extract_breakpoints, oracle_first_failing_line,
-                     oracle_first_failure, oracle_flagged_pairs, oracle_line_crossings,
-                     oracle_orientation, oracle_plane_fits, oracle_recover_hyperplanes,
-                     oracle_refit_screen, oracle_seed_fit_recovery, oracle_seed_survivors,
-                     oracle_spread_culprit, oracle_two_sided_collinearity_ok,
-                     random_irreducible_relu)
+                     oracle_first_failure, oracle_first_point_spread_ok, oracle_flagged_pairs,
+                     oracle_laplace_minors, oracle_line_crossings, oracle_orientation,
+                     oracle_plane_fits,
+                     oracle_recover_hyperplanes, oracle_refit_screen, oracle_seed_fit_recovery,
+                     oracle_seed_survivors, oracle_spread_culprit, oracle_stacked_line_crossings,
+                     oracle_two_sided_collinearity_ok, random_irreducible_relu)
 
 
 def cross_net():
@@ -153,7 +154,7 @@ def hyperplane_crossings(hyperplanes, ls):
     """(lines, m, d) crossings of a line set, in hyperplane order."""
 
     A, B = np.stack([h.a for h in hyperplanes]), np.array([h.b for h in hyperplanes])
-    return np.stack([ln.points_at(relu_sampling._line_crossings(ln, A, B)) for ln in ls.lines])
+    return np.stack([ln.points_at(oracle_stacked_line_crossings(ln, A, B)) for ln in ls.lines])
 
 
 @pytest.mark.parametrize("d, m, seed", [(5, 4, 1), (4, 6, 0), (6, 3, 0)])
@@ -346,6 +347,45 @@ def test_laplace_dets_are_within_the_slack_of_lapack(k, seed, delta):
     assert np.all(np.abs(diff) <= relu_sampling._spread_slack(k))
 
 
+@settings(max_examples=examples(60), deadline=None)
+@given(k=st.integers(1, 6), r=st.integers(0, 6), count=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_laplace_minors_are_the_per_mask_expansion(k, r, count, seed):
+    """Each level's minors, formed for all masks at once, are bit for bit
+    those of one mask at a time (``oracle_laplace_minors``); no rows give
+    the empty minor, 1."""
+
+    rows = np.random.default_rng(seed).normal(size=(min(r, k), k, count))
+    minors = relu_sampling._laplace_minors(rows)
+    if not len(rows):
+        assert minors.keys() == {0} and minors[0].tolist() == [1.0] * count
+        return
+    expected = oracle_laplace_minors(rows)
+    assert minors.keys() == expected.keys()
+    assert all(minors[mask].tobytes() == expected[mask].tobytes() for mask in expected)
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(k=st.integers(1, 5), m=st.integers(1, 3), extra=st.integers(0, 3),
+       shuffle=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_last_point_spreads_are_the_full_expansion_from_the_last_point(k, m, extra, shuffle,
+                                                                       seed):
+    """The first pass's value of each entry, with minors shared along runs
+    of columns, is bit for bit the full Laplace expansion of the unit
+    vectors from the subset's last point to rows k - 1, ..., 0, so the
+    slack of ``_spread_slack(k)`` holds for it."""
+
+    rng = np.random.default_rng(seed)
+    n = k + 1 + extra
+    table = relu_sampling._unit_vectors(rng.uniform(-1.0, 1.0, size=(m, n, k)))
+    sub = relu_sampling._colex(n, k + 1)
+    if shuffle:
+        sub = np.ascontiguousarray(sub[:, rng.permutation(sub.shape[1])])
+    rows = table[:, :, sub[k], sub[::-1][1:]]   # (k components, m, k rows, C)
+    full = oracle_laplace_minors(rows.transpose(2, 0, 1, 3).reshape(k, k, -1))[(1 << k) - 1]
+    assert relu_sampling._last_point_spreads(table, sub).tobytes() == np.abs(full).tobytes()
+
+
 def lapack_spreads(coords, sub):
     """LAPACK's |det| of each subset (the columns of ``sub``) from its best
     anchor, on the unit vectors ``_spread_ok`` forms."""
@@ -419,23 +459,34 @@ def test_spread_check_decides_by_lapack_where_fast_values_swap_a_near_tie(monkey
     """The mirror image's |det| is smaller by about 4e-16, and the margin
     lies between the two.  Fast values moved by 0.7 slack in opposite
     directions, which stay within the slack of LAPACK's, rank the first
-    triple lower; LAPACK passes it and fails its mirror image all the same."""
+    triple lower; LAPACK passes it and fails its mirror image all the same.
+    The values are moved where they are formed: by the first pass, from
+    each subset's last point, and as the full minors of the other anchors."""
 
     coords, sub, exact = mirrored_triples(shrink=1 - 2e-8)
     slack = relu_sampling._spread_slack(2)
     assert exact[1] < exact[0] < exact[1] + slack / 4
     monkeypatch.setattr(relu_sampling, "_MIN_SPREAD_DET", float(np.mean(exact)))
-    real = relu_sampling._laplace_minors
+    real_first, real_minors = relu_sampling._last_point_spreads, relu_sampling._laplace_minors
     fast = []
 
-    def shifted(rows):
-        minors = real(rows)
-        minors[3] = np.abs(minors[3]) + [-0.7 * slack, 0.7 * slack]
-        fast.append(minors[3])
-        return minors
+    def shifted(values):
+        fast.append(np.abs(values) + [-0.7 * slack, 0.7 * slack])
+        return fast[-1]
 
-    monkeypatch.setattr(relu_sampling, "_laplace_minors", shifted)
+    def first_pass(table, sub):
+        return shifted(real_first(table, sub))
+
+    def minors(rows):
+        found = real_minors(rows)
+        if len(rows) == 2:   # a full 2 x 2 minor, not the first pass's one row
+            found[3] = shifted(found[3])
+        return found
+
+    monkeypatch.setattr(relu_sampling, "_last_point_spreads", first_pass)
+    monkeypatch.setattr(relu_sampling, "_laplace_minors", minors)
     assert spread_ok(coords, sub).tolist() == [True, False]
+    assert len(fast) == 3   # the last point, then anchors 0 and 1
     best = np.max(fast, axis=0)
     assert best[0] < best[1] and np.max(np.abs(best - exact)) <= slack
 
@@ -461,6 +512,45 @@ def test_spread_check_accepts_what_the_first_point_check_accepts(d, n, far, seed
     assert np.all(ok[accepted])
     if d >= 5 and far >= 600.0:
         assert not np.any(sub[0, accepted] == 0) and np.any(ok[sub[0] == 0])
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(k=st.integers(1, 5), m=st.integers(1, 3), extra=st.integers(0, 3),
+       far=st.floats(20.0, 1000.0), order=st.sampled_from(["colex", "columns", "rows"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(k=1, m=2, extra=3, far=20.0, order="colex", seed=0)
+@example(k=4, m=2, extra=3, far=900.0, order="colex", seed=1)
+@example(k=5, m=1, extra=2, far=50.0, order="columns", seed=2)
+def test_spread_check_decides_every_entry_as_the_first_point_pass(k, m, extra, far, order, seed):
+    """In-plane points of m hyperplanes, the first of each planted ``far``
+    away: the pass from each subset's last point, with minors shared along
+    runs of columns, decides every (hyperplane, subset) entry as the pass
+    from each subset's first point that it replaced
+    (``oracle_first_point_spread_ok``).  Under the default margin, and at
+    margins set at entries' best LAPACK |det| and one ulp either side; with
+    the subsets in colex order, in shuffled column order, and with each
+    column's points shuffled too."""
+
+    rng = np.random.default_rng(seed)
+    d, n = k + 1, k + 1 + extra
+    coords = rng.uniform(-1.0, 1.0, size=(m, n, k))
+    coords[:, 0] = far * unit_rows(rng.normal(size=(m, k)))
+    sub = relu_sampling._colex(n, d)
+    if order != "colex":
+        sub = sub[:, rng.permutation(sub.shape[1])]
+    if order == "rows":
+        sub = rng.permuted(sub, axis=0)
+    sub = np.ascontiguousarray(sub)
+    table = relu_sampling._unit_vectors(coords)
+    exact = np.concatenate([lapack_spreads(c, sub) for c in coords])
+    margins = [relu_sampling._MIN_SPREAD_DET]
+    for value in rng.choice(exact, 2):
+        margins += [np.nextafter(value, 0.0), value, np.nextafter(value, np.inf)]
+    for margin in margins:
+        with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", float(margin)):
+            ok = relu_sampling._spread_ok(table, sub)
+            assert ok.tolist() == oracle_first_point_spread_ok(table, sub).tolist()
+            assert ok.ravel().tolist() == (exact >= margin).tolist()
 
 
 def round_inputs(rng, m, d):
@@ -575,24 +665,127 @@ def test_round_check_names_the_line_of_the_per_hyperplane_check(shape, seed, sta
        seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1e-6, 3e-3, 2e-2]),
        sep=st.sampled_from([1e-3, 0.05]))
 def test_feasible_lines_are_bit_identical_to_the_per_hyperplane_check(shape, seed, spread, sep):
-    """With the round check and the crossings it replaced
-    (``oracle_first_failure``, ``oracle_line_crossings``), the builder makes
-    the same lines bit for bit, or raises the same error after the same
-    draws, under margins that redraw lines at (ii) and (iii) and a retry
-    budget of 40 rounds that strict margins exhaust."""
+    """With the round check it replaced (``oracle_first_failure``), and
+    candidates tested one at a time by the crossings that check used
+    (``oracle_line_crossings``), the builder makes the same lines bit for
+    bit, or raises the same error after the same draws, under margins that
+    redraw lines at (ii) and (iii) and a retry budget of 40 rounds that
+    strict margins exhaust."""
 
     d, m = shape
     g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    tested = []
 
-    def parent_crossings(line, A, B):
-        return oracle_line_crossings(line, [net_core.Hyperplane(a, b) for a, b in zip(A, B)])
+    def one_at_a_time(cands, A, B):
+        hyperplanes = [net_core.Hyperplane(a, b) for a, b in zip(A, B)]
+        found = [oracle_line_crossings(Line(u, v), hyperplanes) for u, v in cands]
+        tested.append(len(found))
+        return (np.array([w is not None for w in found]),
+                np.array([np.zeros(m) if w is None else w for w in found]))
 
     with mock.patch.multiple(relu_sampling, _RETRY_BUDGET=40, _MIN_SPREAD_DET=spread,
                              _MIN_POINT_SEP=sep):
         outcome = line_set_outcome(build_feasible_lines, g, seed)
         with mock.patch.multiple(relu_sampling, _first_failure=oracle_first_failure,
-                                 _line_crossings=parent_crossings):
+                                 _candidate_crossings=one_at_a_time):
             assert line_set_outcome(build_feasible_lines, g, seed) == outcome
+    assert sum(tested) >= m * d
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(d=st.integers(2, 6), m=st.integers(1, 8), count=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_candidate_crossings_are_the_per_candidate_bits(d, m, count, seed):
+    """Each candidate of a batch passes exactly when a test of it alone
+    (``oracle_stacked_line_crossings``) passes, with the same crossing
+    parameters bit for bit."""
+
+    rng = np.random.default_rng(seed)
+    A, B = unit_rows(rng.normal(size=(m, d))), rng.uniform(-1.0, 1.0, m)
+    cands = rng.uniform(-1.0, 1.0, size=(count, 2, d))
+    for cand, passed, w in zip(cands, *relu_sampling._candidate_crossings(cands, A, B)):
+        alone = oracle_stacked_line_crossings(Line(*cand), A, B)
+        assert passed == (alone is not None)
+        if passed:
+            assert w.tobytes() == alone.tobytes()
+
+
+def test_candidate_crossings_reject_at_every_margin():
+    """The batches of the test above meet every rejection: a short
+    direction, a nearly parallel hyperplane and two close crossings."""
+
+    rng = np.random.default_rng(0)
+    A, B = unit_rows(rng.normal(size=(8, 2))), rng.uniform(-1.0, 1.0, 8)
+    cands = rng.uniform(-1.0, 1.0, size=(400, 2, 2))
+    ok, _ = relu_sampling._candidate_crossings(cands, A, B)
+    vnorm = np.linalg.norm(cands[:, 1], axis=1)
+    short = vnorm < relu_sampling._MIN_DIRECTION_NORM
+    parallel = ~short & np.any(np.abs(cands[:, 1] @ A.T)
+                               < relu_sampling._MIN_TRANSVERSALITY * vnorm[:, None], axis=1)
+    close = ~ok & ~short & ~parallel
+    assert ok.any() and short.any() and parallel.any() and close.any()
+    assert not np.any(ok & (short | parallel))
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(shape=st.sampled_from([(2, 3), (2, 6), (3, 2), (3, 4), (4, 3)]),
+       seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 4), extra=st.integers(-2, 12))
+@example(shape=(2, 6), seed=0, budget=2, extra=12)
+@example(shape=(2, 6), seed=0, budget=4, extra=2)
+def test_feasible_lines_raise_as_the_oracle_under_small_budgets(shape, seed, budget, extra):
+    """With a retry budget of a few candidates per line (and as many
+    rounds) and a draw cap near md, the builder makes the lines of the
+    per-candidate build it replaced (``oracle_build_feasible_lines``), or
+    raises the same error after the same draws, wherever that build redraws
+    no line at check (ii) or (iii)."""
+
+    d, m = shape
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    redraws = []
+    with mock.patch.multiple(relu_sampling, _RETRY_BUDGET=budget,
+                             _TOTAL_DRAW_CAP=m * d + extra):
+        expected = line_set_outcome(functools.partial(oracle_build_feasible_lines,
+                                                      redraws=redraws), g, seed)
+        outcome = line_set_outcome(build_feasible_lines, g, seed)
+    if not redraws:
+        assert outcome == expected
+
+
+@pytest.mark.parametrize("budget, extra, draws",
+                         [(1, 12, 3), (2, 12, 6), (1000, 2, 15), (1000, -1, 12)])
+def test_feasible_lines_raise_after_the_draw_that_exhausts_a_budget(budget, extra, draws):
+    """d=2, m=6, seed 0: the candidates of the first batch of 12 are
+    accepted, accepted, rejected (draw 3), accepted, then rejected eight
+    times, so a budget of one reject per line raises at draw 3 and one of
+    two at draw 6.  The twelfth line is accepted at draw 23, so a cap of md +
+    2 raises at draw md + 3, and one of md - 1 at draw md."""
+
+    g = group(random_irreducible_relu(np.random.default_rng(0), 6, 2))
+    with mock.patch.multiple(relu_sampling, _RETRY_BUDGET=budget, _TOTAL_DRAW_CAP=12 + extra):
+        with pytest.raises(ConstructionError, match="exhausted its retry budget") as err:
+            build_feasible_lines(g, 0)
+    assert err.value.details == {"draws": draws}
+
+
+@settings(max_examples=examples(20), deadline=None)
+@given(shape=st.sampled_from([(2, 1), (2, 5), (3, 3), (4, 2), (5, 2), (6, 2)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_feasible_lines_use_the_per_hyperplane_in_plane_bases(shape, seed):
+    """The builder's in-plane bases, from one stacked SVD, are bit for bit
+    the SVD of each hyperplane's normal alone."""
+
+    d, m = shape
+    g = group(random_irreducible_relu(np.random.default_rng(seed), m, d))
+    real, seen = relu_sampling._first_failure, []
+
+    def spy(crossings, bases, head, start):
+        seen.append(bases)
+        return real(crossings, bases, head, start)
+
+    with mock.patch.object(relu_sampling, "_first_failure", spy):
+        build_feasible_lines(g, seed)
+    for basis, h in zip(seen[0], relu_sampling._distinct_hyperplanes(g), strict=True):
+        assert basis.tobytes() == np.linalg.svd(h.a[None, :])[2][1:].tobytes()
 
 
 @settings(max_examples=examples(60), deadline=None)
