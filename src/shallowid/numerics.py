@@ -10,7 +10,7 @@ from .net_core import _canonical_rows, _row_norms
 from .tolerances import RANK_TOL, ZERO_TOL
 
 SUBSET_CAP = 20
-_CHUNK_ENTRIES = 1 << 18  # numbers screened or evaluated at once, to bound memory
+_CHUNK_ENTRIES = 1 << 18  # numbers screened, evaluated or fitted at once, to bound memory
 
 
 def _row_blocks(rows: int, row_entries: int) -> list[slice]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import schema
+from . import numerics, schema
 from .errors import (ConstructionError, InputError, ParseError, ReconstructionError,
                      RecoveryError, SizeError)
 from .net_core import (GroupedReLU, Hyperplane, ShallowNet, _canonical_rows, _row_norms,
@@ -32,11 +32,14 @@ _MIN_DIRECTION_NORM = 0.5
 _MIN_TRANSVERSALITY = 1e-2   # |<a, v>| / |v| at every line/hyperplane pairing
 _MIN_PARAM_GAP = 1e-2        # separation of crossing parameters on one line
 _MIN_POINT_SEP = 1e-3        # separation of crossing points across lines
-_MIN_SPREAD_DET = 1e-6       # normalized determinant of in-plane point subsets
+# margin on the Laplace |det| of a subset's k = d - 1 unit vectors (``_spread_ok``).
+# With at most k(k+1)/2 roundings a monomial, the value lies within k(k+1)/2 u k^(k/2)
+# of the exact |det| (u = 2^-53, first order), below 1e-13 for d <= 6; and a pass
+# gives sigma_min >= |det| / k^((k-1)/2), as |det| = prod sigma_i, sigma_max <= sqrt(k)
+_MIN_SPREAD_DET = 1e-6
 _RETRY_BUDGET = 1000         # per failure site
 _TOTAL_DRAW_CAP = 50_000
 _CANDIDATE_BUDGET = 200_000    # seed tuples fitted by recover_hyperplanes
-_CHUNK_FLOATS = 2 ** 18        # largest batched temporary in recover_hyperplanes
 _BLOCK_ENTRIES = 2 ** 14       # (anchor, point) pairs per block of the collinearity filter
 _SPREAD_BLOCK = 2 ** 13        # (hyperplane, subset) entries per block of the spread check
 # subset tests of one spread pass, m * C(md, d): above d=5, m=12 (65,538,144)
@@ -182,37 +185,6 @@ def _laplace_minors(rows: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(masks, minors))
 
 
-@functools.cache
-def _spread_slack(k: int) -> float:
-    """A bound on |fast - LAPACK| for the |det| of a k x k matrix A whose rows
-    are unit vectors (2-norm 1 up to rounding, so |a_ij| <= 1), where fast is
-    the full minor of ``_laplace_minors`` on A's rows in any order, LAPACK is
-    ``np.linalg.det``, and u = 2^-53.
-
-    * Laplace: each minor of r rows adds one product and r - 1 sums to the
-      minors below it, so every monomial of the expansion carries at most
-      k(k+1)/2 roundings: |fast - det A| <= k(k+1)/2 u per(|A|), and
-      per(|A|) <= prod_i |a_i|_1 <= k^(k/2).
-    * LU with partial pivoting (Higham 2002, thm 9.3): L U = A + E with
-      |E| <= k u |L| |U|, |l_ij| <= 1 and pivot growth |u_ij| <= 2^(k-1), so
-      each row of E has 2-norm at most k^(5/2) 2^(k-1) u.  det is multilinear
-      in the rows and Hadamard bounds every mixed term by its rows' norms, so
-      |det(A + E) - det A| <= k^(7/2) 2^(k-1) u.
-    * numpy forms det as exp(sum_i ln|u_ii|): each log and the exp are within
-      an ulp and the sum adds k - 1 roundings, so the error is at most
-      (k + 1) u P sum_i |ln|u_ii|| + 2 u P with P = |det(A + E)| <= 1.  As
-      |u_ii| <= 2^(k-1) and P |ln P| <= 1/e, P sum_i |ln|u_ii|| is at most
-      2 ln 2 k(k-1) + 1/e.
-
-    The sum of the three, doubled to cover every second-order term (products
-    of the roundings, row norms of 1 + O(k u)) and the rounding of the
-    comparisons that use it."""
-
-    u = 2.0 ** -53
-    return 2 * u * (k * (k + 1) / 2 * k ** (k / 2) + k ** 3.5 * 2 ** (k - 1)
-                    + (k + 1) * (2 * np.log(2) * k * (k - 1) + np.exp(-1)) + 2)
-
-
 def _unit_vectors(coords: np.ndarray) -> np.ndarray:
     """The (k, m, n, n) table of unit vectors between the in-plane points
     ``coords`` (m, n, k) of m hyperplanes: entry [:, h, i, j] is the unit
@@ -233,8 +205,8 @@ def _last_point_spreads(table: np.ndarray, sub: np.ndarray) -> np.ndarray:
     depend on the subset's rows 1..k alone, so a node, a run of columns that
     agree there with the column before, gets their ``_laplace_minors`` once;
     each entry then expands along its last row: k gathers and k
-    multiply-adds.  The values are those of ``_laplace_minors`` on the k rows,
-    so they lie within ``_spread_slack(k)`` of LAPACK's."""
+    multiply-adds.  The values are bit for bit those of ``_laplace_minors``
+    on the k rows."""
 
     k, m, n, _ = table.shape
     flat = table.reshape(k, m * n * n)
@@ -256,45 +228,28 @@ def _spread_ok(table: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """(m, C): whether each d-subset (a column of ``sub``) of each of m
     hyperplanes' n in-plane points affinely spans that hyperplane, given the
     points' ``_unit_vectors`` ``table`` (k = d - 1, m, n, n): from some
-    anchor point of the subset, the unit vectors to the other k must have
-    LAPACK |determinant| at least ``_MIN_SPREAD_DET``.  The m C (hyperplane,
-    subset) entries go through one pass: hyperplane h's pair indices are
-    offset by h n^2 into the flat table.
-
-    Every fast value, from any anchor and in any row order, lies within
-    ``_spread_slack(k)`` of that anchor's LAPACK |det|.  So a fast value of
-    at least the margin plus the slack passes an entry as LAPACK would, one
-    below the margin minus the slack fails that anchor, and an entry whose
-    best fast value is within the slack of the margin is decided by LAPACK
-    from every anchor: the decision does not depend on which anchors are
-    tried, or in which order.  Every entry is anchored at its subset's last
-    point (``_last_point_spreads``); those still below the margin plus the
-    slack try anchors 0..k-1.  Each entry's minors are elementwise and LAPACK
-    takes one matrix at a time, so an entry's decision does not depend on
-    the others."""
+    anchor point of the subset, the Laplace |det| (``_laplace_minors``) of
+    the unit vectors to the other k must be at least ``_MIN_SPREAD_DET``.
+    Every (hyperplane, subset) entry is anchored at its subset's last point
+    (``_last_point_spreads``); those below the margin try anchors 0..k-1 in
+    turn, with rows in subset order, until one passes them.  All m C entries
+    go through one pass: hyperplane h's pair indices are offset by h n^2
+    into the flat table.  Minors are elementwise, so an entry's decision
+    depends neither on the others nor on the order of its anchors."""
 
     k, m, n, _ = table.shape
     flat = table.reshape(k, m * n * n)
     count = sub.shape[1]
-    slack = _spread_slack(k)
-
-    def pairs(h, c, anchor):   # flat (anchor, other point) indices, one row per other point
-        rows = np.take(sub, c, axis=1)
-        other = np.delete(rows, anchor, axis=0)[:, None]
-        return (h * (n * n) + rows[anchor] * n + other).reshape(k, -1)
-
-    best = _last_point_spreads(table, sub)   # entry h * count + c
-    low = np.flatnonzero(best < _MIN_SPREAD_DET + slack)
+    ok = _last_point_spreads(table, sub) >= _MIN_SPREAD_DET   # entry h * count + c
+    low = np.flatnonzero(~ok)
     for anchor in range(k):
         if low.size:
-            rows = np.take(flat, pairs(*np.divmod(low, count), anchor), axis=1).swapaxes(0, 1)
-            best[low] = np.maximum(best[low], np.abs(_laplace_minors(rows)[(1 << k) - 1]))
-            low = low[best[low] < _MIN_SPREAD_DET + slack]
-    near = low[best[low] >= _MIN_SPREAD_DET - slack]
-    if near.size:
-        best[near] = np.max([np.abs(np.linalg.det(flat.T[pairs(*np.divmod(near, count), a).T]))
-                             for a in range(k + 1)], axis=0)
-    return (best >= _MIN_SPREAD_DET).reshape(m, count)
+            rows = np.take(sub, low % count, axis=1)
+            pair = low // count * (n * n) + rows[anchor] * n + np.delete(rows, anchor, axis=0)
+            minors = _laplace_minors(np.take(flat, pair, axis=1).swapaxes(0, 1))
+            ok[low] = np.abs(minors[(1 << k) - 1]) >= _MIN_SPREAD_DET
+            low = low[~ok[low]]
+    return ok.reshape(m, count)
 
 
 def _first_failure(crossings: np.ndarray, bases: np.ndarray, head: np.ndarray,
@@ -360,9 +315,11 @@ def build_feasible_lines(g: GroupedReLU, seed: int) -> FeasibleLineSet:
     each round redraws the first line that fails (ii) or (iii).  Its one
     integer of state, p, counts the leading lines whose d-subsets all pass:
     a round tests the subsets whose last line is p or later, and a redraw of
-    line f sets p to f.  A set that passes with no such redraw is bit for bit
-    the one a check from each subset's first point alone accepts.  Over
-    ``_SPREAD_ENTRIES_CAP`` subset tests per pass raise SizeError.
+    line f sets p to f.  (iii) is decided on the Laplace determinants that
+    ``_spread_ok`` computes, with no LAPACK call.  A set that passes with no
+    such redraw is bit for bit the one a check from each subset's first
+    point alone accepts.  Over ``_SPREAD_ENTRIES_CAP`` subset tests per pass
+    raise SizeError.
 
     Candidate lines are drawn in batches from one random stream: to fill k
     empty lines, one ``rng.uniform(-1, 1, size=(k, 2, d))`` draws k
@@ -912,7 +869,7 @@ def recover_hyperplanes(crossings_by_line, tol: ToleranceConfig = DEFAULT_TOL
     found: list[Hyperplane] = []
     fits = 0
     tuples = m ** d
-    chunk = max(1, _CHUNK_FLOATS // (n_lines * max(m, d)))
+    chunk = max(1, numerics._CHUNK_ENTRIES // (n_lines * max(m, d)))
     for line_combo in itertools.combinations(range(n_lines), d):
         for start in range(0, tuples, chunk):
             if fits == _CANDIDATE_BUDGET:

@@ -8,6 +8,7 @@ the CLI and single-BLAS-thread runners."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import os
 import subprocess
@@ -22,8 +23,8 @@ from shallowid import (AdmissibilityError, ConstructionError, EquivalenceCertifi
                        ExpSumExpansion, HypothesisError, InputError, RecoveryError,
                        ReductionWitness, ShallowNet, GroupedReLU, Hyperplane, Neuron,
                        PairedEntry, ToolkitError, admissibility_violations,
-                       canonical_hyperplane, evaluate_many, group, make_net, rank,
-                       relu_sampling, solve_least_squares)
+                       canonical_hyperplane, evaluate_many, group, make_net, numerics,
+                       rank, relu_sampling, solve_least_squares)
 from shallowid.net_core import _duplicate_ridges, _row_norms
 from shallowid.numerics import affine_fits
 from shallowid.relu_structure import (_cancelling_pairs, _coefficient_scale,
@@ -1114,7 +1115,78 @@ def oracle_stacked_line_crossings(line, A, B):
     return params
 
 
-# The spread pass that relu_sampling._spread_ok replaced: every entry is
+@functools.cache
+def _spread_slack(k: int) -> float:
+    """A bound on |fast - LAPACK| for the |det| of a k x k matrix A whose rows
+    are unit vectors (2-norm 1 up to rounding, so |a_ij| <= 1), where fast is
+    the full minor of ``_laplace_minors`` on A's rows in any order, LAPACK is
+    ``np.linalg.det``, and u = 2^-53.
+
+    * Laplace: each minor of r rows adds one product and r - 1 sums to the
+      minors below it, so every monomial of the expansion carries at most
+      k(k+1)/2 roundings: |fast - det A| <= k(k+1)/2 u per(|A|), and
+      per(|A|) <= prod_i |a_i|_1 <= k^(k/2).
+    * LU with partial pivoting (Higham 2002, thm 9.3): L U = A + E with
+      |E| <= k u |L| |U|, |l_ij| <= 1 and pivot growth |u_ij| <= 2^(k-1), so
+      each row of E has 2-norm at most k^(5/2) 2^(k-1) u.  det is multilinear
+      in the rows and Hadamard bounds every mixed term by its rows' norms, so
+      |det(A + E) - det A| <= k^(7/2) 2^(k-1) u.
+    * numpy forms det as exp(sum_i ln|u_ii|): each log and the exp are within
+      an ulp and the sum adds k - 1 roundings, so the error is at most
+      (k + 1) u P sum_i |ln|u_ii|| + 2 u P with P = |det(A + E)| <= 1.  As
+      |u_ii| <= 2^(k-1) and P |ln P| <= 1/e, P sum_i |ln|u_ii|| is at most
+      2 ln 2 k(k-1) + 1/e.
+
+    The sum of the three, doubled to cover every second-order term (products
+    of the roundings, row norms of 1 + O(k u)) and the rounding of the
+    comparisons that use it."""
+
+    u = 2.0 ** -53
+    return 2 * u * (k * (k + 1) / 2 * k ** (k / 2) + k ** 3.5 * 2 ** (k - 1)
+                    + (k + 1) * (2 * np.log(2) * k * (k - 1) + np.exp(-1)) + 2)
+
+
+# The spread pass that relu_sampling._spread_ok replaced, which decided by
+# LAPACK near the margin: every entry is first anchored at its subset's last
+# point (relu_sampling._last_point_spreads), those below the margin plus the
+# slack try anchors 0..k-1, and those whose best fast value is within the
+# slack of the margin get np.linalg.det from every anchor.  Minors and the
+# margin are read from relu_sampling.
+def oracle_last_point_spread_ok(table, sub):
+    """(m, C): whether each d-subset (a column of ``sub``) of each of m
+    hyperplanes' n in-plane points affinely spans that hyperplane, given the
+    points' ``_unit_vectors`` ``table`` (k = d - 1, m, n, n): from some
+    anchor point of the subset, the unit vectors to the other k must have
+    LAPACK |determinant| at least ``_MIN_SPREAD_DET``, decided from fast
+    values within ``_spread_slack(k)`` of LAPACK's."""
+
+    k, m, n, _ = table.shape
+    flat = table.reshape(k, m * n * n)
+    count = sub.shape[1]
+    slack = _spread_slack(k)
+    margin = relu_sampling._MIN_SPREAD_DET
+
+    def pairs(h, c, anchor):   # flat (anchor, other point) indices, one row per other point
+        rows = np.take(sub, c, axis=1)
+        other = np.delete(rows, anchor, axis=0)[:, None]
+        return (h * (n * n) + rows[anchor] * n + other).reshape(k, -1)
+
+    best = relu_sampling._last_point_spreads(table, sub)   # entry h * count + c
+    low = np.flatnonzero(best < margin + slack)
+    for anchor in range(k):
+        if low.size:
+            rows = np.take(flat, pairs(*np.divmod(low, count), anchor), axis=1).swapaxes(0, 1)
+            best[low] = np.maximum(best[low],
+                                   np.abs(relu_sampling._laplace_minors(rows)[(1 << k) - 1]))
+            low = low[best[low] < margin + slack]
+    near = low[best[low] >= margin - slack]
+    if near.size:
+        best[near] = np.max([np.abs(np.linalg.det(flat.T[pairs(*np.divmod(near, count), a).T]))
+                             for a in range(k + 1)], axis=0)
+    return (best >= margin).reshape(m, count)
+
+
+# The spread pass that oracle_last_point_spread_ok replaced: every entry is
 # first anchored at its subset's first point, with a full Laplace expansion
 # per entry.  Margins are read from relu_sampling.
 def oracle_first_point_spread_ok(table, sub):
@@ -1129,7 +1201,7 @@ def oracle_first_point_spread_ok(table, sub):
     k, m, n, _ = table.shape
     flat = table.reshape(k, m * n * n)
     count = sub.shape[1]
-    slack = relu_sampling._spread_slack(k)
+    slack = _spread_slack(k)
     margin = relu_sampling._MIN_SPREAD_DET
 
     def pairs(h, c, anchor):   # flat (anchor, other point) indices, one row per other point
@@ -1157,7 +1229,7 @@ def oracle_first_point_spread_ok(table, sub):
 # The round check that relu_sampling._first_failure and _spread_ok replaced:
 # an all-pairs distance table for (ii), and for (iii) one _spread_ok call
 # per hyperplane and block, each building its own subset table and unit
-# vectors.  Margins and _CHUNK_FLOATS are read from relu_sampling.
+# vectors.  Margins are read from relu_sampling, the block size from numerics.
 def oracle_spread_ok(coords, sub):
     """Whether each d-subset (a column of ``sub``) of one hyperplane's
     in-plane points ``coords`` (n, k = d - 1) affinely spans it: from some
@@ -1171,7 +1243,7 @@ def oracle_spread_ok(coords, sub):
     np.fill_diagonal(dist, np.inf)
     unit = (diff / dist[:, :, None]).reshape(n * n, k)
     table = np.ascontiguousarray(unit.T)
-    slack = relu_sampling._spread_slack(k)
+    slack = _spread_slack(k)
     margin = relu_sampling._MIN_SPREAD_DET
 
     def pairs(cols, anchor):   # flat (anchor, other point) indices, one row per other point
@@ -1202,7 +1274,7 @@ def oracle_first_failure(crossings, bases, head, start):
     that fails ``oracle_spread_ok`` in some hyperplane; None if none fails.
     Only subsets with last line ``start`` or later are tested, in colex
     order (``head`` holds the colex order of the first md - 1 lines), in
-    blocks of about ``_CHUNK_FLOATS`` indices, and each hyperplane stops at
+    blocks of about ``_CHUNK_ENTRIES`` indices, and each hyperplane stops at
     the first line known to fail."""
 
     n_lines, m, d = crossings.shape
@@ -1213,7 +1285,7 @@ def oracle_first_failure(crossings, bases, head, start):
     close = np.argwhere(dist < relu_sampling._MIN_POINT_SEP)
     first = int(np.min(np.max(close, axis=1))) // m if close.size else n_lines
     below = np.array([comb(j, d) for j in range(n_lines + 1)])   # rows before line j
-    step = max(1, relu_sampling._CHUNK_FLOATS // d)
+    step = max(1, numerics._CHUNK_ENTRIES // d)
     for k in range(m):
         coords = crossings[:, k, :] @ bases[k].T
         for lo in range(int(below[start]), int(below[first]), step):
@@ -1239,7 +1311,7 @@ def oracle_spread_culprit(coords, members, stale, dets):
     unit vectors from its first point to the others must have a large
     |determinant|.  ``dets`` caches each subset's fast |determinant|; only
     subsets holding a ``stale`` line are recomputed, in blocks of about
-    ``_CHUNK_FLOATS`` indices, by ``_laplace_minors`` on the (k, n^2) table of
+    ``_CHUNK_ENTRIES`` indices, by ``_laplace_minors`` on the (k, n^2) table of
     unit vectors between the n points (k = d - 1).
 
     The decision is LAPACK's: the first line of the first subset (by index)
@@ -1257,7 +1329,7 @@ def oracle_spread_culprit(coords, members, stale, dets):
     np.fill_diagonal(dist, np.inf)
     unit = (diff / dist[:, :, None]).reshape(n * n, -1)
     table = np.ascontiguousarray(unit.T)
-    step = max(1, relu_sampling._CHUNK_FLOATS // len(members))
+    step = max(1, numerics._CHUNK_ENTRIES // len(members))
     for start in range(0, redo.size, step):
         block = redo[start:start + step]
         sub = np.take(members, block, axis=1)   # contiguous rows, unlike members[:, block]
@@ -1265,7 +1337,7 @@ def oracle_spread_culprit(coords, members, stale, dets):
         minors = relu_sampling._laplace_minors(np.take(table, pair, axis=1).swapaxes(0, 1))
         dets[block] = np.abs(minors[(1 << len(table)) - 1])
     stale[:] = False
-    slack = relu_sampling._spread_slack(len(table))
+    slack = _spread_slack(len(table))
     least = float(np.min(dets))
     if least - slack >= relu_sampling._MIN_SPREAD_DET:
         return None

@@ -20,11 +20,12 @@ from shallowid.relu_sampling import (plan_from_json_obj, plan_to_json_obj,
                                      samples_from_json_obj, samples_to_json_obj)
 
 from conftest import examples
-from helpers import (_point_line_distances, oracle_build_feasible_lines,
+from helpers import (_point_line_distances, _spread_slack, oracle_build_feasible_lines,
                      oracle_build_sample_plan, oracle_collinear_candidates,
                      oracle_collinearity_ok, oracle_extract_breakpoints, oracle_first_failing_line,
                      oracle_first_failure, oracle_first_point_spread_ok, oracle_flagged_pairs,
-                     oracle_laplace_minors, oracle_line_crossings, oracle_orientation,
+                     oracle_laplace_minors, oracle_last_point_spread_ok,
+                     oracle_line_crossings, oracle_orientation,
                      oracle_plane_fits,
                      oracle_recover_hyperplanes, oracle_refit_screen, oracle_seed_fit_recovery,
                      oracle_seed_survivors, oracle_spread_culprit, oracle_stacked_line_crossings,
@@ -344,7 +345,7 @@ def test_laplace_dets_are_within_the_slack_of_lapack(k, seed, delta):
                        + delta * rng.normal(size=(64, k)))
     matrices = unit_rows(rows)
     diff = np.abs(stacked_dets(matrices)) - np.abs(np.linalg.det(matrices))
-    assert np.all(np.abs(diff) <= relu_sampling._spread_slack(k))
+    assert np.all(np.abs(diff) <= _spread_slack(k))
 
 
 @settings(max_examples=examples(60), deadline=None)
@@ -372,8 +373,8 @@ def test_last_point_spreads_are_the_full_expansion_from_the_last_point(k, m, ext
                                                                        seed):
     """The first pass's value of each entry, with minors shared along runs
     of columns, is bit for bit the full Laplace expansion of the unit
-    vectors from the subset's last point to rows k - 1, ..., 0, so the
-    slack of ``_spread_slack(k)`` holds for it."""
+    vectors from the subset's last point to rows k - 1, ..., 0: the value
+    ``_spread_ok`` decides on from that anchor."""
 
     rng = np.random.default_rng(seed)
     n = k + 1 + extra
@@ -399,14 +400,44 @@ def lapack_spreads(coords, sub):
                    for a in range(k + 1)], axis=0)
 
 
+def fast_spreads(coords, sub):
+    """The Laplace |det| of each subset (the columns of ``sub``) from its
+    best anchor, on the unit vectors ``_spread_ok`` forms and in its row
+    orders: from the last point to rows k - 1, ..., 0, and from any other
+    anchor to the others in row order (``oracle_laplace_minors``)."""
+
+    k = coords.shape[1]
+    unit = relu_sampling._unit_vectors(coords[None])[:, 0]   # (k, n, n)
+    best = np.zeros(sub.shape[1])
+    for a in range(k + 1):
+        others = np.delete(sub, a, axis=0)
+        if a == k:
+            others = others[::-1]
+        rows = unit[:, sub[a][None, :], others].swapaxes(0, 1)   # (k rows, k, C)
+        best = np.maximum(best, np.abs(oracle_laplace_minors(rows)[(1 << k) - 1]))
+    return best
+
+
+def assert_far_entries_decided_as_lapack(ok, table, sub, fast, exact, margin):
+    """The entries whose best fast |det| lies farther than the slack from
+    ``margin`` are decided as LAPACK decides them: by their best LAPACK
+    |det| ``exact``, and as the replaced check from the last point with
+    LAPACK at near ties (``oracle_last_point_spread_ok``) decides them."""
+
+    far = np.abs(fast - margin) > _spread_slack(table.shape[0])
+    parent = oracle_last_point_spread_ok(table, sub).ravel()
+    assert ok.ravel()[far].tolist() == parent[far].tolist() == (exact[far] >= margin).tolist()
+
+
 @pytest.mark.parametrize("d, m, seed", [(2, 3, 0), (3, 3, 1), (4, 3, 0), (5, 2, 4), (6, 2, 0)])
 def test_spread_check_at_a_margin_on_the_worst_lapack_determinant(d, m, seed):
     """On an accepted line set's crossings in all its hyperplanes at once, a
-    margin of exactly the worst (hyperplane, subset) entry's best LAPACK
-    |det| passes every entry, one ulp more fails the entries of that |det|
-    alone (at d=2, every pair of every hyperplane: |det| is 1), one ulp less
-    passes: the fast values sit within the slack of the margin, so every
-    decision is LAPACK's."""
+    margin of exactly the worst (hyperplane, subset) entry's best fast |det|
+    passes every entry, one ulp more fails the entries of that |det| alone
+    (at d=2, every pair of every hyperplane: |det| is 1), one ulp less
+    passes.  That value lies within the slack of the worst best LAPACK
+    |det|, and every entry farther than the slack from the margin gets
+    LAPACK's decision."""
 
     g, ls = seeded_line_set(d, m, seed)
     hyperplanes = relu_sampling._distinct_hyperplanes(g)
@@ -415,13 +446,17 @@ def test_spread_check_at_a_margin_on_the_worst_lapack_determinant(d, m, seed):
                        for k, h in enumerate(hyperplanes)])
     sub = relu_sampling._colex(len(crossings), d)
     exact = np.stack([lapack_spreads(c, sub) for c in coords]).ravel()
-    worst = float(np.min(exact))
+    fast = np.stack([fast_spreads(c, sub) for c in coords]).ravel()
+    worst = float(np.min(fast))
+    assert abs(worst - np.min(exact)) <= _spread_slack(d - 1)
     table = relu_sampling._unit_vectors(coords)
     outcomes = []
     for margin in (np.nextafter(worst, 0.0), worst, np.nextafter(worst, np.inf)):
         with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", float(margin)):
-            outcomes.append(np.flatnonzero(~relu_sampling._spread_ok(table, sub)).tolist())
-    assert outcomes == [[], [], np.flatnonzero(exact == worst).tolist()]
+            ok = relu_sampling._spread_ok(table, sub)
+            assert_far_entries_decided_as_lapack(ok, table, sub, fast, exact, margin)
+        outcomes.append(np.flatnonzero(~ok).tolist())
+    assert outcomes == [[], [], np.flatnonzero(fast == worst).tolist()]
 
 
 def mirrored_triples(order=(0, 1, 2, 3, 4, 5), shrink=1.0):
@@ -455,18 +490,22 @@ def test_spread_check_names_the_first_of_two_equal_determinants(order):
     assert named == min(sub[-1])
 
 
-def test_spread_check_decides_by_lapack_where_fast_values_swap_a_near_tie(monkeypatch):
+def test_spread_check_decides_by_the_fast_values_where_they_swap_a_near_tie(monkeypatch):
     """The mirror image's |det| is smaller by about 4e-16, and the margin
-    lies between the two.  Fast values moved by 0.7 slack in opposite
-    directions, which stay within the slack of LAPACK's, rank the first
-    triple lower; LAPACK passes it and fails its mirror image all the same.
-    The values are moved where they are formed: by the first pass, from
-    each subset's last point, and as the full minors of the other anchors."""
+    lies between the two.  Fast values moved by 0.7 slack, the first
+    triple's down and its mirror image's up, stay within the slack of
+    LAPACK's and rank the first triple lower: the check fails the first
+    triple and passes its mirror image, the other way round from LAPACK
+    (``oracle_last_point_spread_ok``).  The values are moved where they are
+    formed: by the first pass, from each subset's last point, and as the
+    full minors of the other anchors.  Only from its middle point does
+    either triple come near the margin, so both try every anchor."""
 
     coords, sub, exact = mirrored_triples(shrink=1 - 2e-8)
-    slack = relu_sampling._spread_slack(2)
+    slack = _spread_slack(2)
     assert exact[1] < exact[0] < exact[1] + slack / 4
-    monkeypatch.setattr(relu_sampling, "_MIN_SPREAD_DET", float(np.mean(exact)))
+    margin = float(np.mean(exact))
+    monkeypatch.setattr(relu_sampling, "_MIN_SPREAD_DET", margin)
     real_first, real_minors = relu_sampling._last_point_spreads, relu_sampling._laplace_minors
     fast = []
 
@@ -485,10 +524,14 @@ def test_spread_check_decides_by_lapack_where_fast_values_swap_a_near_tie(monkey
 
     monkeypatch.setattr(relu_sampling, "_last_point_spreads", first_pass)
     monkeypatch.setattr(relu_sampling, "_laplace_minors", minors)
-    assert spread_ok(coords, sub).tolist() == [True, False]
+    assert spread_ok(coords, sub).tolist() == [False, True]
     assert len(fast) == 3   # the last point, then anchors 0 and 1
     best = np.max(fast, axis=0)
-    assert best[0] < best[1] and np.max(np.abs(best - exact)) <= slack
+    assert best[0] < margin <= best[1] and np.max(np.abs(best - exact)) <= slack
+    # both entries lie within the slack of the margin, where LAPACK decides
+    assert np.all(np.abs(best - margin) <= slack)
+    table = relu_sampling._unit_vectors(coords[None])
+    assert oracle_last_point_spread_ok(table, sub)[0].tolist() == [True, False]
 
 
 @settings(max_examples=examples(40), deadline=None)
@@ -524,10 +567,12 @@ def test_spread_check_accepts_what_the_first_point_check_accepts(d, n, far, seed
 def test_spread_check_decides_every_entry_as_the_first_point_pass(k, m, extra, far, order, seed):
     """In-plane points of m hyperplanes, the first of each planted ``far``
     away: the pass from each subset's last point, with minors shared along
-    runs of columns, decides every (hyperplane, subset) entry as the pass
-    from each subset's first point that it replaced
-    (``oracle_first_point_spread_ok``).  Under the default margin, and at
-    margins set at entries' best LAPACK |det| and one ulp either side; with
+    runs of columns, decides every (hyperplane, subset) entry by its best
+    fast |det|.  Wherever that value lies farther than the slack from the
+    margin, the decision is also that of the pass from each subset's first
+    point (``oracle_first_point_spread_ok``), of the replaced pass from the
+    last point and of LAPACK.  Under the default margin, and at margins set
+    at entries' best fast |det| and one ulp either side; with
     the subsets in colex order, in shuffled column order, and with each
     column's points shuffled too."""
 
@@ -543,14 +588,18 @@ def test_spread_check_decides_every_entry_as_the_first_point_pass(k, m, extra, f
     sub = np.ascontiguousarray(sub)
     table = relu_sampling._unit_vectors(coords)
     exact = np.concatenate([lapack_spreads(c, sub) for c in coords])
+    fast = np.concatenate([fast_spreads(c, sub) for c in coords])
     margins = [relu_sampling._MIN_SPREAD_DET]
-    for value in rng.choice(exact, 2):
+    for value in rng.choice(fast, 2):
         margins += [np.nextafter(value, 0.0), value, np.nextafter(value, np.inf)]
     for margin in margins:
         with mock.patch.object(relu_sampling, "_MIN_SPREAD_DET", float(margin)):
             ok = relu_sampling._spread_ok(table, sub)
-            assert ok.tolist() == oracle_first_point_spread_ok(table, sub).tolist()
-            assert ok.ravel().tolist() == (exact >= margin).tolist()
+            far = np.abs(fast - margin) > _spread_slack(k)
+            first = oracle_first_point_spread_ok(table, sub).ravel()
+            assert ok.ravel()[far].tolist() == first[far].tolist()
+            assert_far_entries_decided_as_lapack(ok, table, sub, fast, exact, margin)
+            assert ok.ravel().tolist() == (fast >= margin).tolist()
 
 
 def round_inputs(rng, m, d):
@@ -1014,7 +1063,8 @@ def test_reconstruct_is_byte_identical_to_the_orientation_loop(monkeypatch, d, m
     data = sample_values(net, plan)
     rebuilt, expected = reconstruct_with_oracle(monkeypatch, data)
     assert net_core.serialize(rebuilt) == net_core.serialize(expected)
-    # the flip sets' sums screened a few at a time, in many chunks
+    # the flip sets' sums screened a few at a time, in many chunks, and the
+    # seed tuples of hyperplane recovery fitted one at a time
     monkeypatch.setattr(numerics, "_CHUNK_ENTRIES", 16)
     assert net_core.serialize(reconstruct(data)) == net_core.serialize(expected)
 
@@ -1684,7 +1734,7 @@ def test_recover_hyperplanes_chunk_edges_keep_the_oracle_order(monkeypatch, d, m
     alike."""
 
     crossings, needed = crossings_and_oracle_budget(d, m, seed)
-    monkeypatch.setattr(relu_sampling, "_CHUNK_FLOATS", tuples * m * d * max(m, d))
+    monkeypatch.setattr(numerics, "_CHUNK_ENTRIES", tuples * m * d * max(m, d))
     with mock.patch.object(relu_sampling, "_seed_survivors",
                            wraps=relu_sampling._seed_survivors) as spy:
         assert isinstance(assert_recovers_as_the_oracle(crossings), list)
@@ -1958,7 +2008,7 @@ def test_recover_hyperplanes_skips_chunks_the_screen_empties(monkeypatch):
 
     rng = np.random.default_rng(0)
     scattered = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(9)]
-    monkeypatch.setattr(relu_sampling, "_CHUNK_FLOATS", 20 * 9 * 3)
+    monkeypatch.setattr(numerics, "_CHUNK_ENTRIES", 20 * 9 * 3)
     monkeypatch.setattr(relu_sampling, "_CANDIDATE_BUDGET", 2000)
     with mock.patch.object(relu_sampling, "_seed_survivors",
                            wraps=relu_sampling._seed_survivors) as screen, \
